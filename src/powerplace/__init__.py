@@ -9,9 +9,7 @@ from .affinity import (
     AffinityMatrix,
     build_final_affinity,
     final_affinity,
-    system_affinity,
     system_affinity_matrix,
-    validate_user_anti_consistency,
 )
 from .costs import (
     CostBreakdown,
@@ -20,7 +18,6 @@ from .costs import (
     machine_power,
     metrics,
     total_cost,
-    utilization,
 )
 from .harness import (
     ResultRow,
@@ -41,8 +38,6 @@ from .model import (
     ResourceVector,
     Scenario,
     ValidationReport,
-    fits,
-    remaining_capacity,
     validate_allocation,
 )
 from .oracle import OracleResult, feasibility_check, optimal_place
@@ -97,22 +92,17 @@ __all__ = [
     "feasibility_check",
     "final_affinity",
     "first_fit_place",
-    "fits",
     "generate_synthetic",
     "load_trace",
     "machine_power",
     "metrics",
     "optimal_place",
     "pap_place",
-    "remaining_capacity",
     "run_scenario",
     "run_sweep",
     "save_trace",
     "sort_applications",
-    "system_affinity",
     "system_affinity_matrix",
     "total_cost",
-    "utilization",
     "validate_allocation",
-    "validate_user_anti_consistency",
 ]

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    AffinityWeights,
-    Application,
-    ConstraintResult,
-    Machine,
-    ModelError,
-    Scenario,
-)
+from .model import ModelError, Scenario
 
 SYSTEM = "system"
 FINAL = "final"
@@ -42,7 +35,7 @@ class AffinityMatrix:
         values = np.array(self.values, dtype=float)
         if values.ndim != 2:
             raise ModelError("affinity values must be a 2-D matrix")
-        if (values < 0).any() or (values > 1).any():
+        if not ((values >= 0) & (values <= 1)).all():
             raise ModelError("affinity values must lie in [0, 1]")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -52,37 +45,24 @@ class AffinityMatrix:
         return self.values.shape
 
 
-def system_affinity(machine: Machine, app: Application, weights: AffinityWeights) -> float:
-    """Resource affinity of one machine for one application.
-
-    Zero when any demand component strictly exceeds the machine's capacity;
-    otherwise the weighted sum of per-resource headroom fractions
-    (cap - req) / cap. Exact equality of demand and capacity contributes
-    zero headroom but does not trigger the zero branch. A zero-capacity
-    component (possible for io/nw/mem) contributes zero headroom.
-    """
-    cap = machine.capacity.as_tuple()
-    req = app.demand.as_tuple()
-    for c in range(4):
-        if cap[c] < req[c]:
-            return 0.0
-    score = 0.0
-    for beta, c, r in zip(weights.as_tuple(), cap, req):
-        if c > 0:
-            score += beta * (c - r) / c
-    # weights may sum to 1 + O(1e-9) within their tolerance; keep the
-    # score inside [0, 1]
-    return min(score, 1.0)
-
-
 def system_affinity_matrix(scenario: Scenario) -> AffinityMatrix:
-    """Resource affinity for every (application, machine) pair."""
+    """Resource affinity for every (application, machine) pair.
+
+    A cell is zero when any demand component strictly exceeds the machine's
+    capacity; otherwise it is the weighted sum of per-resource headroom
+    fractions (cap - req) / cap. Exact equality of demand and capacity
+    contributes zero headroom but does not trigger the zero branch. A
+    zero-capacity component (possible for io/nw/mem) contributes zero
+    headroom.
+    """
     caps = np.array([m.capacity.as_tuple() for m in scenario.machines])  # (M, 4)
     reqs = np.array([a.demand.as_tuple() for a in scenario.applications])  # (N, 4)
     betas = np.array(scenario.weights.as_tuple())
     with np.errstate(divide="ignore", invalid="ignore"):
         head = np.where(caps > 0, (caps[None, :, :] - reqs[:, None, :]) / caps[None, :, :], 0.0)
     blocked = (reqs[:, None, :] > caps[None, :, :]).any(axis=2)
+    # weights may sum to 1 + O(1e-9) within their tolerance; keep every
+    # score inside [0, 1]
     values = np.where(blocked, 0.0, np.minimum(head @ betas, 1.0))
     return AffinityMatrix(values=values, kind=SYSTEM)
 
@@ -101,15 +81,3 @@ def build_final_affinity(scenario: Scenario) -> AffinityMatrix:
     """The final affinity matrix for a scenario, built in one step."""
     return final_affinity(scenario.user_affinity, system_affinity_matrix(scenario))
 
-
-def validate_user_anti_consistency(user: np.ndarray, anti: np.ndarray) -> ConstraintResult:
-    """Check that no pair is both user-affine and anti-affine."""
-    user = np.asarray(user)
-    anti = np.asarray(anti)
-    if user.shape != anti.shape:
-        raise ModelError(f"shape mismatch: user {user.shape} vs anti {anti.shape}")
-    clash = np.argwhere((user == 1) & (anti == 1))
-    if clash.size:
-        i, j = (int(v) for v in clash[0])
-        return ConstraintResult(False, (i, j), f"app {i}, machine {j} marked both affine and anti-affine")
-    return ConstraintResult(True)

@@ -9,23 +9,18 @@ term gives the reduced objective that placement actually optimizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .affinity import FINAL, AffinityMatrix
 from .model import (
     AllocationMatrix,
-    Application,
     Machine,
     ModelError,
     Scenario,
     validate_allocation,
 )
-
-# Utilization overshoot within this relative band of 1.0 is float jitter
-# from saturating a machine exactly; it is snapped back to 1.0.
-UTIL_SNAP = 1e-9
 
 
 class CostBreakdown(NamedTuple):
@@ -57,24 +52,6 @@ class MetricsReport:
     runtime_s: float = 0.0
 
 
-def utilization(
-    machine: Machine,
-    allocation: AllocationMatrix,
-    applications: Sequence[Application],
-) -> float:
-    """Fraction of a machine's CPU capacity consumed by placed instances."""
-    counts = allocation.counts
-    used = 0.0
-    for app in applications:
-        b = int(counts[app.id, machine.id])
-        if b:
-            used += b * app.demand.cpu
-    pi = used / machine.capacity.cpu
-    if 1.0 < pi <= 1.0 + UTIL_SNAP:
-        pi = 1.0
-    return pi
-
-
 def machine_power(machine: Machine, pi: float) -> float:
     """Power draw in watts at utilization ``pi``: idle + span * pi^3."""
     if not (0.0 <= pi <= 1.0):
@@ -95,11 +72,15 @@ def delta_cost(machine: Machine, pi_old: float, pi_new: float, affinity: float, 
     return span * (pi_new * pi_new * pi_new - pi_old * pi_old * pi_old) - alpha * affinity
 
 
-def _utilizations(scenario: Scenario, allocation: AllocationMatrix) -> np.ndarray:
+def utilizations(scenario: Scenario, allocation: AllocationMatrix) -> np.ndarray:
+    """Fraction of each machine's CPU capacity consumed, capped at 1.
+
+    The cap absorbs float overshoot from saturating a machine exactly; a
+    real overshoot only comes from a capacity-violating allocation.
+    """
     cpu_req = np.array([a.demand.cpu for a in scenario.applications])
     cpu_cap = np.array([m.capacity.cpu for m in scenario.machines])
-    pi = (allocation.counts.T.astype(float) @ cpu_req) / cpu_cap
-    return np.where((pi > 1.0) & (pi <= 1.0 + UTIL_SNAP), 1.0, pi)
+    return np.minimum((allocation.counts.T.astype(float) @ cpu_req) / cpu_cap, 1.0)
 
 
 def total_cost(
@@ -122,11 +103,11 @@ def total_cost(
     n, m = scenario.num_applications, scenario.num_machines
     if allocation.counts.shape != (n, m) or affinity.shape != (n, m):
         raise ModelError("allocation/affinity dimensions do not match scenario")
-    pis = _utilizations(scenario, allocation)
+    pis = utilizations(scenario, allocation)
     idle_sum = 0.0
     dynamic = 0.0
     for j, mach in enumerate(scenario.machines):
-        pi = min(float(pis[j]), 1.0)
+        pi = float(pis[j])
         idle_sum += mach.p_idle
         dynamic += (mach.p_max - mach.p_idle) * pi * pi * pi
     payoff = float((affinity.values * allocation.counts).sum())
@@ -147,15 +128,14 @@ def metrics(
     Satisfaction ratio: placed instances landing on user-affine machines
     over the total instances requested (not placed), so partial allocations
     score low rather than failing. Utilization is capped at 1 per machine
-    for reporting, which only matters for capacity-violating input.
+    (see ``utilizations``), which only matters for capacity-violating input.
     """
     breakdown = total_cost(scenario, allocation, affinity)
     report = validate_allocation(scenario, allocation)
     requested = scenario.total_instances
     on_affine = float((scenario.user_affinity * allocation.counts).sum())
     rho = on_affine / requested
-    pis = np.minimum(_utilizations(scenario, allocation), 1.0)
-    avg_util = float(pis.sum()) / scenario.num_machines
+    avg_util = float(utilizations(scenario, allocation).sum()) / scenario.num_machines
     if breakdown.total == 0.0:
         psi = float("nan")
     else:

@@ -9,8 +9,9 @@ per-machine resource capacities are never exceeded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +24,7 @@ RESOURCE_NAMES = ("cpu", "io", "nw", "mem")
 
 
 class ModelError(ValueError):
-    """Malformed model input: bad dimensions, negative quantities, id gaps."""
+    """Malformed model input: bad dimensions, negative or non-finite quantities, id gaps."""
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,9 @@ class ResourceVector:
 
     def __post_init__(self) -> None:
         for name in RESOURCE_NAMES:
-            if getattr(self, name) < 0:
-                raise ModelError(f"resource component {name!r} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ModelError(f"resource component {name!r} must be finite and >= 0")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.cpu, self.io, self.nw, self.mem)
@@ -64,8 +66,8 @@ class AffinityWeights:
 
     def __post_init__(self) -> None:
         for b in self.as_tuple():
-            if b < 0:
-                raise ModelError("affinity weights must be >= 0")
+            if not (math.isfinite(b) and b >= 0):
+                raise ModelError("affinity weights must be finite and >= 0")
         total = self.beta1 + self.beta2 + self.beta3 + self.beta4
         if abs(total - 1.0) > 1e-9:
             raise ModelError(f"affinity weights must sum to 1, got {total!r}")
@@ -89,6 +91,8 @@ class Machine:
     pi_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.p_idle) and math.isfinite(self.p_max)):
+            raise ModelError(f"machine {self.id}: p_idle and p_max must be finite")
         if self.p_idle < 0 or self.p_max < self.p_idle:
             raise ModelError(f"machine {self.id}: need 0 <= p_idle <= p_max")
         if self.capacity.cpu <= 0:
@@ -163,8 +167,8 @@ class Scenario:
             raise ModelError(
                 f"user affinity and anti-affinity both set for app {i}, machine {j}"
             )
-        if self.alpha < 0:
-            raise ModelError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ModelError("alpha must be finite and >= 0")
         if not (0.0 < self.pi_threshold <= 1.0):
             raise ModelError("pi_threshold must be in (0, 1]")
         user.setflags(write=False)
@@ -249,49 +253,71 @@ class ValidationReport:
         return self.anti_affinity.ok and self.completeness.ok and self.capacity.ok
 
 
-def fits(demand: ResourceVector, remaining: ResourceVector) -> bool:
-    """True iff the demand fits in the remaining capacity in all components."""
-    return (
-        demand.cpu <= remaining.cpu
-        and demand.io <= remaining.io
-        and demand.nw <= remaining.nw
-        and demand.mem <= remaining.mem
-    )
+class CapacityLedger:
+    """Remaining capacity, cpu used and utilization of every machine.
 
-
-def remaining_capacity(
-    machine: Machine,
-    allocation: AllocationMatrix,
-    applications: Sequence[Application],
-) -> ResourceVector:
-    """Capacity of ``machine`` left over after the allocated instances.
-
-    Only meaningful for allocations that respect the machine's capacity;
-    negative float residue within CAPACITY_SLACK of zero is clamped to 0.
+    The one bookkeeping path for placements made one instance at a time,
+    shared by the greedy strategies and the exact solver. ``remaining[j]``
+    is machine j's leftover (cpu, io, nw, mem); a subtraction that lands
+    below zero by no more than CAPACITY_SLACK of the capacity is float
+    residue and is clamped to 0. ``pi[j]`` is the cpu utilization, snapped
+    to 1.0 when it overshoots by no more than CAPACITY_SLACK. ``pairs``
+    counts the (instance, machine) probes made through ``admissible``.
     """
-    counts = allocation.counts
-    if counts.shape[0] != len(applications):
-        raise ModelError(
-            f"allocation has {counts.shape[0]} application rows, "
-            f"got {len(applications)} applications"
-        )
-    if not (0 <= machine.id < counts.shape[1]):
-        raise ModelError(f"machine id {machine.id} out of range for allocation")
-    cap = machine.capacity.as_tuple()
-    used = [0.0, 0.0, 0.0, 0.0]
-    for app in applications:
-        b = int(counts[app.id, machine.id])
-        if b:
-            d = app.demand.as_tuple()
-            for c in range(4):
-                used[c] += b * d[c]
-    left = []
-    for c in range(4):
-        r = cap[c] - used[c]
-        if r < 0 and r >= -CAPACITY_SLACK * max(cap[c], 1.0):
-            r = 0.0
-        left.append(r)
-    return ResourceVector(*left)
+
+    __slots__ = ("caps", "remaining", "cpu_cap", "used_cpu", "pi", "anti", "demands", "pairs")
+
+    def __init__(self, scenario: Scenario):
+        machines = scenario.machines
+        self.caps = [mach.capacity.as_tuple() for mach in machines]
+        self.remaining = [list(cap) for cap in self.caps]
+        self.cpu_cap = [mach.capacity.cpu for mach in machines]
+        self.used_cpu = [0.0] * len(machines)
+        self.pi = [0.0] * len(machines)
+        self.anti = scenario.anti_affinity.tolist()
+        self.demands = [app.demand.as_tuple() for app in scenario.applications]
+        self.pairs = 0
+
+    def admissible(self, i: int, j: int) -> bool:
+        """Application i may take one more instance on machine j; counts one pair."""
+        self.pairs += 1
+        if self.anti[i][j]:
+            return False
+        d = self.demands[i]
+        r = self.remaining[j]
+        return d[0] <= r[0] and d[1] <= r[1] and d[2] <= r[2] and d[3] <= r[3]
+
+    def pi_after(self, i: int, j: int) -> float:
+        """Utilization of machine j once one more instance of application i is added."""
+        pi = (self.used_cpu[j] + self.demands[i][0]) / self.cpu_cap[j]
+        return 1.0 if 1.0 < pi <= 1.0 + CAPACITY_SLACK else pi
+
+    # The clamp and the snap are written out in each method: a helper call
+    # per step is measurable in the oracle's inner loop.
+    def add(self, i: int, j: int) -> None:
+        """Place one instance of application i on machine j."""
+        d = self.demands[i]
+        r = self.remaining[j]
+        for c in range(4):
+            nr = r[c] - d[c]
+            if nr < 0 and nr >= -CAPACITY_SLACK * max(self.caps[j][c], 1.0):
+                nr = 0.0
+            r[c] = nr
+        used = self.used_cpu[j] + d[0]
+        self.used_cpu[j] = used
+        pi = used / self.cpu_cap[j]
+        self.pi[j] = 1.0 if 1.0 < pi <= 1.0 + CAPACITY_SLACK else pi
+
+    def remove(self, i: int, j: int, count: int) -> None:
+        """Take back ``count`` instances of application i from machine j."""
+        d = self.demands[i]
+        r = self.remaining[j]
+        for c in range(4):
+            r[c] += count * d[c]
+        used = self.used_cpu[j] - count * d[0]
+        self.used_cpu[j] = used
+        pi = used / self.cpu_cap[j]
+        self.pi[j] = 1.0 if 1.0 < pi <= 1.0 + CAPACITY_SLACK else pi
 
 
 def validate_allocation(scenario: Scenario, allocation: AllocationMatrix) -> ValidationReport:

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .affinity import FINAL, AffinityMatrix
-from .model import CAPACITY_SLACK, AllocationMatrix, ModelError, Scenario
+from .model import AllocationMatrix, CapacityLedger, ModelError, Scenario
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -45,18 +45,12 @@ class _Search:
                 raise ModelError("oracle expects the final affinity matrix")
             if affinity.shape != (scenario.num_applications, scenario.num_machines):
                 raise ModelError("affinity shape does not match scenario")
-        self.scenario = scenario
         self.n = scenario.num_applications
         self.m = scenario.num_machines
         self.budget = budget
-        self.caps = [mach.capacity.as_tuple() for mach in scenario.machines]
-        self.remaining = [list(cap) for cap in self.caps]
-        self.cpu_cap = [mach.capacity.cpu for mach in scenario.machines]
+        self.ledger = CapacityLedger(scenario)
         self.spans = [mach.p_max - mach.p_idle for mach in scenario.machines]
-        self.used_cpu = [0.0] * self.m
-        self.demands = [app.demand.as_tuple() for app in scenario.applications]
         self.instances = [app.instances for app in scenario.applications]
-        self.anti = scenario.anti_affinity.tolist()
         self.f = affinity.values.tolist() if affinity is not None else None
         self.alpha = scenario.alpha
         self.counts = [[0] * self.m for _ in range(self.n)]
@@ -68,41 +62,10 @@ class _Search:
         self.found_feasible = False
         self.stop_at_first = False
 
-    def _fits_one(self, i: int, j: int) -> bool:
-        d = self.demands[i]
-        r = self.remaining[j]
-        return d[0] <= r[0] and d[1] <= r[1] and d[2] <= r[2] and d[3] <= r[3]
-
-    def _apply_one(self, i: int, j: int) -> None:
-        d = self.demands[i]
-        r = self.remaining[j]
-        for c in range(4):
-            nr = r[c] - d[c]
-            if nr < 0 and nr >= -CAPACITY_SLACK * max(self.caps[j][c], 1.0):
-                nr = 0.0
-            r[c] = nr
-        self.used_cpu[j] += d[0]
-        self.counts[i][j] += 1
-        if self.f is not None:
-            self.payoff += self.f[i][j]
-
-    def _undo(self, i: int, j: int, placed: int) -> None:
-        d = self.demands[i]
-        r = self.remaining[j]
-        for c in range(4):
-            r[c] += placed * d[c]
-        self.used_cpu[j] -= placed * d[0]
-        self.counts[i][j] -= placed
-        if self.f is not None:
-            self.payoff -= placed * self.f[i][j]
-
     def _reduced_cost(self) -> float:
         dynamic = 0.0
-        for j in range(self.m):
-            pi = self.used_cpu[j] / self.cpu_cap[j]
-            if 1.0 < pi <= 1.0 + CAPACITY_SLACK:
-                pi = 1.0
-            dynamic += self.spans[j] * pi * pi * pi
+        for span, pi in zip(self.spans, self.ledger.pi):
+            dynamic += span * pi * pi * pi
         return dynamic - self.alpha * self.payoff
 
     def _assign_app(self, i: int) -> None:
@@ -133,17 +96,22 @@ class _Search:
                 self._assign_app(i + 1)
             return
         self._assign_cell(i, j + 1, left)
-        if self.anti[i][j]:
-            return
+        ledger = self.ledger
         placed = 0
-        while placed < left and self._fits_one(i, j):
-            self._apply_one(i, j)
+        while placed < left and ledger.admissible(i, j):
+            ledger.add(i, j)
+            self.counts[i][j] += 1
+            if self.f is not None:
+                self.payoff += self.f[i][j]
             placed += 1
             self._assign_cell(i, j + 1, left - placed)
             if self.budget_hit or (self.stop_at_first and self.found_feasible):
                 break
         if placed:
-            self._undo(i, j, placed)
+            ledger.remove(i, j, placed)
+            self.counts[i][j] -= placed
+            if self.f is not None:
+                self.payoff -= placed * self.f[i][j]
 
 
 def optimal_place(

@@ -21,16 +21,16 @@ returned for diagnosis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .affinity import FINAL, AffinityMatrix
 from .costs import delta_cost
 from .model import (
-    CAPACITY_SLACK,
     AllocationMatrix,
     Application,
+    CapacityLedger,
     ModelError,
     Scenario,
 )
@@ -95,64 +95,34 @@ def sort_applications(applications: Sequence[Application]) -> list[Application]:
     )
 
 
-class _RunState:
-    """Mutable bookkeeping for one placement run."""
+def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) -> PlacementOutcome:
+    """The pass every strategy shares; ``choose`` is its choice rule.
 
-    __slots__ = (
-        "scenario", "m", "n", "remaining", "caps", "cpu_cap", "used_cpu",
-        "pi", "counts", "trace", "pairs", "anti", "demands",
+    Applications go in ``sort_applications`` order, instances one at a
+    time. ``choose(ledger, i)`` probes machines through
+    ``ledger.admissible`` and returns the machine for the next instance of
+    application i, or -1 when none is admissible, which ends the run.
+    """
+    ledger = CapacityLedger(scenario)
+    counts = np.zeros((scenario.num_applications, scenario.num_machines), dtype=np.int64)
+    trace: list[PlacementEvent] = []
+    failed_at = None
+    order = sort_applications(scenario.applications)
+    for i, k in ((app.id, k) for app in order for k in range(app.instances)):
+        j = choose(ledger, i)
+        if j < 0:
+            failed_at = (i, k)
+            break
+        ledger.add(i, j)
+        counts[i, j] += 1
+        trace.append((i, k, j))
+    return PlacementOutcome(
+        allocation=AllocationMatrix(counts),
+        feasible=failed_at is None,
+        failed_at=failed_at,
+        trace=tuple(trace),
+        pairs_examined=ledger.pairs,
     )
-
-    def __init__(self, scenario: Scenario):
-        machines = scenario.machines
-        self.scenario = scenario
-        self.m = len(machines)
-        self.n = len(scenario.applications)
-        self.caps = [mach.capacity.as_tuple() for mach in machines]
-        self.remaining = [list(cap) for cap in self.caps]
-        self.cpu_cap = [mach.capacity.cpu for mach in machines]
-        self.used_cpu = [0.0] * self.m
-        self.pi = [0.0] * self.m
-        self.counts = np.zeros((self.n, self.m), dtype=np.int64)
-        self.trace: list[PlacementEvent] = []
-        self.pairs = 0
-        self.anti = scenario.anti_affinity.tolist()
-        self.demands = [app.demand.as_tuple() for app in scenario.applications]
-
-    def admissible(self, i: int, d: tuple, j: int) -> bool:
-        """Not forbidden and fits; counts one examined pair."""
-        self.pairs += 1
-        if self.anti[i][j]:
-            return False
-        r = self.remaining[j]
-        return d[0] <= r[0] and d[1] <= r[1] and d[2] <= r[2] and d[3] <= r[3]
-
-    def pi_after(self, i: int, j: int) -> float:
-        pi = (self.used_cpu[j] + self.demands[i][0]) / self.cpu_cap[j]
-        return 1.0 if 1.0 < pi <= 1.0 + CAPACITY_SLACK else pi
-
-    def place(self, i: int, k: int, j: int) -> None:
-        d = self.demands[i]
-        r = self.remaining[j]
-        for c in range(4):
-            nr = r[c] - d[c]
-            if nr < 0 and nr >= -CAPACITY_SLACK * max(self.caps[j][c], 1.0):
-                nr = 0.0
-            r[c] = nr
-        self.used_cpu[j] += d[0]
-        pi = self.used_cpu[j] / self.cpu_cap[j]
-        self.pi[j] = 1.0 if 1.0 < pi <= 1.0 + CAPACITY_SLACK else pi
-        self.counts[i, j] += 1
-        self.trace.append((i, k, j))
-
-    def outcome(self, feasible: bool, failed_at: Optional[tuple[int, int]]) -> PlacementOutcome:
-        return PlacementOutcome(
-            allocation=AllocationMatrix(self.counts),
-            feasible=feasible,
-            failed_at=failed_at,
-            trace=tuple(self.trace),
-            pairs_examined=self.pairs,
-        )
 
 
 def _require_final(scenario: Scenario, affinity: AffinityMatrix) -> None:
@@ -166,23 +136,20 @@ def _require_final(scenario: Scenario, affinity: AffinityMatrix) -> None:
 def pap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
     """Power-aware placement: first admissible machine in priority order."""
     _require_final(scenario, affinity)
-    run = _RunState(scenario)
     state = PapPriorityState.for_scenario(scenario)
-    for app in sort_applications(scenario.applications):
-        i = app.id
-        d = run.demands[i]
-        for k in range(app.instances):
-            order = sorted(range(run.m), key=lambda j: (state.omega[j], j))
-            chosen = -1
-            for j in order:
-                if run.admissible(i, d, j):
-                    chosen = j
-                    break
-            if chosen < 0:
-                return run.outcome(feasible=False, failed_at=(i, k))
-            run.place(i, k, chosen)
-            state.after_placement(chosen, run.pi[chosen])
-    return run.outcome(feasible=True, failed_at=None)
+    omega = state.omega
+    machines = range(scenario.num_machines)
+
+    def choose(ledger: CapacityLedger, i: int) -> int:
+        for j in sorted(machines, key=lambda j: (omega[j], j)):
+            if ledger.admissible(i, j):
+                # the returned machine is always placed, so its priority
+                # moves on now, with the utilization it is about to have
+                state.after_placement(j, ledger.pi_after(i, j))
+                return j
+        return -1
+
+    return _greedy(scenario, choose)
 
 
 def aap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
@@ -191,24 +158,22 @@ def aap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
     Ties go to the lower current utilization, then the lower machine id.
     """
     _require_final(scenario, affinity)
-    run = _RunState(scenario)
     f = affinity.values.tolist()
-    for app in sort_applications(scenario.applications):
-        i = app.id
-        d = run.demands[i]
+    machines = range(scenario.num_machines)
+
+    def choose(ledger: CapacityLedger, i: int) -> int:
         fi = f[i]
-        for k in range(app.instances):
-            best = -1
-            best_key = None
-            for j in range(run.m):
-                if run.admissible(i, d, j):
-                    key = (-fi[j], run.pi[j], j)
-                    if best < 0 or key < best_key:
-                        best, best_key = j, key
-            if best < 0:
-                return run.outcome(feasible=False, failed_at=(i, k))
-            run.place(i, k, best)
-    return run.outcome(feasible=True, failed_at=None)
+        pi = ledger.pi
+        best = -1
+        best_key = None
+        for j in machines:
+            if ledger.admissible(i, j):
+                key = (-fi[j], pi[j], j)
+                if best < 0 or key < best_key:
+                    best, best_key = j, key
+        return best
+
+    return _greedy(scenario, choose)
 
 
 def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
@@ -220,50 +185,40 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
     with candidate one winning ties. The candidates may coincide.
     """
     _require_final(scenario, affinity)
-    run = _RunState(scenario)
     f = affinity.values.tolist()
     machines = scenario.machines
     alpha = scenario.alpha
-    for app in sort_applications(scenario.applications):
-        i = app.id
-        d = run.demands[i]
+
+    def choose(ledger: CapacityLedger, i: int) -> int:
         fi = f[i]
-        for k in range(app.instances):
-            j1 = j2 = -1
-            key1 = key2 = None
-            for j in range(run.m):
-                if run.admissible(i, d, j):
-                    k1 = (run.pi[j], j)
-                    if j1 < 0 or k1 < key1:
-                        j1, key1 = j, k1
-                    k2 = (-fi[j], run.pi[j], j)
-                    if j2 < 0 or k2 < key2:
-                        j2, key2 = j, k2
-            if j1 < 0:
-                return run.outcome(feasible=False, failed_at=(i, k))
-            if j1 == j2:
-                chosen = j1
-            else:
-                cost1 = delta_cost(machines[j1], run.pi[j1], run.pi_after(i, j1), fi[j1], alpha)
-                cost2 = delta_cost(machines[j2], run.pi[j2], run.pi_after(i, j2), fi[j2], alpha)
-                chosen = j1 if cost1 <= cost2 else j2
-            run.place(i, k, chosen)
-    return run.outcome(feasible=True, failed_at=None)
+        pi = ledger.pi
+        j1 = j2 = -1
+        key1 = key2 = None
+        for j in range(len(machines)):
+            if ledger.admissible(i, j):
+                k1 = (pi[j], j)
+                if j1 < 0 or k1 < key1:
+                    j1, key1 = j, k1
+                k2 = (-fi[j], pi[j], j)
+                if j2 < 0 or k2 < key2:
+                    j2, key2 = j, k2
+        if j1 == j2:
+            return j1
+        cost1 = delta_cost(machines[j1], pi[j1], ledger.pi_after(i, j1), fi[j1], alpha)
+        cost2 = delta_cost(machines[j2], pi[j2], ledger.pi_after(i, j2), fi[j2], alpha)
+        return j1 if cost1 <= cost2 else j2
+
+    return _greedy(scenario, choose)
 
 
 def first_fit_place(scenario: Scenario) -> PlacementOutcome:
     """Baseline: lowest-id admissible machine for every instance."""
-    run = _RunState(scenario)
-    for app in sort_applications(scenario.applications):
-        i = app.id
-        d = run.demands[i]
-        for k in range(app.instances):
-            chosen = -1
-            for j in range(run.m):
-                if run.admissible(i, d, j):
-                    chosen = j
-                    break
-            if chosen < 0:
-                return run.outcome(feasible=False, failed_at=(i, k))
-            run.place(i, k, chosen)
-    return run.outcome(feasible=True, failed_at=None)
+    machines = range(scenario.num_machines)
+
+    def choose(ledger: CapacityLedger, i: int) -> int:
+        for j in machines:
+            if ledger.admissible(i, j):
+                return j
+        return -1
+
+    return _greedy(scenario, choose)

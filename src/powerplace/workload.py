@@ -131,6 +131,26 @@ def anti_affinity_count(fraction: float, num_machines: int) -> int:
     return min(num_machines - 1, int(math.floor(fraction * num_machines + 0.5)))
 
 
+def _draw_affinity(
+    rng: np.random.Generator, n: int, m: int, anti_fraction: float, user_density: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random N x M (user, anti) affinity matrices.
+
+    Anti-affinity is drawn first: every application gets
+    ``anti_affinity_count(anti_fraction, m)`` forbidden machines. User
+    affinity is then drawn at ``user_density`` and cleared on forbidden
+    pairs, so the two never clash.
+    """
+    k = anti_affinity_count(anti_fraction, m)
+    anti = np.zeros((n, m), dtype=np.int64)
+    for i in range(n):
+        if k:
+            anti[i, rng.choice(m, size=k, replace=False)] = 1
+    user = (rng.random((n, m)) < user_density).astype(np.int64)
+    user[anti == 1] = 0
+    return user, anti
+
+
 def generate_synthetic(config: GeneratorConfig) -> Scenario:
     """Deterministic scenario from a config; same config, same bytes."""
     rng = np.random.default_rng(config.seed)
@@ -142,14 +162,9 @@ def generate_synthetic(config: GeneratorConfig) -> Scenario:
     reqs = {name: rng.uniform(lo, hi, n) for name, (lo, hi) in config.demand_ranges.as_dict().items()}
     lo, hi = config.instance_range
     instances = rng.integers(lo, hi + 1, n)
-
-    k = anti_affinity_count(config.anti_affinity_fraction, m)
-    anti = np.zeros((n, m), dtype=np.int64)
-    for i in range(n):
-        if k:
-            anti[i, rng.choice(m, size=k, replace=False)] = 1
-    user = (rng.random((n, m)) < config.user_affinity_density).astype(np.int64)
-    user[anti == 1] = 0
+    user, anti = _draw_affinity(
+        rng, n, m, config.anti_affinity_fraction, config.user_affinity_density
+    )
 
     machines = tuple(
         Machine(
@@ -219,9 +234,12 @@ def _parse_float(row: dict, name: str, line: int, path: Path) -> float:
     if raw is None or raw.strip() == "":
         raise WorkloadError(f"{path.name} line {line}: missing value for {name!r}")
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise WorkloadError(f"{path.name} line {line}: bad number {raw!r} for {name!r}") from None
+    if not math.isfinite(value):
+        raise WorkloadError(f"{path.name} line {line}: {name!r} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_int(row: dict, name: str, line: int, path: Path) -> int:
@@ -355,14 +373,9 @@ def load_trace(
             user[i, j] = u
             anti[i, j] = a
     else:
-        gen = get_rng()
-        k = anti_affinity_count(backfill.anti_affinity_fraction, m)
-        anti = np.zeros((n, m), dtype=np.int64)
-        for i in range(n):
-            if k:
-                anti[i, gen.choice(m, size=k, replace=False)] = 1
-        user = (gen.random((n, m)) < backfill.user_affinity_density).astype(np.int64)
-        user[anti == 1] = 0
+        user, anti = _draw_affinity(
+            get_rng(), n, m, backfill.anti_affinity_fraction, backfill.user_affinity_density
+        )
 
     return Scenario(
         machines=tuple(machines),

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +9,8 @@ from hypothesis import strategies as st
 from powerplace import (
     AffinityWeights,
     ModelError,
-    system_affinity,
     system_affinity_matrix,
     final_affinity,
-    validate_user_anti_consistency,
 )
 from powerplace.affinity import FINAL, SYSTEM, AffinityMatrix
 from powerplace.workload import GeneratorConfig, generate_synthetic
@@ -28,6 +29,12 @@ class TestWeights:
     def test_no_negative_weights(self):
         with pytest.raises(ModelError):
             AffinityWeights(-0.5, 0.5, 0.5, 0.5)
+
+
+def system_affinity(m, a, weights):
+    """Score of one pair, read from the matrix of a 1x1 scenario."""
+    alone = scenario([replace(m, id=0)], [replace(a, id=0)], weights=weights)
+    return float(system_affinity_matrix(alone).values[0, 0])
 
 
 class TestSystemAffinity:
@@ -92,6 +99,7 @@ class TestSystemAffinity:
         assert system_affinity(m, app(0, *smaller), WEIGHTS) >= base - 1e-12
 
     def test_matrix_matches_scalar(self):
+        # every cell of a 5x6 matrix equals the score of its pair alone
         rng = np.random.default_rng(3)
         machines = [machine(j, *rng.uniform(5, 50, 4)) for j in range(6)]
         apps = [app(i, *rng.uniform(1, 60, 4)) for i in range(5)]
@@ -141,25 +149,26 @@ class TestFinalAffinity:
 
 
 class TestUserAntiConsistency:
+    """A pair may not be both user-affine and anti-affine; Scenario checks it."""
+
     def test_all_zero_passes(self):
-        res = validate_user_anti_consistency(np.zeros((2, 2)), np.zeros((2, 2)))
-        assert res.ok
+        zeros = np.zeros((2, 2))
+        scenario([machine(0), machine(1)], [app(0), app(1)], user=zeros, anti=zeros)
 
     def test_overlap_fails_with_witness(self):
-        u = np.array([[1, 0], [0, 0]])
-        a = np.array([[1, 0], [0, 0]])
-        res = validate_user_anti_consistency(u, a)
-        assert not res.ok
-        assert res.witness == (0, 0)
+        u = [[0, 0], [1, 0]]
+        a = [[0, 1], [1, 0]]
+        with pytest.raises(ModelError, match="app 1, machine 0"):
+            scenario([machine(0), machine(1)], [app(0), app(1)], user=u, anti=a)
 
     def test_disjoint_supports_pass(self):
-        u = np.array([[1, 0]])
-        a = np.array([[0, 1]])
-        assert validate_user_anti_consistency(u, a).ok
+        scenario([machine(0), machine(1)], [app(0)], user=[[1, 0]], anti=[[0, 1]])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ModelError):
-            validate_user_anti_consistency(np.zeros((1, 2)), np.zeros((2, 1)))
+        u = np.zeros((1, 2))
+        a = np.zeros((2, 1))
+        with pytest.raises(ModelError, match="shape"):
+            scenario([machine(0), machine(1)], [app(0)], user=u, anti=a)
 
 
 class TestAffinityMatrixType:
@@ -168,6 +177,9 @@ class TestAffinityMatrixType:
             AffinityMatrix(np.array([[1.5]]), SYSTEM)
         with pytest.raises(ModelError):
             AffinityMatrix(np.array([[-0.1]]), FINAL)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ModelError):
+                AffinityMatrix(np.array([[0.5, bad]]), FINAL)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ModelError):

@@ -111,5 +111,13 @@ class TestValidate:
         assert run_cli("validate", "--trace", bad, apps) == 1
         assert "missing columns" in capsys.readouterr().err
 
+    def test_non_finite_trace_nonzero_exit(self, tmp_path, capsys):
+        machines = tmp_path / "machines.csv"
+        machines.write_text("machine_id,cpu_cap,io_cap,nw_cap,mem_cap\n0,nan,1,1,1\n")
+        apps = tmp_path / "applications.csv"
+        apps.write_text("app_id,cpu_req,io_req,nw_req,mem_req,instances\n0,1,1,1,1,1\n")
+        assert run_cli("validate", "--trace", machines, apps) == 1
+        assert "line 2: 'cpu_cap' must be finite" in capsys.readouterr().err
+
     def test_missing_file_nonzero_exit(self, tmp_path, capsys):
         assert run_cli("validate", "--trace", tmp_path / "nope.csv", tmp_path / "nada.csv") == 1

@@ -9,9 +9,9 @@ from powerplace import (
     machine_power,
     metrics,
     total_cost,
-    utilization,
 )
 from powerplace.affinity import build_final_affinity
+from powerplace.costs import utilizations
 from powerplace.harness import run_scenario
 from powerplace.workload import GeneratorConfig, generate_synthetic
 
@@ -25,20 +25,20 @@ def alloc(rows):
 class TestUtilization:
     def test_empty_machine(self):
         scn = scenario([machine(0, cpu=10)], [app(0, cpu=5)])
-        assert utilization(scn.machines[0], AllocationMatrix.zeros(1, 1), scn.applications) == 0.0
+        assert utilizations(scn, AllocationMatrix.zeros(1, 1)).tolist() == [0.0]
 
     def test_half(self):
-        scn = scenario([machine(0, cpu=10)], [app(0, cpu=5)])
-        assert utilization(scn.machines[0], alloc([[1]]), scn.applications) == 0.5
+        scn = scenario([machine(0, cpu=10), machine(1, cpu=20)], [app(0, cpu=5, instances=2)])
+        assert utilizations(scn, alloc([[1, 1]])).tolist() == [0.5, 0.25]
 
     def test_saturated(self):
         scn = scenario([machine(0, cpu=10)], [app(0, cpu=5, instances=2)])
-        assert utilization(scn.machines[0], alloc([[2]]), scn.applications) == 1.0
+        assert utilizations(scn, alloc([[2]])).tolist() == [1.0]
 
     def test_float_saturation_snaps_to_one(self):
+        # 3 * 0.1 / 0.3 is 1.0000000000000002 in binary floating point
         scn = scenario([machine(0, cpu=0.3)], [app(0, cpu=0.1, instances=3)])
-        pi = utilization(scn.machines[0], alloc([[3]]), scn.applications)
-        assert pi == 1.0
+        assert utilizations(scn, alloc([[3]])).tolist() == [1.0]
 
 
 class TestMachinePower:
@@ -63,7 +63,7 @@ class TestMachinePower:
         m = machine(0, cpu=20, p_idle=100, p_max=300)
         scn = scenario([m], [app(0, cpu=2, instances=8)])
         def dyn(k):
-            pi = utilization(m, alloc([[k]]), scn.applications)
+            pi = float(utilizations(scn, alloc([[k]]))[0])
             return machine_power(m, pi) - m.p_idle
         assert dyn(8) - dyn(0) > 2 * (dyn(4) - dyn(0))
 

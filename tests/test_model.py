@@ -1,18 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powerplace import (
+    AffinityWeights,
     AllocationMatrix,
     Application,
     Machine,
     ModelError,
     ResourceVector,
-    fits,
-    remaining_capacity,
     validate_allocation,
 )
+from powerplace.model import CapacityLedger
 from powerplace.oracle import optimal_place
 from powerplace.affinity import build_final_affinity
 
@@ -55,6 +57,24 @@ class TestTypes:
         with pytest.raises(ValueError):
             scn.user_affinity[0, 0] = 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: ResourceVector(v, 1, 1, 1),
+            lambda v: ResourceVector(1, 1, 1, v),
+            lambda v: machine(0, p_idle=v),
+            lambda v: machine(0, p_max=v),
+            lambda v: AffinityWeights(v, 0.2, 0.2, 0.2),
+            lambda v: scenario([machine(0)], [app(0)], alpha=v),
+            lambda v: scenario([machine(0)], [app(0)], pi_threshold=v),
+        ],
+        ids=["cpu", "mem", "p_idle", "p_max", "beta1", "alpha", "pi_threshold"],
+    )
+    def test_non_finite_rejected(self, build, bad):
+        with pytest.raises(ModelError):
+            build(bad)
+
     def test_allocation_rejects_negative_and_float(self):
         with pytest.raises(ModelError):
             AllocationMatrix(np.array([[-1]]))
@@ -62,66 +82,96 @@ class TestTypes:
             AllocationMatrix(np.array([[0.5]]))
 
 
+def ledger_for(machines, apps, anti=None):
+    return CapacityLedger(scenario(machines, apps, anti=anti))
+
+
 class TestRemainingCapacity:
     def test_empty_allocation_is_identity(self):
-        m = machine(0, 8, 100, 100, 16)
-        apps = [app(0, 4, 50, 25, 8)]
-        left = remaining_capacity(m, alloc([[0]]), apps)
-        assert left.as_tuple() == (8, 100, 100, 16)
+        ledger = ledger_for([machine(0, 8, 100, 100, 16)], [app(0, 4, 50, 25, 8)])
+        assert ledger.remaining[0] == [8, 100, 100, 16]
+        assert ledger.pi[0] == 0.0
 
     def test_one_instance(self):
-        m = machine(0, 8, 100, 100, 16)
-        apps = [app(0, 4, 50, 25, 8)]
-        left = remaining_capacity(m, alloc([[1]]), apps)
-        assert left.as_tuple() == (4, 50, 75, 8)
+        ledger = ledger_for([machine(0, 8, 100, 100, 16)], [app(0, 4, 50, 25, 8)])
+        ledger.add(0, 0)
+        assert ledger.remaining[0] == [4, 50, 75, 8]
+        assert ledger.pi[0] == 0.5
 
     def test_two_instances_exhaust(self):
-        m = machine(0, 8, 100, 100, 16)
-        apps = [app(0, 4, 50, 25, 8)]
-        left = remaining_capacity(m, alloc([[2]]), apps)
-        assert left.as_tuple() == (0, 0, 50, 0)
+        ledger = ledger_for([machine(0, 8, 100, 100, 16)], [app(0, 4, 50, 25, 8)])
+        ledger.add(0, 0)
+        ledger.add(0, 0)
+        assert ledger.remaining[0] == [0, 0, 50, 0]
+        assert ledger.pi[0] == 1.0
+        assert not ledger.admissible(0, 0)
 
-    def test_dimension_mismatch(self):
-        m = machine(0)
-        with pytest.raises(ModelError):
-            remaining_capacity(m, alloc([[0], [0]]), [app(0)])
+    def test_float_residue_clamped_and_utilization_snapped(self):
+        # 0.3 - 0.1 - 0.1 - 0.1 is -2.8e-17 and 3 * 0.1 / 0.3 overshoots 1
+        ledger = ledger_for([machine(0, 0.3, 0.3, 0, 0)], [app(0, 0.1, 0.1)])
+        for _ in range(3):
+            assert ledger.pi_after(0, 0) <= 1.0
+            ledger.add(0, 0)
+        assert ledger.remaining[0] == [0.0, 0.0, 0.0, 0.0]
+        assert ledger.pi[0] == 1.0
 
     def test_monotone_non_increasing(self):
         rng = np.random.default_rng(11)
-        m = machine(0, 100, 1000, 1000, 100)
         apps = [app(i, *rng.uniform(1, 5, 4)) for i in range(4)]
-        counts = np.zeros((4, 1), dtype=np.int64)
-        prev = remaining_capacity(m, AllocationMatrix(counts.copy()), apps).as_tuple()
+        ledger = ledger_for([machine(0, 100, 1000, 1000, 100)], apps)
+        placed = [0] * 4
+        prev = list(ledger.remaining[0])
         for _ in range(12):
-            counts[rng.integers(0, 4), 0] += 1
-            cur = remaining_capacity(m, AllocationMatrix(counts.copy()), apps).as_tuple()
+            i = int(rng.integers(0, 4))
+            assert ledger.admissible(i, 0)
+            ledger.add(i, 0)
+            placed[i] += 1
+            cur = list(ledger.remaining[0])
             assert all(c <= p for c, p in zip(cur, prev))
             prev = cur
+        for i, count in enumerate(placed):
+            if count:
+                ledger.remove(i, 0, count)
+        assert ledger.remaining[0] == pytest.approx([100, 1000, 1000, 100], rel=1e-12)
+        assert ledger.pi[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFits:
     def test_exact_fit_boundary(self):
-        assert fits(ResourceVector(4, 50, 25, 8), ResourceVector(4, 50, 25, 8))
+        ledger = ledger_for([machine(0, 4, 50, 25, 8)], [app(0, 4, 50, 25, 8)])
+        assert ledger.admissible(0, 0)
 
     def test_single_component_violation(self):
-        assert not fits(ResourceVector(4, 50, 25, 8), ResourceVector(3, 100, 100, 16))
+        ledger = ledger_for([machine(0, 3, 100, 100, 16)], [app(0, 4, 50, 25, 8)])
+        assert not ledger.admissible(0, 0)
 
     def test_zero_demand(self):
-        assert fits(ResourceVector(0, 0, 0, 0), ResourceVector(0, 0, 0, 0))
+        # cpu must be positive on both sides; the other components may be 0
+        ledger = ledger_for([machine(0, 8, 0, 0, 0)], [app(0, 4, 0, 0, 0)])
+        assert ledger.admissible(0, 0)
+
+    def test_anti_affinity_blocks_and_every_probe_counts(self):
+        ledger = ledger_for([machine(0), machine(1)], [app(0)], anti=[[1, 0]])
+        assert not ledger.admissible(0, 0)
+        assert ledger.admissible(0, 1)
+        assert ledger.pairs == 2
 
     @settings(max_examples=200)
-    @given(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=12, max_size=12))
-    def test_additivity(self, vals):
-        d = ResourceVector(*vals[0:4])
-        d2 = ResourceVector(*vals[4:8])
-        r = ResourceVector(*vals[8:12])
-        if fits(d, r):
-            left = ResourceVector(r.cpu - d.cpu, r.io - d.io, r.nw - d.nw, r.mem - d.mem)
-            if fits(d2, left):
-                combined = ResourceVector(
-                    d.cpu + d2.cpu, d.io + d2.io, d.nw + d2.nw, d.mem + d2.mem
-                )
-                assert fits(combined, r)
+    @given(
+        st.lists(st.floats(1e-6, 1e6), min_size=3, max_size=3),
+        st.lists(st.floats(0, 1e6), min_size=9, max_size=9),
+    )
+    def test_additivity(self, cpus, rest):
+        d = (cpus[0], *rest[0:3])
+        d2 = (cpus[1], *rest[3:6])
+        r = (cpus[2], *rest[6:9])
+        combined = tuple(a + b for a, b in zip(d, d2))
+        apps = [app(0, *d), app(1, *d2), app(2, *combined)]
+        ledger = ledger_for([machine(0, *r)], apps)
+        if ledger.admissible(0, 0):
+            ledger.add(0, 0)
+            if ledger.admissible(1, 0):
+                assert ledger_for([machine(0, *r)], apps).admissible(2, 0)
 
 
 class TestValidateAllocation:

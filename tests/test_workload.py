@@ -165,6 +165,25 @@ class TestLoadTrace:
         with pytest.raises(WorkloadError, match="line 3"):
             load_trace(m, a, f)
 
+    @pytest.mark.parametrize(
+        "which, old, new, where",
+        [
+            ("machines", "0,16.0,", "0,nan,", "line 2: 'cpu_cap'"),
+            ("machines", "90.0,210.0", "inf,210.0", "line 3: 'p_idle'"),
+            ("apps", "1,2.0,", "1,-inf,", "line 3: 'cpu_req'"),
+            ("apps", "8.0,2\n", "8.0,inf\n", "line 2: 'instances'"),
+            ("affinity", "0,0,1,0", "0,0,nan,0", "line 2: 'user_affinity'"),
+        ],
+        ids=["cpu_cap", "p_idle", "cpu_req", "instances", "user_affinity"],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, which, old, new, where):
+        files = {"machines": MACHINES_CSV, "apps": APPS_CSV, "affinity": AFFINITY_CSV}
+        assert old in files[which]
+        files[which] = files[which].replace(old, new, 1)
+        m, a, f = self.write(tmp_path, files["machines"], files["apps"], files["affinity"])
+        with pytest.raises(WorkloadError, match=f"{where} must be finite"):
+            load_trace(m, a, f)
+
     def test_zero_cpu_requirement_rejected(self, tmp_path):
         bad = APPS_CSV.replace("1,2.0,", "1,0.0,")
         m, a, f = self.write(tmp_path, apps=bad)
