@@ -16,12 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .affinity import build_final_affinity
 from .harness import (
     ALGORITHM_NAMES,
+    SWEEP_KINDS,
     ResultRow,
     ResultsTable,
     SweepSpec,
@@ -32,6 +34,8 @@ from .harness import (
 )
 from .model import AffinityWeights, ModelError
 from .workload import (
+    DEFAULT_SEED,
+    BackfillParams,
     GeneratorConfig,
     WorkloadError,
     generate_synthetic,
@@ -57,20 +61,42 @@ def _parse_values(raw: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad sweep values {raw!r}") from None
 
 
+# Scenario settings: --config key -> (type, flag help). Every key with a
+# help text is also a flag (dashes for underscores) that overrides the
+# file; weights and user_affinity_density come only from the file.
+_SETTINGS = {
+    "machines": (int, "machine count for synthetic scenarios"),
+    "apps": (int, "application count for synthetic scenarios"),
+    "seed": (int, f"generator seed (default {GeneratorConfig.seed})"),
+    "alpha": (float, f"affinity cost coefficient (default {GeneratorConfig.alpha:g})"),
+    "pi_threshold": (float, f"utilization split point (default {GeneratorConfig.pi_threshold:g})"),
+    "anti_affinity_fraction": (
+        float,
+        "fraction of machines forbidden per application "
+        f"(default {GeneratorConfig.anti_affinity_fraction:g})",
+    ),
+    "user_affinity_density": (float, None),
+    "weights": (AffinityWeights, None),
+}
+
+
 def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--machines", type=int, help="machine count for synthetic scenarios")
-    parser.add_argument("--apps", type=int, help="application count for synthetic scenarios")
-    parser.add_argument("--seed", type=int, help="generator seed (default 0)")
-    parser.add_argument("--alpha", type=float, help="affinity cost coefficient (default 4)")
-    parser.add_argument("--pi-threshold", type=float, help="utilization split point (default 0.5)")
-    parser.add_argument(
-        "--anti-affinity-fraction", type=float,
-        help="fraction of machines forbidden per application (default 0.1)",
-    )
+    for key, (kind, help_text) in _SETTINGS.items():
+        if help_text is not None:
+            parser.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text)
     parser.add_argument(
         "--config", type=Path,
-        help="JSON file with the same keys as the flags; flags override it",
+        help="JSON file with the flags' keys plus weights and user_affinity_density; "
+        "flags override it",
     )
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--algorithms", type=_parse_algorithms, default=("pap", "aap", "cpaap"),
+        help="comma-separated subset of " + ",".join(ALGORITHM_NAMES),
+    )
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,37 +107,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic scenario as trace CSVs")
+    gen.set_defaults(handler=_cmd_generate)
     _add_scenario_flags(gen)
     gen.add_argument("--out", type=Path, required=True, help="output directory")
 
     run = sub.add_parser("run", help="run algorithms on one scenario")
+    run.set_defaults(handler=_cmd_run)
     _add_scenario_flags(run)
     run.add_argument(
         "--trace", nargs="+", type=Path, metavar="CSV",
         help="machines.csv applications.csv [affinity.csv]",
     )
-    run.add_argument(
-        "--algorithms", type=_parse_algorithms, default=("pap", "aap", "cpaap"),
-        help="comma-separated subset of " + ",".join(ALGORITHM_NAMES),
-    )
+    _add_run_flags(run)
     run.add_argument("--out", type=Path, help="results file (default: stdout summary only)")
-    run.add_argument("--format", choices=("csv", "json"), default="csv")
 
     sweep = sub.add_parser("sweep", help="run a parameter sweep")
+    sweep.set_defaults(handler=_cmd_sweep)
     _add_scenario_flags(sweep)
-    sweep.add_argument(
-        "--kind", required=True, choices=("machines", "applications", "anti_affinity", "alpha"),
-    )
+    sweep.add_argument("--kind", required=True, choices=SWEEP_KINDS)
     sweep.add_argument("--values", type=_parse_values, required=True, help="comma-separated points")
-    sweep.add_argument(
-        "--algorithms", type=_parse_algorithms, default=("pap", "aap", "cpaap"),
-        help="comma-separated subset of " + ",".join(ALGORITHM_NAMES),
-    )
+    _add_run_flags(sweep)
     sweep.add_argument("--reps", type=int, default=1, help="seeds per sweep point")
     sweep.add_argument("--out", type=Path, required=True, help="results file")
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
     val = sub.add_parser("validate", help="check trace files")
+    val.set_defaults(handler=_cmd_validate)
     val.add_argument(
         "--trace", nargs="+", type=Path, required=True, metavar="CSV",
         help="machines.csv applications.csv [affinity.csv]",
@@ -119,78 +139,93 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: Optional[Path]) -> dict:
-    if path is None:
-        return {}
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise WorkloadError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise WorkloadError(f"config {path} must hold a JSON object")
-    return data
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _setting(args: argparse.Namespace, file_config: dict, flag: str, key: str, default):
-    value = getattr(args, flag, None)
-    if value is not None:
-        return value
-    if key in file_config:
-        return file_config[key]
-    return default
+def _config_value(path: Path, key: str, value):
+    """``value`` checked and converted for ``key``; WorkloadError names the key."""
+    if key not in _SETTINGS:
+        raise WorkloadError(f"config {path}: unknown key {key!r}; pick from {', '.join(_SETTINGS)}")
+    kind = _SETTINGS[key][0]
+    if kind is AffinityWeights:
+        if isinstance(value, list) and len(value) == 4 and all(map(_is_number, value)):
+            return AffinityWeights(*map(float, value))
+    elif _is_number(value) and (kind is float or isinstance(value, int)):
+        return kind(value)
+    expected = {int: "an integer", float: "a number", AffinityWeights: "a list of 4 numbers"}
+    raise WorkloadError(f"config {path}: {key!r} must be {expected[kind]}, got {value!r}")
 
 
-def _generator_config(args: argparse.Namespace) -> GeneratorConfig:
-    file_config = _load_config_file(getattr(args, "config", None))
-    machines = _setting(args, file_config, "machines", "machines", None)
-    apps = _setting(args, file_config, "apps", "apps", None)
+def _settings(args: argparse.Namespace) -> dict:
+    """The --config file overlaid with the flags that were set.
+
+    Holds only the keys the user gave, so every default comes from
+    GeneratorConfig, load_trace and BackfillParams.
+    """
+    settings = {}
+    path = args.config
+    if path is not None:
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise WorkloadError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise WorkloadError(f"config {path} must hold a JSON object")
+        settings = {key: _config_value(path, key, value) for key, value in data.items()}
+    for key in _SETTINGS:
+        value = getattr(args, key, None)
+        if value is not None:
+            settings[key] = value
+    return settings
+
+
+def _subset(settings: dict, *keys: str) -> dict:
+    return {key: settings[key] for key in keys if key in settings}
+
+
+def _generator_config(settings: dict) -> GeneratorConfig:
+    fields = dict(settings)
+    machines = fields.pop("machines", None)
+    apps = fields.pop("apps", None)
     if machines is None or apps is None:
         raise WorkloadError("synthetic scenarios need --machines and --apps (or config keys)")
-    weights = file_config.get("weights")
-    return GeneratorConfig(
-        machine_count=int(machines),
-        application_count=int(apps),
-        seed=int(_setting(args, file_config, "seed", "seed", 0)),
-        anti_affinity_fraction=float(
-            _setting(args, file_config, "anti_affinity_fraction", "anti_affinity_fraction", 0.1)
-        ),
-        alpha=float(_setting(args, file_config, "alpha", "alpha", 4.0)),
-        pi_threshold=float(_setting(args, file_config, "pi_threshold", "pi_threshold", 0.5)),
-        weights=AffinityWeights(*weights) if weights else AffinityWeights(0.4, 0.2, 0.2, 0.2),
-        user_affinity_density=float(
-            file_config.get("user_affinity_density", 0.2)
-        ),
+    return GeneratorConfig(machine_count=machines, application_count=apps, **fields)
+
+
+def _load_trace(paths: Sequence[Path], **kwargs):
+    if len(paths) not in (2, 3):
+        raise WorkloadError("--trace takes machines.csv applications.csv [affinity.csv]")
+    return load_trace(*paths, **kwargs)
+
+
+def _scenario(args: argparse.Namespace):
+    """Build (scenario, resolved config dict) from --trace or synthetic settings."""
+    settings = _settings(args)
+    if not args.trace:
+        config = _generator_config(settings)
+        return generate_synthetic(config), _config_dict(config)
+    backfill = BackfillParams(
+        **_subset(settings, "anti_affinity_fraction", "user_affinity_density")
     )
-
-
-def _scenario_from_args(args: argparse.Namespace):
-    """Build (scenario, config-dict) from --trace or synthetic flags."""
-    trace = getattr(args, "trace", None)
-    file_config = _load_config_file(getattr(args, "config", None))
-    if trace:
-        if len(trace) not in (2, 3):
-            raise WorkloadError("--trace takes machines.csv applications.csv [affinity.csv]")
-        alpha = float(_setting(args, file_config, "alpha", "alpha", 4.0))
-        pi_t = float(_setting(args, file_config, "pi_threshold", "pi_threshold", 0.5))
-        seed = int(_setting(args, file_config, "seed", "seed", 0))
-        scenario = load_trace(
-            trace[0], trace[1], trace[2] if len(trace) == 3 else None,
-            alpha=alpha, pi_threshold=pi_t, seed=seed,
-        )
-        resolved = {
-            "trace": [str(p) for p in trace],
-            "alpha": alpha,
-            "pi_threshold": pi_t,
-            "seed": seed,
-        }
-        return scenario, resolved
-    config = _generator_config(args)
-    return generate_synthetic(config), _config_dict(config)
+    seed = settings.get("seed", DEFAULT_SEED)
+    scenario = _load_trace(
+        args.trace, backfill=backfill, seed=seed,
+        **_subset(settings, "weights", "alpha", "pi_threshold"),
+    )
+    resolved = {
+        "trace": [str(p) for p in args.trace],
+        "weights": list(scenario.weights.as_tuple()),
+        "alpha": scenario.alpha,
+        "pi_threshold": scenario.pi_threshold,
+        "seed": seed,
+        **asdict(backfill),
+    }
+    return scenario, resolved
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = _generator_config(args)
-    scenario = generate_synthetic(config)
+    scenario = generate_synthetic(_generator_config(_settings(args)))
     paths = save_trace(scenario, args.out)
     for name, path in paths.items():
         print(f"wrote {name}: {path}")
@@ -198,28 +233,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario, resolved = _scenario_from_args(args)
+    scenario, resolved = _scenario(args)
     affinity = build_final_affinity(scenario)
     rows = []
     for algorithm in args.algorithms:
-        result = run_scenario(scenario, algorithm, affinity)
-        r = result.report
-        rows.append(
-            ResultRow(
-                sweep_point=0.0,
-                algorithm=algorithm,
-                seed=int(resolved.get("seed", 0)),
-                feasible=r.feasible,
-                total_cost=r.total_cost,
-                reduced_cost=r.reduced_cost,
-                power_cost=r.power_cost,
-                payoff=r.affinity_payoff,
-                rho=r.satisfaction_ratio,
-                avg_util=r.avg_utilization,
-                psi=r.payoff_ratio,
-                runtime_ms=r.runtime_s * 1000.0,
-            )
-        )
+        r = run_scenario(scenario, algorithm, affinity).report
+        rows.append(ResultRow.from_report(0.0, algorithm, resolved["seed"], r))
         print(
             f"{algorithm}: feasible={r.feasible} total={r.total_cost:.3f} "
             f"power={r.power_cost:.3f} payoff={r.affinity_payoff:.3f} "
@@ -233,7 +252,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    base = _generator_config(args)
+    base = _generator_config(_settings(args))
     spec = SweepSpec(
         kind=args.kind,
         values=args.values,
@@ -251,10 +270,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    trace = args.trace
-    if len(trace) not in (2, 3):
-        raise WorkloadError("--trace takes machines.csv applications.csv [affinity.csv]")
-    scenario = load_trace(trace[0], trace[1], trace[2] if len(trace) == 3 else None)
+    scenario = _load_trace(args.trace)
     print(
         f"ok: {scenario.num_machines} machines, {scenario.num_applications} applications, "
         f"{scenario.total_instances} instances"
@@ -265,14 +281,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "generate": _cmd_generate,
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "validate": _cmd_validate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ModelError, WorkloadError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,8 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .affinity import AffinityMatrix, build_final_affinity
 from .costs import MetricsReport, metrics
 from .model import AllocationMatrix, Scenario
@@ -56,31 +58,26 @@ def _oracle_as_outcome(scenario: Scenario, affinity: AffinityMatrix, budget: int
     """Adapt the exhaustive solver to the placement outcome contract.
 
     The trace is synthesized from the optimal counts (application-major,
-    machine ascending); pairs_examined carries the search node count.
+    machine ascending); pairs_examined carries the search node count. A
+    search cut short by its node budget has no claim to the optimum and
+    raises HarnessError.
     """
     result = optimal_place(scenario, affinity, budget=budget)
-    if result.optimal is None:
-        allocation = AllocationMatrix.zeros(scenario.num_applications, scenario.num_machines)
-        return PlacementOutcome(
-            allocation=allocation,
-            feasible=False,
-            failed_at=None,
-            trace=(),
-            pairs_examined=result.nodes_explored,
-        )
-    trace = []
-    counts = result.optimal.counts
-    for i in range(scenario.num_applications):
-        k = 0
-        for j in range(scenario.num_machines):
-            for _ in range(int(counts[i, j])):
-                trace.append((i, k, j))
-                k += 1
+    if not result.exhausted:
+        raise HarnessError(f"oracle search hit its node budget ({budget}) before finishing")
+    feasible = result.optimal is not None
+    n, m = scenario.num_applications, scenario.num_machines
+    allocation = result.optimal if feasible else AllocationMatrix.zeros(n, m)
+    trace = tuple(
+        (i, k, j)
+        for i, row in enumerate(allocation.counts)
+        for k, j in enumerate(np.repeat(np.arange(m), row).tolist())
+    )
     return PlacementOutcome(
-        allocation=result.optimal,
-        feasible=True,
+        allocation=allocation,
+        feasible=feasible,
         failed_at=None,
-        trace=tuple(trace),
+        trace=trace,
         pairs_examined=result.nodes_explored,
     )
 
@@ -136,6 +133,8 @@ class SweepSpec:
         values = tuple(self.values)
         if not values:
             raise HarnessError("sweep values must be nonempty")
+        if not all(math.isfinite(v) for v in values):
+            raise HarnessError("sweep values must be finite")
         diffs = [b - a for a, b in zip(values, values[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise HarnessError("sweep values must be strictly monotone")
@@ -162,19 +161,41 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One run's result. A failed run has only ``error`` set: it keeps
+    ``feasible`` False and NaN metrics."""
+
     sweep_point: float
     algorithm: str
     seed: int
-    feasible: bool
-    total_cost: float
-    reduced_cost: float
-    power_cost: float
-    payoff: float
-    rho: float
-    avg_util: float
-    psi: float
-    runtime_ms: float
+    feasible: bool = False
+    total_cost: float = math.nan
+    reduced_cost: float = math.nan
+    power_cost: float = math.nan
+    payoff: float = math.nan
+    rho: float = math.nan
+    avg_util: float = math.nan
+    psi: float = math.nan
+    runtime_ms: float = math.nan
     error: Optional[str] = None
+
+    @classmethod
+    def from_report(
+        cls, point: float, algorithm: str, seed: int, report: MetricsReport
+    ) -> "ResultRow":
+        return cls(
+            sweep_point=float(point),
+            algorithm=algorithm,
+            seed=seed,
+            feasible=report.feasible,
+            total_cost=report.total_cost,
+            reduced_cost=report.reduced_cost,
+            power_cost=report.power_cost,
+            payoff=report.affinity_payoff,
+            rho=report.satisfaction_ratio,
+            avg_util=report.avg_utilization,
+            psi=report.payoff_ratio,
+            runtime_ms=report.runtime_s * 1000.0,
+        )
 
 
 @dataclass(frozen=True)
@@ -225,38 +246,11 @@ def run_sweep(spec: SweepSpec) -> ResultsTable:
                     if scenario is None:
                         scenario = generate_synthetic(config)
                         affinity = build_final_affinity(scenario)
-                    result = run_scenario(scenario, algorithm, affinity)
-                    r = result.report
-                    rows.append(
-                        ResultRow(
-                            sweep_point=float(point),
-                            algorithm=algorithm,
-                            seed=seed,
-                            feasible=r.feasible,
-                            total_cost=r.total_cost,
-                            reduced_cost=r.reduced_cost,
-                            power_cost=r.power_cost,
-                            payoff=r.affinity_payoff,
-                            rho=r.satisfaction_ratio,
-                            avg_util=r.avg_utilization,
-                            psi=r.payoff_ratio,
-                            runtime_ms=r.runtime_s * 1000.0,
-                        )
-                    )
+                    report = run_scenario(scenario, algorithm, affinity).report
+                    rows.append(ResultRow.from_report(point, algorithm, seed, report))
                 except Exception as exc:  # noqa: BLE001 - sweep must survive one bad run
-                    nan = float("nan")
-                    rows.append(
-                        ResultRow(
-                            sweep_point=float(point),
-                            algorithm=algorithm,
-                            seed=seed,
-                            feasible=False,
-                            total_cost=nan, reduced_cost=nan, power_cost=nan,
-                            payoff=nan, rho=nan, avg_util=nan, psi=nan,
-                            runtime_ms=nan,
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
+                    error = f"{type(exc).__name__}: {exc}"
+                    rows.append(ResultRow(float(point), algorithm, seed, error=error))
     rows.sort(key=lambda r: (r.sweep_point, r.algorithm, r.seed))
     config = {
         "kind": spec.kind,
@@ -274,10 +268,12 @@ def _config_dict(config: GeneratorConfig) -> dict:
     return d
 
 
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return repr(float(value))
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):  # float() prints numpy scalars as Python floats
+        return "nan" if math.isnan(value) else repr(float(value))
+    return str(value)
 
 
 def emit_results(table: ResultsTable, path: str | Path, fmt: str = "csv") -> Path:
@@ -294,26 +290,10 @@ def emit_results(table: ResultsTable, path: str | Path, fmt: str = "csv") -> Pat
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
+        columns = CSV_HEADER.split(",")
         lines = [CSV_HEADER]
         for r in table.rows:
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(r.sweep_point),
-                        r.algorithm,
-                        str(r.seed),
-                        "true" if r.feasible else "false",
-                        _fmt(r.total_cost),
-                        _fmt(r.reduced_cost),
-                        _fmt(r.power_cost),
-                        _fmt(r.payoff),
-                        _fmt(r.rho),
-                        _fmt(r.avg_util),
-                        _fmt(r.psi),
-                        _fmt(r.runtime_ms),
-                    )
-                )
-            )
+            lines.append(",".join(_cell(getattr(r, column)) for column in columns))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
         doc = {

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -27,6 +28,7 @@ from .model import (
     AffinityWeights,
     Application,
     Machine,
+    ModelError,
     ResourceVector,
     Scenario,
 )
@@ -39,10 +41,18 @@ AFFINITY_FIELDS = ("app_id", "machine_id", "user_affinity", "anti_affinity")
 DEFAULT_WEIGHTS = AffinityWeights(0.4, 0.2, 0.2, 0.2)
 DEFAULT_ALPHA = 4.0
 DEFAULT_PI_THRESHOLD = 0.5
+DEFAULT_SEED = 0
 
 
 class WorkloadError(ValueError):
     """Invalid generator configuration or malformed trace file."""
+
+
+def _check_affinity_draw(user_density: float, anti_fraction: float) -> None:
+    if not (0.0 <= user_density <= 1.0):
+        raise WorkloadError("user_affinity_density must be in [0, 1]")
+    if not (0.0 <= anti_fraction < 1.0):
+        raise WorkloadError("anti_affinity_fraction must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -74,7 +84,7 @@ class GeneratorConfig:
 
     machine_count: int
     application_count: int
-    seed: int = 0
+    seed: int = DEFAULT_SEED
     instance_range: tuple[int, int] = (1, 4)
     capacity_ranges: ResourceRanges = DEFAULT_CAPACITY_RANGES
     demand_ranges: ResourceRanges = DEFAULT_DEMAND_RANGES
@@ -92,12 +102,13 @@ class GeneratorConfig:
         lo, hi = self.instance_range
         if not (1 <= lo <= hi):
             raise WorkloadError("instance_range must satisfy 1 <= low <= high")
+        # Written so that NaN fails every check.
         for name, (rlo, rhi) in self.capacity_ranges.as_dict().items():
-            if rlo < 0 or rlo > rhi:
-                raise WorkloadError(f"capacity range for {name} must be 0 <= low <= high")
+            if not (0 <= rlo <= rhi < math.inf):
+                raise WorkloadError(f"capacity range for {name} must be 0 <= low <= high < inf")
         for name, (rlo, rhi) in self.demand_ranges.as_dict().items():
-            if rlo < 0 or rlo > rhi:
-                raise WorkloadError(f"demand range for {name} must be 0 <= low <= high")
+            if not (0 <= rlo <= rhi < math.inf):
+                raise WorkloadError(f"demand range for {name} must be 0 <= low <= high < inf")
             if rlo > self.capacity_ranges.as_dict()[name][1]:
                 raise WorkloadError(
                     f"minimum {name} demand exceeds maximum capacity: no drawn "
@@ -109,16 +120,13 @@ class GeneratorConfig:
             raise WorkloadError("cpu demand range low must be > 0")
         ilo, ihi = self.power_idle_range
         mlo, mhi = self.power_max_range
-        if not (0 <= ilo <= ihi) or not (0 <= mlo <= mhi):
-            raise WorkloadError("power ranges must satisfy 0 <= low <= high")
+        if not (0 <= ilo <= ihi < math.inf) or not (0 <= mlo <= mhi < math.inf):
+            raise WorkloadError("power ranges must satisfy 0 <= low <= high < inf")
         if mlo < ihi:
             raise WorkloadError("power_max_range low must be >= power_idle_range high")
-        if not (0.0 <= self.user_affinity_density <= 1.0):
-            raise WorkloadError("user_affinity_density must be in [0, 1]")
-        if not (0.0 <= self.anti_affinity_fraction < 1.0):
-            raise WorkloadError("anti_affinity_fraction must be in [0, 1)")
-        if self.alpha < 0:
-            raise WorkloadError("alpha must be >= 0")
+        _check_affinity_draw(self.user_affinity_density, self.anti_affinity_fraction)
+        if not (0 <= self.alpha < math.inf):
+            raise WorkloadError("alpha must be finite and >= 0")
         if not (0.0 < self.pi_threshold <= 1.0):
             raise WorkloadError("pi_threshold must be in (0, 1]")
 
@@ -217,6 +225,9 @@ class BackfillParams:
     user_affinity_density: float = 0.2
     anti_affinity_fraction: float = 0.1
 
+    def __post_init__(self) -> None:
+        _check_affinity_draw(self.user_affinity_density, self.anti_affinity_fraction)
+
 
 def _truncated_normal(rng: np.random.Generator, mean: float, std: float, lower: float) -> float:
     floor = max(lower, 1e-3 * mean)
@@ -269,6 +280,15 @@ def _read_rows(path: Path, required: tuple[str, ...], optional: tuple[str, ...] 
     return rows, header_set
 
 
+@contextmanager
+def _row_rules(path: Path, line: int):
+    """Report a model rule broken by one trace row with its file and line."""
+    try:
+        yield
+    except ModelError as exc:
+        raise WorkloadError(f"{path.name} line {line}: {exc}") from exc
+
+
 def _check_ids(kind: str, ids: list[int], path: Path) -> None:
     if sorted(ids) != list(range(len(ids))):
         raise WorkloadError(f"{path.name}: {kind} ids must be exactly 0..{len(ids) - 1}")
@@ -283,7 +303,7 @@ def load_trace(
     alpha: float = DEFAULT_ALPHA,
     pi_threshold: float = DEFAULT_PI_THRESHOLD,
     backfill: BackfillParams = BackfillParams(),
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
 ) -> Scenario:
     """Scenario from normalized trace CSVs.
 
@@ -306,12 +326,13 @@ def load_trace(
     machine_rows = []
     for line, row in enumerate(rows, start=2):
         mid = _parse_int(row, "machine_id", line, machines_path)
-        cap = ResourceVector(
-            _parse_float(row, "cpu_cap", line, machines_path),
-            _parse_float(row, "io_cap", line, machines_path),
-            _parse_float(row, "nw_cap", line, machines_path),
-            _parse_float(row, "mem_cap", line, machines_path),
-        )
+        with _row_rules(machines_path, line):
+            cap = ResourceVector(
+                _parse_float(row, "cpu_cap", line, machines_path),
+                _parse_float(row, "io_cap", line, machines_path),
+                _parse_float(row, "nw_cap", line, machines_path),
+                _parse_float(row, "mem_cap", line, machines_path),
+            )
         if cap.cpu <= 0:
             raise WorkloadError(f"{machines_path.name} line {line}: cpu_cap must be > 0")
         p_idle = _parse_float(row, "p_idle", line, machines_path) if has_idle else None
@@ -333,27 +354,28 @@ def load_trace(
             p_max = _truncated_normal(get_rng(), backfill.p_max_mean, backfill.p_max_std, p_idle)
         if p_max < p_idle:
             raise WorkloadError(f"{machines_path.name} line {line}: p_max < p_idle")
-        machines.append(Machine(id=mid, capacity=cap, p_idle=p_idle, p_max=p_max))
+        with _row_rules(machines_path, line):
+            machines.append(Machine(id=mid, capacity=cap, p_idle=p_idle, p_max=p_max))
 
     rows, _ = _read_rows(applications_path, APPLICATION_FIELDS)
-    app_rows = []
+    applications = []
     for line, row in enumerate(rows, start=2):
         aid = _parse_int(row, "app_id", line, applications_path)
-        demand = ResourceVector(
-            _parse_float(row, "cpu_req", line, applications_path),
-            _parse_float(row, "io_req", line, applications_path),
-            _parse_float(row, "nw_req", line, applications_path),
-            _parse_float(row, "mem_req", line, applications_path),
-        )
+        with _row_rules(applications_path, line):
+            demand = ResourceVector(
+                _parse_float(row, "cpu_req", line, applications_path),
+                _parse_float(row, "io_req", line, applications_path),
+                _parse_float(row, "nw_req", line, applications_path),
+                _parse_float(row, "mem_req", line, applications_path),
+            )
         count = _parse_int(row, "instances", line, applications_path)
         if demand.cpu <= 0:
             raise WorkloadError(f"{applications_path.name} line {line}: cpu_req must be > 0")
         if count < 1:
             raise WorkloadError(f"{applications_path.name} line {line}: instances must be >= 1")
-        app_rows.append((aid, demand, count))
-    _check_ids("application", [r[0] for r in app_rows], applications_path)
-    app_rows.sort(key=lambda r: r[0])
-    applications = [Application(id=aid, demand=d, instances=c) for aid, d, c in app_rows]
+        applications.append(Application(id=aid, demand=demand, instances=count))
+    _check_ids("application", [a.id for a in applications], applications_path)
+    applications.sort(key=lambda a: a.id)
 
     n, m = len(applications), len(machines)
     if affinity_path is not None:

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from powerplace.cli import main
-from powerplace.harness import CSV_HEADER
-from powerplace.workload import load_trace
+from powerplace.harness import CSV_HEADER, run_scenario
+from powerplace.model import AffinityWeights
+from powerplace.workload import BackfillParams, load_trace
 
 
 def run_cli(*argv):
@@ -65,6 +66,69 @@ class TestRun:
         code = run_cli("run", "--trace", machines, apps, "--algorithms", "pap", "--out", out)
         assert code == 0
         assert ",false," in out.read_text().splitlines()[1]
+
+
+    def test_trace_run_honours_config_weights(self, tmp_path, capsys):
+        assert run_cli("generate", "--machines", 5, "--apps", 4, "--seed", 2,
+                       "--out", tmp_path) == 0
+        trace = [tmp_path / "machines.csv", tmp_path / "applications.csv",
+                 tmp_path / "affinity.csv"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weights": [0.1, 0.3, 0.3, 0.3], "alpha": 2.0}))
+        out = tmp_path / "res.json"
+        assert run_cli("run", "--trace", *trace, "--config", cfg, "--algorithms", "cpaap",
+                       "--out", out, "--format", "json") == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["weights"] == [0.1, 0.3, 0.3, 0.3]
+        scn = load_trace(*trace, weights=AffinityWeights(0.1, 0.3, 0.3, 0.3), alpha=2.0)
+        expected = run_scenario(scn, "cpaap").report
+        assert doc["rows"][0]["payoff"] == expected.affinity_payoff
+        assert doc["rows"][0]["total_cost"] == expected.total_cost
+
+    def test_trace_without_affinity_honours_anti_affinity_fraction(self, tmp_path, capsys):
+        assert run_cli("generate", "--machines", 6, "--apps", 5, "--seed", 2,
+                       "--out", tmp_path) == 0
+        trace = [tmp_path / "machines.csv", tmp_path / "applications.csv"]
+        out = tmp_path / "res.json"
+        assert run_cli("run", "--trace", *trace, "--anti-affinity-fraction", 0.5,
+                       "--algorithms", "pap", "--out", out, "--format", "json") == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["anti_affinity_fraction"] == 0.5
+        scn = load_trace(*trace, backfill=BackfillParams(anti_affinity_fraction=0.5))
+        assert (scn.anti_affinity.sum(axis=1) == 3).all()
+        assert doc["rows"][0]["total_cost"] == run_scenario(scn, "pap").report.total_cost
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_trace_needs_two_or_three_files(self, tmp_path, capsys, command):
+        assert run_cli(command, "--trace", tmp_path / "machines.csv") == 1
+        assert "--trace takes" in capsys.readouterr().err
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"weights": [1, 0, 0]}, "weights"),
+            ({"weights": "abcd"}, "weights"),
+            ({"weights": [1, 0, 0, True]}, "weights"),
+            ({"seed": None}, "seed"),
+            ({"machine_count": 99}, "machine_count"),
+            ({"machines": 6.5}, "machines"),
+            ({"apps": True}, "apps"),
+            ({"alpha": "4"}, "alpha"),
+            ({"pi_threshold": False}, "pi_threshold"),
+            ({"user_affinity_density": [0.2]}, "user_affinity_density"),
+        ],
+        ids=["weights-short", "weights-string", "weights-bool", "seed-null", "unknown-key",
+             "machines-float", "apps-bool", "alpha-string", "pi-bool", "density-list"],
+    )
+    def test_bad_value_fails_cleanly(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("run", "--machines", 4, "--apps", 3, "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+        assert "Traceback" not in err
 
 
 class TestSweep:

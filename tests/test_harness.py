@@ -5,6 +5,7 @@ import pytest
 
 from powerplace import total_cost
 from powerplace.affinity import build_final_affinity
+from powerplace.oracle import optimal_place
 from powerplace.harness import (
     CSV_HEADER,
     HarnessError,
@@ -46,6 +47,16 @@ class TestRunScenario:
         assert result.report.total_cost == direct.total
         assert result.outcome.trace == ((0, 0, 0),)
 
+    def test_oracle_cut_short_by_budget_is_an_error(self):
+        scn = generate_synthetic(GeneratorConfig(4, 4, seed=2, instance_range=(2, 2)))
+        f = build_final_affinity(scn)
+        with pytest.raises(HarnessError, match="node budget"):
+            run_scenario(scn, "oracle", f, oracle_budget=50)
+        full = run_scenario(scn, "oracle", f)
+        assert full.report.feasible
+        optimum = optimal_place(scn, f).optimal.counts
+        assert full.outcome.allocation.counts.tolist() == optimum.tolist()
+
     def test_repeat_runs_identical_except_runtime(self):
         scn = generate_synthetic(BASE)
         f = build_final_affinity(scn)
@@ -76,6 +87,11 @@ class TestSweepSpec:
             SweepSpec("alpha", (1.0, 2.0), BASE, ("oracle",))
         tiny = GeneratorConfig(3, 2, seed=0, instance_range=(1, 2))
         SweepSpec("alpha", (1.0, 2.0), tiny, ("oracle",))  # fits the guard
+
+    @pytest.mark.parametrize("values", [(float("nan"), 1.0), (1.0, float("inf"))])
+    def test_rejects_non_finite_values(self, values):
+        with pytest.raises(HarnessError, match="sweep values must be finite"):
+            SweepSpec("alpha", values, BASE, ("pap",))
 
     def test_decreasing_values_allowed(self):
         SweepSpec("machines", (20, 10, 5), BASE, ("pap",))

@@ -1,3 +1,5 @@
+from math import inf, nan
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,27 @@ class TestGeneratorConfig:
             GeneratorConfig(5, 5, instance_range=(0, 4))
         with pytest.raises(WorkloadError):
             GeneratorConfig(5, 5, instance_range=(4, 1))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("capacity_ranges", ResourceRanges((8, nan), (100, 1000), (100, 1000), (16, 256))),
+            ("capacity_ranges", ResourceRanges((8, 64), (100, inf), (100, 1000), (16, 256))),
+            ("demand_ranges", ResourceRanges((1, 8), (nan, 100), (10, 100), (1, 16))),
+            ("power_idle_range", (nan, 150.0)),
+            ("power_max_range", (200.0, inf)),
+            ("alpha", nan),
+            ("alpha", inf),
+            ("pi_threshold", nan),
+            ("user_affinity_density", nan),
+            ("anti_affinity_fraction", nan),
+        ],
+        ids=["capacity-nan", "capacity-inf", "demand-nan", "idle-nan", "max-inf",
+             "alpha-nan", "alpha-inf", "pi-nan", "density-nan", "fraction-nan"],
+    )
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(WorkloadError):
+            GeneratorConfig(5, 5, **{field: value})
 
 
 class TestAntiAffinityCount:
@@ -183,6 +206,29 @@ class TestLoadTrace:
         m, a, f = self.write(tmp_path, files["machines"], files["apps"], files["affinity"])
         with pytest.raises(WorkloadError, match=f"{where} must be finite"):
             load_trace(m, a, f)
+
+    @pytest.mark.parametrize(
+        "which, old, new, where",
+        [
+            ("machines", "0,16.0,200.0,", "0,16.0,-1,", "machines.csv line 2: resource component 'io'"),
+            ("machines", "90.0,210.0", "-5,210.0", "machines.csv line 3: machine 1: need 0 <= p_idle"),
+            ("apps", "1,2.0,20.0,", "1,2.0,-1,", "applications.csv line 3: resource component 'io'"),
+        ],
+        ids=["io_cap", "p_idle", "io_req"],
+    )
+    def test_model_rule_reports_line(self, tmp_path, which, old, new, where):
+        files = {"machines": MACHINES_CSV, "apps": APPS_CSV}
+        assert old in files[which]
+        files[which] = files[which].replace(old, new, 1)
+        m, a, f = self.write(tmp_path, files["machines"], files["apps"])
+        with pytest.raises(WorkloadError, match=where):
+            load_trace(m, a, f)
+
+    def test_backfill_fractions_checked(self):
+        with pytest.raises(WorkloadError, match="anti_affinity_fraction"):
+            BackfillParams(anti_affinity_fraction=-0.1)
+        with pytest.raises(WorkloadError, match="user_affinity_density"):
+            BackfillParams(user_affinity_density=nan)
 
     def test_zero_cpu_requirement_rejected(self, tmp_path):
         bad = APPS_CSV.replace("1,2.0,", "1,0.0,")
