@@ -40,7 +40,7 @@ from .model import (
     ValidationReport,
     validate_allocation,
 )
-from .oracle import OracleResult, feasibility_check, optimal_place
+from .oracle import OracleResult, optimal_place
 from .placement import (
     PapPriorityState,
     PlacementOutcome,
@@ -89,7 +89,6 @@ __all__ = [
     "cpaap_place",
     "delta_cost",
     "emit_results",
-    "feasibility_check",
     "final_affinity",
     "first_fit_place",
     "generate_synthetic",

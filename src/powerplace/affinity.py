@@ -45,6 +45,15 @@ class AffinityMatrix:
         return self.values.shape
 
 
+def require_final(scenario: Scenario, affinity: AffinityMatrix) -> None:
+    """Raise ModelError unless ``affinity`` is the final matrix, shaped (N, M) for ``scenario``."""
+    if affinity.kind != FINAL:
+        raise ModelError(f"expected the final affinity matrix, got kind {affinity.kind!r}")
+    shape = (scenario.num_applications, scenario.num_machines)
+    if affinity.shape != shape:
+        raise ModelError(f"affinity shape {affinity.shape} does not match scenario {shape}")
+
+
 def system_affinity_matrix(scenario: Scenario) -> AffinityMatrix:
     """Resource affinity for every (application, machine) pair.
 

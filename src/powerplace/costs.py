@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .affinity import FINAL, AffinityMatrix
+from .affinity import AffinityMatrix, require_final
 from .model import (
     AllocationMatrix,
     Machine,
@@ -98,11 +98,10 @@ def total_cost(
     Per-machine terms are accumulated in machine-id order so repeated runs
     are bit-identical.
     """
-    if affinity.kind != FINAL:
-        raise ModelError("total_cost expects the final affinity matrix")
-    n, m = scenario.num_applications, scenario.num_machines
-    if allocation.counts.shape != (n, m) or affinity.shape != (n, m):
-        raise ModelError("allocation/affinity dimensions do not match scenario")
+    require_final(scenario, affinity)
+    shape = (scenario.num_applications, scenario.num_machines)
+    if allocation.counts.shape != shape:
+        raise ModelError(f"allocation shape {allocation.counts.shape} does not match scenario {shape}")
     pis = utilizations(scenario, allocation)
     idle_sum = 0.0
     dynamic = 0.0

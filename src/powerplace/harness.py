@@ -135,6 +135,8 @@ class SweepSpec:
             raise HarnessError("sweep values must be nonempty")
         if not all(math.isfinite(v) for v in values):
             raise HarnessError("sweep values must be finite")
+        if self.kind in ("machines", "applications") and any(v != int(v) for v in values):
+            raise HarnessError(f"{self.kind} sweep values must be whole numbers")
         diffs = [b - a for a, b in zip(values, values[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise HarnessError("sweep values must be strictly monotone")
@@ -276,12 +278,18 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _json_fields(fields: dict) -> dict:
+    """``fields`` with NaN (an undefined metric) as None, which JSON writes as null."""
+    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in fields.items()}
+
+
 def emit_results(table: ResultsTable, path: str | Path, fmt: str = "csv") -> Path:
     """Write the result table to ``path`` as CSV or JSON.
 
     The CSV column set is fixed (see CSV_HEADER); the JSON document also
     carries the fully resolved configuration and per-point aggregates, so
-    every results file is self-describing.
+    every results file is self-describing. An undefined metric is ``nan``
+    in CSV and ``null`` in JSON, so the JSON parses under strict parsers.
     """
     if not table.rows:
         raise HarnessError("refusing to emit an empty results table")
@@ -298,11 +306,11 @@ def emit_results(table: ResultsTable, path: str | Path, fmt: str = "csv") -> Pat
     else:
         doc = {
             "config": table.config,
-            "rows": [asdict(r) for r in table.rows],
+            "rows": [_json_fields(asdict(r)) for r in table.rows],
             "aggregates": [
-                {"sweep_point": point, "algorithm": algorithm, **means}
+                _json_fields({"sweep_point": point, "algorithm": algorithm, **means})
                 for (point, algorithm), means in table.mean_by_point().items()
             ],
         }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
     return path

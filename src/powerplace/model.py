@@ -78,17 +78,12 @@ class AffinityWeights:
 
 @dataclass(frozen=True)
 class Machine:
-    """A machine node: resource capacity plus idle and maximum power draw.
-
-    ``pi_threshold``, when set, overrides the scenario-wide utilization
-    split point used by the power-aware heuristic's priority updates.
-    """
+    """A machine node: resource capacity plus idle and maximum power draw."""
 
     id: int
     capacity: ResourceVector
     p_idle: float
     p_max: float
-    pi_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p_idle) and math.isfinite(self.p_max)):
@@ -97,8 +92,6 @@ class Machine:
             raise ModelError(f"machine {self.id}: need 0 <= p_idle <= p_max")
         if self.capacity.cpu <= 0:
             raise ModelError(f"machine {self.id}: cpu capacity must be > 0")
-        if self.pi_threshold is not None and not (0.0 < self.pi_threshold <= 1.0):
-            raise ModelError(f"machine {self.id}: pi_threshold must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -189,10 +182,6 @@ class Scenario:
     @property
     def total_instances(self) -> int:
         return sum(a.instances for a in self.applications)
-
-    def effective_pi_threshold(self, j: int) -> float:
-        override = self.machines[j].pi_threshold
-        return self.pi_threshold if override is None else override
 
 
 @dataclass

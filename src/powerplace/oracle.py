@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .affinity import FINAL, AffinityMatrix
+from .affinity import AffinityMatrix, require_final
 from .model import AllocationMatrix, CapacityLedger, ModelError, Scenario
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -27,7 +27,9 @@ class OracleResult:
     ``optimal`` is None iff no complete feasible allocation was found.
     ``exhausted`` is True iff the whole space was enumerated; if the node
     budget tripped first, any reported optimum is only the best of the
-    explored region and optimality is not claimed.
+    explored region and optimality is not claimed. A scenario has no
+    feasible allocation iff ``optimal`` is None on an exhausted search.
+    ``nodes_explored`` counts completed rows (one application's counts).
     """
 
     optimal: Optional[AllocationMatrix]
@@ -36,82 +38,8 @@ class OracleResult:
     exhausted: bool
 
 
-class _Search:
-    def __init__(self, scenario: Scenario, affinity: Optional[AffinityMatrix], budget: int):
-        if budget <= 0:
-            raise ModelError("node budget must be positive")
-        if affinity is not None:
-            if affinity.kind != FINAL:
-                raise ModelError("oracle expects the final affinity matrix")
-            if affinity.shape != (scenario.num_applications, scenario.num_machines):
-                raise ModelError("affinity shape does not match scenario")
-        self.n = scenario.num_applications
-        self.m = scenario.num_machines
-        self.budget = budget
-        self.ledger = CapacityLedger(scenario)
-        self.spans = [mach.p_max - mach.p_idle for mach in scenario.machines]
-        self.instances = [app.instances for app in scenario.applications]
-        self.f = affinity.values.tolist() if affinity is not None else None
-        self.alpha = scenario.alpha
-        self.counts = [[0] * self.m for _ in range(self.n)]
-        self.payoff = 0.0
-        self.nodes = 0
-        self.budget_hit = False
-        self.best_cost = float("inf")
-        self.best_counts: Optional[list[list[int]]] = None
-        self.found_feasible = False
-        self.stop_at_first = False
-
-    def _reduced_cost(self) -> float:
-        dynamic = 0.0
-        for span, pi in zip(self.spans, self.ledger.pi):
-            dynamic += span * pi * pi * pi
-        return dynamic - self.alpha * self.payoff
-
-    def _assign_app(self, i: int) -> None:
-        if self.budget_hit or (self.stop_at_first and self.found_feasible):
-            return
-        if i == self.n:
-            self.found_feasible = True
-            if not self.stop_at_first:
-                cost = self._reduced_cost()
-                # Rows are enumerated in ascending lexicographic order, so a
-                # strict comparison keeps the lexicographically smallest of
-                # equal-cost optima.
-                if cost < self.best_cost:
-                    self.best_cost = cost
-                    self.best_counts = [row[:] for row in self.counts]
-            return
-        self._assign_cell(i, 0, self.instances[i])
-
-    def _assign_cell(self, i: int, j: int, left: int) -> None:
-        if self.budget_hit or (self.stop_at_first and self.found_feasible):
-            return
-        if j == self.m:
-            if left == 0:
-                self.nodes += 1
-                if self.nodes > self.budget:
-                    self.budget_hit = True
-                    return
-                self._assign_app(i + 1)
-            return
-        self._assign_cell(i, j + 1, left)
-        ledger = self.ledger
-        placed = 0
-        while placed < left and ledger.admissible(i, j):
-            ledger.add(i, j)
-            self.counts[i][j] += 1
-            if self.f is not None:
-                self.payoff += self.f[i][j]
-            placed += 1
-            self._assign_cell(i, j + 1, left - placed)
-            if self.budget_hit or (self.stop_at_first and self.found_feasible):
-                break
-        if placed:
-            ledger.remove(i, j, placed)
-            self.counts[i][j] -= placed
-            if self.f is not None:
-                self.payoff -= placed * self.f[i][j]
+class _BudgetHit(Exception):
+    """The node budget tripped; unwinds the search to ``optimal_place``."""
 
 
 def optimal_place(
@@ -122,35 +50,74 @@ def optimal_place(
     """Minimum-reduced-cost complete allocation, by exhaustive enumeration.
 
     Equal-cost ties resolve to the lexicographically smallest allocation
-    matrix in row-major order, so results are stable across runs.
+    matrix in row-major order, so results are stable across runs. The
+    search stops at node ``budget + 1``.
     """
-    search = _Search(scenario, affinity, budget)
-    search._assign_app(0)
-    if search.best_counts is None:
+    if budget <= 0:
+        raise ModelError("node budget must be positive")
+    require_final(scenario, affinity)
+    n, m = scenario.num_applications, scenario.num_machines
+    ledger = CapacityLedger(scenario)
+    spans = [mach.p_max - mach.p_idle for mach in scenario.machines]
+    instances = [app.instances for app in scenario.applications]
+    f = affinity.values.tolist()
+    alpha = scenario.alpha
+    counts = [[0] * m for _ in range(n)]
+    payoff = 0.0
+    nodes = 0
+    best_cost = float("inf")
+    best_counts: Optional[list[list[int]]] = None
+
+    def assign(i: int, j: int, left: int) -> None:
+        """Spread the ``left`` instances of application i still unplaced over machines j..m-1."""
+        nonlocal payoff, nodes, best_cost, best_counts
+        if j == m:
+            if left:
+                return
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetHit
+            if i + 1 < n:
+                assign(i + 1, 0, instances[i + 1])
+                return
+            dynamic = 0.0
+            for span, pi in zip(spans, ledger.pi):
+                dynamic += span * pi * pi * pi
+            cost = dynamic - alpha * payoff
+            # Rows are enumerated in ascending lexicographic order, so a
+            # strict comparison keeps the lexicographically smallest of
+            # equal-cost optima.
+            if cost < best_cost:
+                best_cost = cost
+                best_counts = [row[:] for row in counts]
+            return
+        assign(i, j + 1, left)
+        placed = 0
+        while placed < left and ledger.admissible(i, j):
+            ledger.add(i, j)
+            counts[i][j] += 1
+            payoff += f[i][j]
+            placed += 1
+            assign(i, j + 1, left - placed)
+        if placed:
+            ledger.remove(i, j, placed)
+            counts[i][j] -= placed
+            payoff -= placed * f[i][j]
+
+    try:
+        assign(0, 0, instances[0])
+        exhausted = True
+    except _BudgetHit:
+        exhausted = False
+    if best_counts is None:
         optimal = None
         cost = None
     else:
-        optimal = AllocationMatrix(np.array(search.best_counts, dtype=np.int64))
-        cost = search.best_cost
+        optimal = AllocationMatrix(np.array(best_counts, dtype=np.int64))
+        cost = best_cost
     return OracleResult(
         optimal=optimal,
         optimal_reduced_cost=cost,
-        nodes_explored=search.nodes,
-        exhausted=not search.budget_hit,
+        nodes_explored=nodes,
+        exhausted=exhausted,
     )
-
-
-def feasibility_check(scenario: Scenario, budget: int = DEFAULT_NODE_BUDGET) -> Optional[bool]:
-    """Whether any complete allocation satisfies all constraints.
-
-    Returns None when the node budget trips before the question is
-    resolved (indeterminate).
-    """
-    search = _Search(scenario, None, budget)
-    search.stop_at_first = True
-    search._assign_app(0)
-    if search.found_feasible:
-        return True
-    if search.budget_hit:
-        return None
-    return False

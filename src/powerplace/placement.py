@@ -25,13 +25,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .affinity import FINAL, AffinityMatrix
+from .affinity import AffinityMatrix, require_final
 from .costs import delta_cost
 from .model import (
     AllocationMatrix,
     Application,
     CapacityLedger,
-    ModelError,
     Scenario,
 )
 
@@ -67,19 +66,11 @@ class PapPriorityState:
     """
 
     omega: list[float]
-    thresholds: list[float]
-
-    @classmethod
-    def for_scenario(cls, scenario: Scenario) -> "PapPriorityState":
-        m = scenario.num_machines
-        return cls(
-            omega=[0.0] * m,
-            thresholds=[scenario.effective_pi_threshold(j) for j in range(m)],
-        )
+    threshold: float
 
     def after_placement(self, j: int, pi: float) -> None:
         w = self.omega[j]
-        if w < self.thresholds[j]:
+        if w < self.threshold:
             self.omega[j] = pi
         elif w < 1.0:
             self.omega[j] = 1.0
@@ -125,18 +116,10 @@ def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) ->
     )
 
 
-def _require_final(scenario: Scenario, affinity: AffinityMatrix) -> None:
-    if affinity.kind != FINAL:
-        raise ModelError("placement expects the final affinity matrix")
-    shape = (scenario.num_applications, scenario.num_machines)
-    if affinity.shape != shape:
-        raise ModelError(f"affinity shape {affinity.shape} does not match scenario {shape}")
-
-
 def pap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
     """Power-aware placement: first admissible machine in priority order."""
-    _require_final(scenario, affinity)
-    state = PapPriorityState.for_scenario(scenario)
+    require_final(scenario, affinity)
+    state = PapPriorityState(omega=[0.0] * scenario.num_machines, threshold=scenario.pi_threshold)
     omega = state.omega
     machines = range(scenario.num_machines)
 
@@ -157,7 +140,7 @@ def aap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
 
     Ties go to the lower current utilization, then the lower machine id.
     """
-    _require_final(scenario, affinity)
+    require_final(scenario, affinity)
     f = affinity.values.tolist()
     machines = range(scenario.num_machines)
 
@@ -184,7 +167,7 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
     then id tiebreak). The objective delta of placing on each decides,
     with candidate one winning ties. The candidates may coincide.
     """
-    _require_final(scenario, affinity)
+    require_final(scenario, affinity)
     f = affinity.values.tolist()
     machines = scenario.machines
     alpha = scenario.alpha

@@ -99,6 +99,8 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if self.machine_count < 1 or self.application_count < 1:
             raise WorkloadError("machine_count and application_count must be >= 1")
+        if self.seed < 0:
+            raise WorkloadError(f"'seed' must be >= 0, got {self.seed}")
         lo, hi = self.instance_range
         if not (1 <= lo <= hi):
             raise WorkloadError("instance_range must satisfy 1 <= low <= high")
@@ -310,6 +312,8 @@ def load_trace(
     Random draws are consumed only for values the files do not supply, so
     a fully specified trace loads identically for any seed.
     """
+    if seed < 0:
+        raise WorkloadError(f"'seed' must be >= 0, got {seed}")
     machines_path = Path(machines_path)
     applications_path = Path(applications_path)
     rng: Optional[np.random.Generator] = None

@@ -26,8 +26,8 @@ from powerplace.affinity import FINAL, AffinityMatrix
 WEIGHTS = AffinityWeights(0.4, 0.2, 0.2, 0.2)
 
 
-def machine(j, cpu=10.0, io=100.0, nw=100.0, mem=16.0, p_idle=100.0, p_max=200.0, pi_threshold=None):
-    return Machine(j, ResourceVector(cpu, io, nw, mem), p_idle, p_max, pi_threshold)
+def machine(j, cpu=10.0, io=100.0, nw=100.0, mem=16.0, p_idle=100.0, p_max=200.0):
+    return Machine(j, ResourceVector(cpu, io, nw, mem), p_idle, p_max)
 
 
 def app(i, cpu=5.0, io=0.0, nw=0.0, mem=0.0, instances=1):
@@ -111,9 +111,8 @@ def replay_pap(scn, affinity, outcome):
             raise AssertionError("trace places an instance no machine could take")
         rep.apply(i, j)
         pi = rep.pi(j)
-        threshold = scn.effective_pi_threshold(j)
         prev = omega[j]
-        if prev < threshold:
+        if prev < scn.pi_threshold:
             omega[j] = pi
         elif prev < 1.0:
             omega[j] = 1.0

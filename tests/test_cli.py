@@ -98,6 +98,18 @@ class TestRun:
         assert (scn.anti_affinity.sum(axis=1) == 3).all()
         assert doc["rows"][0]["total_cost"] == run_scenario(scn, "pap").report.total_cost
 
+    @pytest.mark.parametrize("source", ["synthetic", "trace"])
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys, source):
+        if source == "trace":
+            run_cli("generate", "--machines", 4, "--apps", 3, "--out", tmp_path)
+            scenario = ["--trace", tmp_path / "machines.csv", tmp_path / "applications.csv"]
+        else:
+            scenario = ["--machines", 4, "--apps", 3]
+        assert run_cli("run", *scenario, "--seed", -1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'seed' must be >= 0" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["run", "validate"])
     def test_trace_needs_two_or_three_files(self, tmp_path, capsys, command):
         assert run_cli(command, "--trace", tmp_path / "machines.csv") == 1
@@ -118,9 +130,11 @@ class TestConfigFile:
             ({"alpha": "4"}, "alpha"),
             ({"pi_threshold": False}, "pi_threshold"),
             ({"user_affinity_density": [0.2]}, "user_affinity_density"),
+            ({"seed": -1}, "seed"),
         ],
         ids=["weights-short", "weights-string", "weights-bool", "seed-null", "unknown-key",
-             "machines-float", "apps-bool", "alpha-string", "pi-bool", "density-list"],
+             "machines-float", "apps-bool", "alpha-string", "pi-bool", "density-list",
+             "seed-negative"],
     )
     def test_bad_value_fails_cleanly(self, tmp_path, capsys, config, key):
         cfg = tmp_path / "cfg.json"

@@ -9,6 +9,7 @@ from powerplace.oracle import optimal_place
 from powerplace.harness import (
     CSV_HEADER,
     HarnessError,
+    ResultRow,
     ResultsTable,
     SweepSpec,
     emit_results,
@@ -92,6 +93,12 @@ class TestSweepSpec:
     def test_rejects_non_finite_values(self, values):
         with pytest.raises(HarnessError, match="sweep values must be finite"):
             SweepSpec("alpha", values, BASE, ("pap",))
+
+    @pytest.mark.parametrize("kind", ["machines", "applications"])
+    def test_rejects_fractional_counts(self, kind):
+        # int() would turn both points into the same count
+        with pytest.raises(HarnessError, match="whole numbers"):
+            SweepSpec(kind, (4.2, 4.9), BASE, ("pap",))
 
     def test_decreasing_values_allowed(self):
         SweepSpec("machines", (20, 10, 5), BASE, ("pap",))
@@ -187,6 +194,22 @@ class TestEmitResults:
             assert row["seed"] == original.seed
             assert row["total_cost"] == pytest.approx(original.total_cost, rel=0, abs=0)
         assert doc["aggregates"]
+
+    def test_json_writes_undefined_metrics_as_null(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        failed = ResultRow(1.0, "pap", 0, error="RuntimeError: x")
+        zero_cost = ResultRow(1.0, "aap", 0, feasible=True, total_cost=0.0, psi=math.nan)
+        table = ResultsTable(rows=(failed, zero_cost), config={})
+        text = emit_results(table, tmp_path / "out.json", "json").read_text()
+        doc = json.loads(text, parse_constant=reject)
+        assert doc["rows"][0]["avg_util"] is None
+        assert doc["rows"][0]["error"] == "RuntimeError: x"
+        assert doc["rows"][1]["total_cost"] == 0.0 and doc["rows"][1]["psi"] is None
+        assert doc["aggregates"][0]["psi"] is None
+        csv_row = emit_results(table, tmp_path / "out.csv", "csv").read_text().splitlines()[1]
+        assert csv_row.split(",")[4] == "nan"
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(HarnessError):

@@ -3,7 +3,6 @@ import pytest
 from powerplace import (
     aap_place,
     cpaap_place,
-    feasibility_check,
     first_fit_place,
     optimal_place,
     pap_place,
@@ -121,27 +120,28 @@ class TestOptimalPlace:
 class TestFeasibilityCheck:
     def test_plentiful_single_machine(self):
         scn = scenario([machine(0, cpu=100, io=100, nw=100, mem=100)], [app(0, cpu=1, instances=3)])
-        assert feasibility_check(scn) is True
+        assert optimal_place(scn, build_final_affinity(scn)).optimal is not None
 
     def test_blocked_row_is_infeasible(self):
         scn = scenario([machine(0), machine(1)], [app(0)], anti=[[1, 1]])
         # scenario() builder forbids an all-ones row via generation, but a
         # hand-built matrix may express it
-        assert feasibility_check(scn) is False
+        res = optimal_place(scn, build_final_affinity(scn))
+        assert res.exhausted and res.optimal is None
 
     def test_split_assignment_found_where_stacking_fails(self):
         scn = scenario(
             [machine(0, cpu=10), machine(1, cpu=10)],
             [app(0, cpu=6, instances=2)],
         )
-        assert feasibility_check(scn) is True
+        assert optimal_place(scn, build_final_affinity(scn)).optimal is not None
         out = first_fit_place(scn)
         assert out.feasible
         assert out.allocation.counts.tolist() == [[1, 1]]
 
     def test_budget_trip_is_indeterminate(self):
         scn = generate_synthetic(GeneratorConfig(4, 4, seed=1, instance_range=(2, 2)))
-        assert feasibility_check(scn, budget=1) is None
+        assert not optimal_place(scn, build_final_affinity(scn), budget=1).exhausted
 
     def test_infeasible_scenarios_bound_heuristics(self):
         # whenever enumeration proves infeasibility every heuristic must
@@ -154,9 +154,10 @@ class TestFeasibilityCheck:
                     capacity_ranges=_tight_caps(), anti_affinity_fraction=0.4,
                 )
             )
-            if feasibility_check(scn) is False:
+            f = build_final_affinity(scn)
+            res = optimal_place(scn, f)
+            if res.exhausted and res.optimal is None:
                 checked += 1
-                f = build_final_affinity(scn)
                 assert not pap_place(scn, f).feasible
                 assert not aap_place(scn, f).feasible
                 assert not cpaap_place(scn, f).feasible

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from powerplace import (
+    AllocationMatrix,
     ModelError,
     aap_place,
     cpaap_place,
     first_fit_place,
+    optimal_place,
     pap_place,
     sort_applications,
+    total_cost,
     validate_allocation,
 )
 from powerplace.affinity import build_final_affinity
@@ -71,7 +74,7 @@ class TestPap:
         assert len(out.trace) == 2
 
     def test_priority_update_rule(self):
-        state = PapPriorityState(omega=[0.0], thresholds=[0.5])
+        state = PapPriorityState(omega=[0.0], threshold=0.5)
         state.after_placement(0, 0.3)
         assert state.omega[0] == 0.3
         state.after_placement(0, 0.6)   # 0.3 < threshold: tracks utilization
@@ -83,16 +86,10 @@ class TestPap:
         state.after_placement(0, 1.0)
         assert state.omega[0] == 4.0
 
-    def test_per_machine_threshold_override(self):
-        # machine 0's tiny threshold kicks its priority to 1 after the
-        # second visit, so machine 1 absorbs the rest; with the shared
-        # default threshold the same workload alternates evenly
+    def test_shared_threshold_alternates_evenly(self):
+        # below the shared threshold omega tracks utilization, so two
+        # identical machines take turns
         apps = [app(0, cpu=5, instances=6)]
-        overridden = scenario(
-            [machine(0, cpu=100, pi_threshold=0.01), machine(1, cpu=100)], apps
-        )
-        out = pap_place(overridden, build_final_affinity(overridden))
-        assert out.allocation.counts.tolist() == [[2, 4]]
         plain = scenario([machine(0, cpu=100), machine(1, cpu=100)], apps)
         out = pap_place(plain, build_final_affinity(plain))
         assert out.allocation.counts.tolist() == [[3, 3]]
@@ -213,9 +210,19 @@ class TestSharedContracts:
         scn = scenario([machine(0)], [app(0)])
         from powerplace.affinity import system_affinity_matrix
         s = system_affinity_matrix(scn)
-        for place in (pap_place, aap_place, cpaap_place):
+        wide = final_matrix([[0.5, 0.5]])
+        for place in (pap_place, aap_place, cpaap_place, optimal_place):
             with pytest.raises(ModelError):
                 place(scn, s)
+            with pytest.raises(ModelError):
+                place(scn, wide)
+        alloc = AllocationMatrix.zeros(1, 1)
+        with pytest.raises(ModelError):
+            total_cost(scn, alloc, s)
+        with pytest.raises(ModelError):
+            total_cost(scn, alloc, wide)
+        with pytest.raises(ModelError):
+            total_cost(scn, AllocationMatrix.zeros(1, 2), final_matrix([[0.5]]))
 
     def test_determinism(self):
         scn = generate_synthetic(GeneratorConfig(12, 10, seed=42, anti_affinity_fraction=0.2))
