@@ -51,7 +51,6 @@ from .placement import (
     sort_applications,
 )
 from .workload import (
-    BackfillParams,
     GeneratorConfig,
     ResourceRanges,
     WorkloadError,
@@ -65,7 +64,6 @@ __all__ = [
     "AffinityWeights",
     "AllocationMatrix",
     "Application",
-    "BackfillParams",
     "ConstraintResult",
     "CostBreakdown",
     "GeneratorConfig",

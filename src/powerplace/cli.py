@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -34,8 +33,9 @@ from .harness import (
 )
 from .model import AffinityWeights, ModelError
 from .workload import (
+    DEFAULT_ANTI_AFFINITY_FRACTION,
     DEFAULT_SEED,
-    BackfillParams,
+    DEFAULT_USER_AFFINITY_DENSITY,
     GeneratorConfig,
     WorkloadError,
     generate_synthetic,
@@ -161,7 +161,7 @@ def _settings(args: argparse.Namespace) -> dict:
     """The --config file overlaid with the flags that were set.
 
     Holds only the keys the user gave, so every default comes from
-    GeneratorConfig, load_trace and BackfillParams.
+    GeneratorConfig and load_trace.
     """
     settings = {}
     path = args.config
@@ -205,12 +205,13 @@ def _scenario(args: argparse.Namespace):
     if not args.trace:
         config = _generator_config(settings)
         return generate_synthetic(config), _config_dict(config)
-    backfill = BackfillParams(
-        **_subset(settings, "anti_affinity_fraction", "user_affinity_density")
-    )
     seed = settings.get("seed", DEFAULT_SEED)
+    draw = {
+        "user_affinity_density": settings.get("user_affinity_density", DEFAULT_USER_AFFINITY_DENSITY),
+        "anti_affinity_fraction": settings.get("anti_affinity_fraction", DEFAULT_ANTI_AFFINITY_FRACTION),
+    }
     scenario = _load_trace(
-        args.trace, backfill=backfill, seed=seed,
+        args.trace, seed=seed, **draw,
         **_subset(settings, "weights", "alpha", "pi_threshold"),
     )
     resolved = {
@@ -219,7 +220,7 @@ def _scenario(args: argparse.Namespace):
         "alpha": scenario.alpha,
         "pi_threshold": scenario.pi_threshold,
         "seed": seed,
-        **asdict(backfill),
+        **draw,
     }
     return scenario, resolved
 
@@ -252,7 +253,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    base = _generator_config(_settings(args))
+    settings = _settings(args)
+    # Every point of a count sweep sets that count, so the base needs none.
+    count = {"machines": "machines", "applications": "apps"}.get(args.kind)
+    base = _generator_config({count: 1, **settings} if count else settings)
     spec = SweepSpec(
         kind=args.kind,
         values=args.values,

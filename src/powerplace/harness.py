@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -29,9 +29,16 @@ from .placement import (
     first_fit_place,
     pap_place,
 )
-from .workload import GeneratorConfig, generate_synthetic
+from .workload import GeneratorConfig, WorkloadError, generate_synthetic
 
-SWEEP_KINDS = ("machines", "applications", "anti_affinity", "alpha")
+# Sweep kind -> (the GeneratorConfig field each point sets, its type).
+SWEEP_FIELDS = {
+    "machines": ("machine_count", int),
+    "applications": ("application_count", int),
+    "anti_affinity": ("anti_affinity_fraction", float),
+    "alpha": ("alpha", float),
+}
+SWEEP_KINDS = tuple(SWEEP_FIELDS)
 ALGORITHM_NAMES = ("pap", "aap", "cpaap", "first_fit", "oracle")
 
 # Scale guard for selecting the exhaustive solver inside a sweep.
@@ -117,8 +124,10 @@ def run_scenario(
 class SweepSpec:
     """One experiment: vary ``kind`` over ``values`` for each algorithm.
 
+    ``points`` holds one GeneratorConfig per value: ``base`` with the
+    swept field set, checked here so a bad point fails before any run.
     ``repetitions`` scenarios are generated per point, seeded
-    base.seed + 0 .. base.seed + repetitions - 1.
+    point.seed + 0 .. point.seed + repetitions - 1.
     """
 
     kind: str
@@ -126,6 +135,7 @@ class SweepSpec:
     base: GeneratorConfig
     algorithms: tuple[str, ...]
     repetitions: int = 1
+    points: tuple[GeneratorConfig, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind not in SWEEP_KINDS:
@@ -135,7 +145,8 @@ class SweepSpec:
             raise HarnessError("sweep values must be nonempty")
         if not all(math.isfinite(v) for v in values):
             raise HarnessError("sweep values must be finite")
-        if self.kind in ("machines", "applications") and any(v != int(v) for v in values):
+        name, cast = SWEEP_FIELDS[self.kind]
+        if cast is int and any(v != int(v) for v in values):
             raise HarnessError(f"{self.kind} sweep values must be whole numbers")
         diffs = [b - a for a, b in zip(values, values[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
@@ -148,10 +159,15 @@ class SweepSpec:
             raise HarnessError(f"unknown algorithms: {sorted(unknown)}")
         if self.repetitions < 1:
             raise HarnessError("repetitions must be >= 1")
+        points = []
+        for value in values:
+            try:
+                points.append(replace(self.base, **{name: cast(value)}))
+            except WorkloadError as exc:
+                raise HarnessError(f"sweep point {self.kind}={value:g}: {exc}") from exc
         if "oracle" in algorithms:
-            max_m = max(values) if self.kind == "machines" else self.base.machine_count
-            max_n = max(values) if self.kind == "applications" else self.base.application_count
-            max_i = max_n * self.base.instance_range[1]
+            max_m = max(p.machine_count for p in points)
+            max_i = max(p.application_count * p.instance_range[1] for p in points)
             if max_m > ORACLE_MAX_MACHINES or max_i > ORACLE_MAX_INSTANCES:
                 raise HarnessError(
                     "oracle runs are limited to "
@@ -159,6 +175,7 @@ class SweepSpec:
                 )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "algorithms", algorithms)
+        object.__setattr__(self, "points", tuple(points))
 
 
 @dataclass(frozen=True)
@@ -219,17 +236,6 @@ class ResultsTable:
         return out
 
 
-def _config_at(spec: SweepSpec, point, rep: int) -> GeneratorConfig:
-    seed = spec.base.seed + rep
-    if spec.kind == "machines":
-        return replace(spec.base, machine_count=int(point), seed=seed)
-    if spec.kind == "applications":
-        return replace(spec.base, application_count=int(point), seed=seed)
-    if spec.kind == "anti_affinity":
-        return replace(spec.base, anti_affinity_fraction=float(point), seed=seed)
-    return replace(spec.base, alpha=float(point), seed=seed)
-
-
 def run_sweep(spec: SweepSpec) -> ResultsTable:
     """Execute the full points x algorithms x repetitions grid.
 
@@ -237,22 +243,21 @@ def run_sweep(spec: SweepSpec) -> ResultsTable:
     error text) and the sweep continues.
     """
     rows: list[ResultRow] = []
-    for point in spec.values:
+    for value, point in zip(spec.values, spec.points):
         for rep in range(spec.repetitions):
-            config = _config_at(spec, point, rep)
-            seed = config.seed
+            seed = point.seed + rep
             scenario = None
             affinity = None
             for algorithm in spec.algorithms:
                 try:
                     if scenario is None:
-                        scenario = generate_synthetic(config)
+                        scenario = generate_synthetic(replace(point, seed=seed))
                         affinity = build_final_affinity(scenario)
                     report = run_scenario(scenario, algorithm, affinity).report
-                    rows.append(ResultRow.from_report(point, algorithm, seed, report))
+                    rows.append(ResultRow.from_report(value, algorithm, seed, report))
                 except Exception as exc:  # noqa: BLE001 - sweep must survive one bad run
                     error = f"{type(exc).__name__}: {exc}"
-                    rows.append(ResultRow(float(point), algorithm, seed, error=error))
+                    rows.append(ResultRow(float(value), algorithm, seed, error=error))
     rows.sort(key=lambda r: (r.sweep_point, r.algorithm, r.seed))
     config = {
         "kind": spec.kind,

@@ -42,6 +42,12 @@ DEFAULT_WEIGHTS = AffinityWeights(0.4, 0.2, 0.2, 0.2)
 DEFAULT_ALPHA = 4.0
 DEFAULT_PI_THRESHOLD = 0.5
 DEFAULT_SEED = 0
+DEFAULT_USER_AFFINITY_DENSITY = 0.2
+DEFAULT_ANTI_AFFINITY_FRACTION = 0.1
+
+# (mean, std) of the truncated normal draws for power columns a trace leaves out.
+P_IDLE_DRAW = (115.0, 15.0)
+P_MAX_DRAW = (300.0, 40.0)
 
 
 class WorkloadError(ValueError):
@@ -90,8 +96,8 @@ class GeneratorConfig:
     demand_ranges: ResourceRanges = DEFAULT_DEMAND_RANGES
     power_idle_range: tuple[float, float] = (80.0, 150.0)
     power_max_range: tuple[float, float] = (200.0, 400.0)
-    user_affinity_density: float = 0.2
-    anti_affinity_fraction: float = 0.1
+    user_affinity_density: float = DEFAULT_USER_AFFINITY_DENSITY
+    anti_affinity_fraction: float = DEFAULT_ANTI_AFFINITY_FRACTION
     weights: AffinityWeights = DEFAULT_WEIGHTS
     alpha: float = DEFAULT_ALPHA
     pi_threshold: float = DEFAULT_PI_THRESHOLD
@@ -210,27 +216,6 @@ def generate_synthetic(config: GeneratorConfig) -> Scenario:
     )
 
 
-@dataclass(frozen=True)
-class BackfillParams:
-    """Normal-distribution parameters for values a trace does not supply.
-
-    Draws are truncated at a small positive floor (0.001 of the mean).
-    When a trace has no affinity file, user and anti-affinity matrices are
-    generated exactly as in synthetic scenarios, using the density and
-    fraction here.
-    """
-
-    p_idle_mean: float = 115.0
-    p_idle_std: float = 15.0
-    p_max_mean: float = 300.0
-    p_max_std: float = 40.0
-    user_affinity_density: float = 0.2
-    anti_affinity_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        _check_affinity_draw(self.user_affinity_density, self.anti_affinity_fraction)
-
-
 def _truncated_normal(rng: np.random.Generator, mean: float, std: float, lower: float) -> float:
     floor = max(lower, 1e-3 * mean)
     for _ in range(1000):
@@ -304,14 +289,18 @@ def load_trace(
     weights: AffinityWeights = DEFAULT_WEIGHTS,
     alpha: float = DEFAULT_ALPHA,
     pi_threshold: float = DEFAULT_PI_THRESHOLD,
-    backfill: BackfillParams = BackfillParams(),
+    user_affinity_density: float = DEFAULT_USER_AFFINITY_DENSITY,
+    anti_affinity_fraction: float = DEFAULT_ANTI_AFFINITY_FRACTION,
     seed: int = DEFAULT_SEED,
 ) -> Scenario:
     """Scenario from normalized trace CSVs.
 
     Random draws are consumed only for values the files do not supply, so
-    a fully specified trace loads identically for any seed.
+    a fully specified trace loads identically for any seed. Absent power
+    columns are drawn from P_IDLE_DRAW/P_MAX_DRAW, and a missing affinity
+    file's matrices as in generate_synthetic, at the given density and fraction.
     """
+    _check_affinity_draw(user_affinity_density, anti_affinity_fraction)
     if seed < 0:
         raise WorkloadError(f"'seed' must be >= 0, got {seed}")
     machines_path = Path(machines_path)
@@ -348,14 +337,14 @@ def load_trace(
     machines = []
     for mid, cap, p_idle, p_max, line in machine_rows:
         if p_idle is None:
-            p_idle = _truncated_normal(get_rng(), backfill.p_idle_mean, backfill.p_idle_std, 0.0)
+            p_idle = _truncated_normal(get_rng(), *P_IDLE_DRAW, 0.0)
             if p_max is not None:
                 for _ in range(1000):
                     if p_idle <= p_max:
                         break
-                    p_idle = _truncated_normal(get_rng(), backfill.p_idle_mean, backfill.p_idle_std, 0.0)
+                    p_idle = _truncated_normal(get_rng(), *P_IDLE_DRAW, 0.0)
         if p_max is None:
-            p_max = _truncated_normal(get_rng(), backfill.p_max_mean, backfill.p_max_std, p_idle)
+            p_max = _truncated_normal(get_rng(), *P_MAX_DRAW, p_idle)
         if p_max < p_idle:
             raise WorkloadError(f"{machines_path.name} line {line}: p_max < p_idle")
         with _row_rules(machines_path, line):
@@ -396,11 +385,15 @@ def load_trace(
             a = _parse_int(row, "anti_affinity", line, affinity_path)
             if u not in (0, 1) or a not in (0, 1):
                 raise WorkloadError(f"{affinity_path.name} line {line}: affinity fields must be 0 or 1")
+            if u and a:
+                raise WorkloadError(
+                    f"{affinity_path.name} line {line}: user_affinity and anti_affinity both set"
+                )
             user[i, j] = u
             anti[i, j] = a
     else:
         user, anti = _draw_affinity(
-            get_rng(), n, m, backfill.anti_affinity_fraction, backfill.user_affinity_density
+            get_rng(), n, m, anti_affinity_fraction, user_affinity_density
         )
 
     return Scenario(

@@ -5,7 +5,7 @@ import pytest
 from powerplace.cli import main
 from powerplace.harness import CSV_HEADER, run_scenario
 from powerplace.model import AffinityWeights
-from powerplace.workload import BackfillParams, load_trace
+from powerplace.workload import load_trace
 
 
 def run_cli(*argv):
@@ -94,7 +94,7 @@ class TestRun:
                        "--algorithms", "pap", "--out", out, "--format", "json") == 0
         doc = json.loads(out.read_text())
         assert doc["config"]["anti_affinity_fraction"] == 0.5
-        scn = load_trace(*trace, backfill=BackfillParams(anti_affinity_fraction=0.5))
+        scn = load_trace(*trace, anti_affinity_fraction=0.5)
         assert (scn.anti_affinity.sum(axis=1) == 3).all()
         assert doc["rows"][0]["total_cost"] == run_scenario(scn, "pap").report.total_cost
 
@@ -166,6 +166,22 @@ class TestSweep:
         assert len(lines) == 3
         # seed column comes from the config file; apps override changed scale only
         assert lines[1].split(",")[2] == "9"
+
+    @pytest.mark.parametrize("kind, given", [("machines", "--apps"), ("applications", "--machines")])
+    def test_count_sweep_needs_no_base_count(self, tmp_path, capsys, kind, given):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--kind", kind, "--values", "4,5", given, 3,
+                       "--algorithms", "pap", "--out", out) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == ["4.0", "5.0"]
+        assert "(0 failed)" in capsys.readouterr().out
+
+    def test_bad_sweep_point_fails_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "z.csv"
+        assert run_cli("sweep", "--kind", "anti_affinity", "--values", "0.5,1.0",
+                       "--machines", 4, "--apps", 3, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep point anti_affinity=1: anti_affinity_fraction")
+        assert not out.exists()
 
     def test_bad_values_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -103,6 +103,24 @@ class TestSweepSpec:
     def test_decreasing_values_allowed(self):
         SweepSpec("machines", (20, 10, 5), BASE, ("pap",))
 
+    def test_bad_point_fails_before_any_run(self, monkeypatch):
+        import powerplace.harness as harness
+
+        calls = []
+        monkeypatch.setattr(harness, "generate_synthetic", lambda *a: calls.append(a))
+        monkeypatch.setattr(harness, "run_scenario", lambda *a, **k: calls.append(a))
+        with pytest.raises(HarnessError, match=r"sweep point anti_affinity=1: anti_affinity_fraction"):
+            SweepSpec("anti_affinity", (0.5, 1.0), BASE, ("pap",))
+        assert calls == []
+
+    def test_points_set_the_swept_field(self):
+        spec = SweepSpec("machines", (4.0, 7.0), BASE, ("pap",))
+        assert [p.machine_count for p in spec.points] == [4, 7]
+        assert all(type(p.machine_count) is int for p in spec.points)
+        assert {p.application_count for p in spec.points} == {BASE.application_count}
+        spec = SweepSpec("alpha", (1, 2), BASE, ("pap",))
+        assert [p.alpha for p in spec.points] == [1.0, 2.0]
+
 
 class TestRunSweep:
     def test_row_count_is_product(self):

@@ -1,0 +1,88 @@
+"""Properties over random generated scenarios.
+
+Scaling every p_idle, p_max and alpha by the same power of two scales every
+cost term, and every difference of cost terms, exactly in binary floating
+point. No comparison a strategy or the exact solver makes can change, so
+their decisions and work counts must stay the same, and the reduced cost
+must scale exactly.
+"""
+
+from dataclasses import replace
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from powerplace.affinity import build_final_affinity
+from powerplace.costs import total_cost
+from powerplace.oracle import optimal_place
+from powerplace.placement import aap_place, cpaap_place, first_fit_place, pap_place
+from powerplace.workload import GeneratorConfig, generate_synthetic
+
+FACTORS = st.sampled_from([0.25, 2.0, 8.0])
+# Subnormal alphas would lose bits when halved, so the scaling would not be exact.
+ALPHAS = st.one_of(st.just(0.0), st.floats(1e-3, 70.0))
+
+
+def scaled(scenario, c):
+    machines = tuple(replace(m, p_idle=m.p_idle * c, p_max=m.p_max * c) for m in scenario.machines)
+    return replace(scenario, machines=machines, alpha=scenario.alpha * c)
+
+
+def place(strategy, scenario, affinity):
+    if strategy is first_fit_place:
+        return strategy(scenario)
+    return strategy(scenario, affinity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=st.builds(
+        GeneratorConfig,
+        machine_count=st.integers(1, 12),
+        application_count=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        user_affinity_density=st.floats(0.0, 1.0),
+        anti_affinity_fraction=st.floats(0.0, 0.9),
+        alpha=ALPHAS,
+        pi_threshold=st.floats(0.05, 1.0),
+    ),
+    c=FACTORS,
+)
+def test_power_scaling_leaves_heuristics_unchanged(config, c):
+    scenario = generate_synthetic(config)
+    big = scaled(scenario, c)
+    f, f_big = build_final_affinity(scenario), build_final_affinity(big)
+    for strategy in (pap_place, aap_place, cpaap_place, first_fit_place):
+        a, b = place(strategy, scenario, f), place(strategy, big, f_big)
+        assert b.trace == a.trace
+        assert b.failed_at == a.failed_at
+        assert b.pairs_examined == a.pairs_examined
+        reduced = total_cost(scenario, a.allocation, f).reduced
+        assert total_cost(big, b.allocation, f_big).reduced == reduced * c
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    config=st.builds(
+        GeneratorConfig,
+        machine_count=st.integers(1, 4),
+        application_count=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        instance_range=st.just((1, 2)),
+        anti_affinity_fraction=st.floats(0.0, 0.5),
+        alpha=ALPHAS,
+    ),
+    c=FACTORS,
+)
+def test_power_scaling_leaves_oracle_unchanged(config, c):
+    scenario = generate_synthetic(config)
+    big = scaled(scenario, c)
+    a = optimal_place(scenario, build_final_affinity(scenario))
+    b = optimal_place(big, build_final_affinity(big))
+    assert a.exhausted and b.exhausted
+    assert b.nodes_explored == a.nodes_explored
+    if a.optimal is None:
+        assert b.optimal is None
+    else:
+        assert b.optimal.counts.tolist() == a.optimal.counts.tolist()
+        assert b.optimal_reduced_cost == a.optimal_reduced_cost * c

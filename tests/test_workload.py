@@ -5,7 +5,6 @@ import pytest
 
 from powerplace import AffinityWeights
 from powerplace.workload import (
-    BackfillParams,
     GeneratorConfig,
     ResourceRanges,
     WorkloadError,
@@ -176,9 +175,9 @@ class TestLoadTrace:
 
     def test_missing_affinity_file_generates_matrices(self, tmp_path):
         m, a, _ = self.write(tmp_path, affinity=None)
-        backfill = BackfillParams(anti_affinity_fraction=0.5, user_affinity_density=0.5)
-        s1 = load_trace(m, a, backfill=backfill, seed=4)
-        s2 = load_trace(m, a, backfill=backfill, seed=4)
+        draw = {"anti_affinity_fraction": 0.5, "user_affinity_density": 0.5}
+        s1 = load_trace(m, a, **draw, seed=4)
+        s2 = load_trace(m, a, **draw, seed=4)
         assert scenarios_equal(s1, s2)
         assert (s1.anti_affinity.sum(axis=1) == 1).all()
 
@@ -213,22 +212,24 @@ class TestLoadTrace:
             ("machines", "0,16.0,200.0,", "0,16.0,-1,", "machines.csv line 2: resource component 'io'"),
             ("machines", "90.0,210.0", "-5,210.0", "machines.csv line 3: machine 1: need 0 <= p_idle"),
             ("apps", "1,2.0,20.0,", "1,2.0,-1,", "applications.csv line 3: resource component 'io'"),
+            ("affinity", "1,1,0,1", "1,1,1,1", "affinity.csv line 3: user_affinity and anti_affinity"),
         ],
-        ids=["io_cap", "p_idle", "io_req"],
+        ids=["io_cap", "p_idle", "io_req", "affinity_clash"],
     )
     def test_model_rule_reports_line(self, tmp_path, which, old, new, where):
-        files = {"machines": MACHINES_CSV, "apps": APPS_CSV}
+        files = {"machines": MACHINES_CSV, "apps": APPS_CSV, "affinity": AFFINITY_CSV}
         assert old in files[which]
         files[which] = files[which].replace(old, new, 1)
-        m, a, f = self.write(tmp_path, files["machines"], files["apps"])
+        m, a, f = self.write(tmp_path, files["machines"], files["apps"], files["affinity"])
         with pytest.raises(WorkloadError, match=where):
             load_trace(m, a, f)
 
-    def test_backfill_fractions_checked(self):
+    def test_backfill_fractions_checked(self, tmp_path):
+        m, a, _ = self.write(tmp_path, affinity=None)
         with pytest.raises(WorkloadError, match="anti_affinity_fraction"):
-            BackfillParams(anti_affinity_fraction=-0.1)
+            load_trace(m, a, anti_affinity_fraction=-0.1)
         with pytest.raises(WorkloadError, match="user_affinity_density"):
-            BackfillParams(user_affinity_density=nan)
+            load_trace(m, a, user_affinity_density=nan)
 
     def test_zero_cpu_requirement_rejected(self, tmp_path):
         bad = APPS_CSV.replace("1,2.0,", "1,0.0,")
