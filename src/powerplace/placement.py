@@ -6,7 +6,9 @@ not forbidden and has room. They differ only in how the machine is chosen:
 
   pap        lowest priority parameter first; the parameter tracks
              utilization below a threshold, then escalates (1, then
-             doubling) so hot machines drop out of rotation
+             doubling) so hot machines drop out of rotation. The machines
+             are kept sorted by (parameter, id): a step costs its probes
+             plus one list delete and one insert, not a sort of M machines
   aap        highest final affinity first
   cpaap      evaluates the lowest-utilization machine and the
              highest-affinity machine and takes the cheaper step
@@ -20,7 +22,8 @@ returned for diagnosis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -62,20 +65,22 @@ class PapPriorityState:
     omega starts at 0 for every machine. After a placement on machine j:
     below the utilization threshold omega tracks the machine's utilization;
     at or above it omega jumps to 1; from 1 on it doubles on every further
-    placement. omega never decreases.
+    placement. ``order`` keeps every (omega[j], j) ascending, pap's scan
+    order; an update moves only j's pair, so omega need not be monotone.
     """
 
     omega: list[float]
     threshold: float
+    order: list[tuple[float, int]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.order = sorted((w, j) for j, w in enumerate(self.omega))
 
     def after_placement(self, j: int, pi: float) -> None:
         w = self.omega[j]
-        if w < self.threshold:
-            self.omega[j] = pi
-        elif w < 1.0:
-            self.omega[j] = 1.0
-        else:
-            self.omega[j] = 2.0 * w
+        self.omega[j] = new = pi if w < self.threshold else 1.0 if w < 1.0 else 2.0 * w
+        del self.order[bisect_left(self.order, (w, j))]
+        insort(self.order, (new, j))
 
 
 def sort_applications(applications: Sequence[Application]) -> list[Application]:
@@ -117,14 +122,12 @@ def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) ->
 
 
 def pap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
-    """Power-aware placement: first admissible machine in priority order."""
+    """Power-aware placement: first admissible machine in (omega, id) order."""
     require_final(scenario, affinity)
     state = PapPriorityState(omega=[0.0] * scenario.num_machines, threshold=scenario.pi_threshold)
-    omega = state.omega
-    machines = range(scenario.num_machines)
 
     def choose(ledger: CapacityLedger, i: int) -> int:
-        for j in sorted(machines, key=lambda j: (omega[j], j)):
+        for _, j in state.order:
             if ledger.admissible(i, j):
                 # the returned machine is always placed, so its priority
                 # moves on now, with the utilization it is about to have

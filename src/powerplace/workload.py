@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,11 +104,21 @@ class GeneratorConfig:
     pi_threshold: float = DEFAULT_PI_THRESHOLD
 
     def __post_init__(self) -> None:
+        lo, hi = self.instance_range
+        for name, value in (
+            ("machine_count", self.machine_count),
+            ("application_count", self.application_count),
+            ("seed", self.seed),
+            ("instance_range low", lo),
+            ("instance_range high", hi),
+        ):
+            # bool is an Integral, but True is no count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise WorkloadError(f"'{name}' must be an integer, got {value!r}")
         if self.machine_count < 1 or self.application_count < 1:
             raise WorkloadError("machine_count and application_count must be >= 1")
         if self.seed < 0:
             raise WorkloadError(f"'seed' must be >= 0, got {self.seed}")
-        lo, hi = self.instance_range
         if not (1 <= lo <= hi):
             raise WorkloadError("instance_range must satisfy 1 <= low <= high")
         # Written so that NaN fails every check.

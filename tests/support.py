@@ -99,16 +99,32 @@ def check_trace_shape(scn, outcome):
 
 
 def replay_pap(scn, affinity, outcome):
-    """Each step must pick the first admissible machine in (omega, id) order."""
+    """Re-run pap by re-sorting every machine by (omega, id) before each instance.
+
+    Each step must pick the first admissible machine in that order, an
+    infeasible run must stop at the first instance no machine admits, and
+    pairs_examined must count every probe: the scan up to the chosen
+    machine, and all M machines on the failing step.
+    """
     rep = Replay(scn)
     omega = [0.0] * rep.m
-    for i, k, j in outcome.trace:
-        for cand in sorted(range(rep.m), key=lambda c: (omega[c], c)):
-            if rep.admissible(i, cand):
-                assert cand == j, f"pap picked {j}, scan order says {cand}"
+    apps = sorted(
+        scn.applications,
+        key=lambda a: (-a.demand.cpu, -a.demand.io, -a.demand.nw, -a.demand.mem, a.id),
+    )
+    steps = [(a.id, k) for a in apps for k in range(a.instances)]
+    pairs = 0
+    for s, (i, k) in enumerate(steps):
+        for j in sorted(range(rep.m), key=lambda c: (omega[c], c)):
+            pairs += 1
+            if rep.admissible(i, j):
                 break
         else:
-            raise AssertionError("trace places an instance no machine could take")
+            assert outcome.failed_at == (i, k), f"pap failed at {outcome.failed_at}, not {(i, k)}"
+            assert len(outcome.trace) == s
+            break
+        assert s < len(outcome.trace), f"pap stopped at {outcome.failed_at}, {(i, k)} fits"
+        assert outcome.trace[s] == (i, k, j), f"pap placed {outcome.trace[s]}, scan says {(i, k, j)}"
         rep.apply(i, j)
         pi = rep.pi(j)
         prev = omega[j]
@@ -119,6 +135,9 @@ def replay_pap(scn, affinity, outcome):
         else:
             omega[j] = 2.0 * prev
         assert omega[j] >= prev, "omega must never decrease"
+    else:
+        assert outcome.failed_at is None and len(outcome.trace) == len(steps)
+    assert outcome.pairs_examined == pairs
 
 
 def replay_aap(scn, affinity, outcome):

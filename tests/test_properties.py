@@ -1,5 +1,8 @@
 """Properties over random generated scenarios.
 
+pap's kept machine order must make the same choices, stop at the same
+instance and count the same probes as re-sorting every machine per step.
+
 Scaling every p_idle, p_max and alpha by the same power of two scales every
 cost term, and every difference of cost terms, exactly in binary floating
 point. No comparison a strategy or the exact solver makes can change, so
@@ -16,11 +19,41 @@ from powerplace.affinity import build_final_affinity
 from powerplace.costs import total_cost
 from powerplace.oracle import optimal_place
 from powerplace.placement import aap_place, cpaap_place, first_fit_place, pap_place
-from powerplace.workload import GeneratorConfig, generate_synthetic
+from powerplace.workload import (
+    DEFAULT_CAPACITY_RANGES,
+    GeneratorConfig,
+    ResourceRanges,
+    generate_synthetic,
+)
+
+from support import replay_pap
 
 FACTORS = st.sampled_from([0.25, 2.0, 8.0])
 # Subnormal alphas would lose bits when halved, so the scaling would not be exact.
 ALPHAS = st.one_of(st.just(0.0), st.floats(1e-3, 70.0))
+
+
+# Every machine the same, so omega ties often and falls to the machine id.
+IDENTICAL_MACHINES = ResourceRanges(cpu=(16, 16), io=(200, 200), nw=(200, 200), mem=(32, 32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    config=st.builds(
+        GeneratorConfig,
+        machine_count=st.integers(1, 12),
+        application_count=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        instance_range=st.tuples(st.integers(1, 2), st.integers(2, 6)),
+        capacity_ranges=st.sampled_from([DEFAULT_CAPACITY_RANGES, IDENTICAL_MACHINES]),
+        anti_affinity_fraction=st.floats(0.0, 0.9),
+        pi_threshold=st.floats(0.05, 1.0),
+    ),
+)
+def test_pap_order_matches_resort_every_step(config):
+    scenario = generate_synthetic(config)
+    affinity = build_final_affinity(scenario)
+    replay_pap(scenario, affinity, pap_place(scenario, affinity))
 
 
 def scaled(scenario, c):

@@ -72,6 +72,34 @@ class TestGeneratorConfig:
         with pytest.raises(WorkloadError):
             GeneratorConfig(5, 5, **{field: value})
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"machine_count": 2.5}, "machine_count"),
+            ({"machine_count": nan}, "machine_count"),
+            ({"machine_count": True}, "machine_count"),
+            ({"application_count": 3.0}, "application_count"),
+            ({"application_count": np.float64(3)}, "application_count"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": False}, "seed"),
+            ({"instance_range": (1.5, 2)}, "instance_range low"),
+            ({"instance_range": (1, 2.5)}, "instance_range high"),
+        ],
+        ids=["machines-fraction", "machines-nan", "machines-bool", "apps-float",
+             "apps-numpy-float", "seed-fraction", "seed-bool", "range-low-fraction",
+             "range-high-fraction"],
+    )
+    def test_counts_and_seed_must_be_integers(self, kwargs, name):
+        fields = {"machine_count": 5, "application_count": 5, **kwargs}
+        with pytest.raises(WorkloadError, match=f"'{name}' must be an integer"):
+            GeneratorConfig(**fields)
+
+    def test_numpy_integers_accepted(self):
+        cfg = GeneratorConfig(np.int64(6), np.int32(5), seed=np.uint32(4),
+                              instance_range=(np.int64(1), np.int64(3)))
+        plain = GeneratorConfig(6, 5, seed=4, instance_range=(1, 3))
+        assert scenarios_equal(generate_synthetic(cfg), generate_synthetic(plain))
+
 
 class TestAntiAffinityCount:
     def test_half_up_rounding(self):
