@@ -250,8 +250,10 @@ class CapacityLedger:
     is machine j's leftover (cpu, io, nw, mem); a subtraction that lands
     below zero by no more than CAPACITY_SLACK of the capacity is float
     residue and is clamped to 0. ``pi[j]`` is the cpu utilization, snapped
-    to 1.0 when it overshoots by no more than CAPACITY_SLACK. ``pairs``
-    counts the (instance, machine) probes made through ``admissible``.
+    to 1.0 when it overshoots by no more than CAPACITY_SLACK. ``pairs`` is
+    the placement work count: ``admissible`` adds one per probe, which is
+    what pap and first_fit count, while aap and cpaap add M per step, the
+    machines their rule ranks, and probe without it.
     """
 
     __slots__ = ("caps", "remaining", "cpu_cap", "used_cpu", "pi", "anti", "demands", "pairs")

@@ -9,15 +9,26 @@ not forbidden and has room. They differ only in how the machine is chosen:
              doubling) so hot machines drop out of rotation. The machines
              are kept sorted by (parameter, id): a step costs its probes
              plus one list delete and one insert, not a sort of M machines
-  aap        highest final affinity first
+  aap        highest final affinity first. The affinity matrix is
+             argsorted row by row once per call; a step walks its
+             application's row to the first admissible machine, then
+             only the rest of that run of equal affinity, for the lower
+             utilization
   cpaap      evaluates the lowest-utilization machine and the
              highest-affinity machine and takes the cheaper step
-             by the objective delta
+             by the objective delta. The lowest-utilization machine is
+             the first admissible one in a (utilization, id) order that
+             is kept sorted as pap's is; the other comes from aap's walk
   first_fit  lowest machine id first (baseline)
 
 All are deterministic: every tie falls back to machine id. Infeasibility
 is an outcome, not an exception; the partial allocation and trace are
 returned for diagnosis.
+
+``pairs_examined`` is the work count. pap and first_fit count their
+probes: the machines tried up to the one chosen, all M on a failing step.
+aap and cpaap rank all M machines by definition, so each of their steps
+counts M, the failing one included, however few machines the walk tries.
 """
 
 from __future__ import annotations
@@ -47,8 +58,9 @@ class PlacementOutcome:
     ``trace`` lists placements in execution order. ``failed_at`` names the
     first (application id, instance index) that could not be placed; the
     allocation then holds everything placed up to that point.
-    ``pairs_examined`` counts (candidate machine, instance) feasibility
-    probes, the work unit of these algorithms.
+    ``pairs_examined`` counts (candidate machine, instance) pairs, the
+    work unit of these algorithms: the feasibility probes of pap and
+    first_fit, and M per step of aap and cpaap, which rank every machine.
     """
 
     allocation: AllocationMatrix
@@ -95,9 +107,10 @@ def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) ->
     """The pass every strategy shares; ``choose`` is its choice rule.
 
     Applications go in ``sort_applications`` order, instances one at a
-    time. ``choose(ledger, i)`` probes machines through
-    ``ledger.admissible`` and returns the machine for the next instance of
-    application i, or -1 when none is admissible, which ends the run.
+    time. ``choose(ledger, i)`` returns the machine for the next instance
+    of application i, or -1 when none is admissible, which ends the run.
+    It adds its work to ``ledger.pairs``: pap and first_fit probe through
+    ``ledger.admissible``, aap and cpaap add M per step.
     """
     ledger = CapacityLedger(scenario)
     counts = np.zeros((scenario.num_applications, scenario.num_machines), dtype=np.int64)
@@ -138,26 +151,52 @@ def pap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
     return _greedy(scenario, choose)
 
 
+def _best_by_affinity(ledger: CapacityLedger, i: int, fi: list[float], order: list[int]) -> int:
+    """Admissible machine with the least key (-fi[j], pi[j], j), or -1.
+
+    ``order`` holds the machines by decreasing fi, equal fi in any order.
+    The first admissible one fixes the best affinity; only the rest of its
+    run of equal fi can still beat it, on (pi, id). The admissibility test is
+    ``CapacityLedger.admissible`` written out, without counting a probe.
+    """
+    anti = ledger.anti[i]
+    d0, d1, d2, d3 = ledger.demands[i]
+    remaining = ledger.remaining
+    pi = ledger.pi
+    best = -1
+    for j in order:
+        if best >= 0:
+            if fi[j] != v:
+                break
+            p = pi[j]
+            if p > best_pi or (p == best_pi and j > best):
+                continue
+        r = remaining[j]
+        if not anti[j] and d0 <= r[0] and d1 <= r[1] and d2 <= r[2] and d3 <= r[3]:
+            best, v, best_pi = j, fi[j], pi[j]
+    return best
+
+
 def aap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
     """Affinity-aware placement: admissible machine with the highest affinity.
 
     Ties go to the lower current utilization, then the lower machine id.
     """
     require_final(scenario, affinity)
-    f = affinity.values.tolist()
-    machines = range(scenario.num_machines)
+    values = affinity.values
+    # One argsort per call, kept as a numpy array. An application's
+    # instances are placed one after another, so only its row is live and
+    # becomes Python lists; N x M lists would only add memory.
+    ranked = (-values).argsort(axis=1)
+    m = scenario.num_machines
+    live, fi, order = -1, [], []
 
     def choose(ledger: CapacityLedger, i: int) -> int:
-        fi = f[i]
-        pi = ledger.pi
-        best = -1
-        best_key = None
-        for j in machines:
-            if ledger.admissible(i, j):
-                key = (-fi[j], pi[j], j)
-                if best < 0 or key < best_key:
-                    best, best_key = j, key
-        return best
+        nonlocal live, fi, order
+        ledger.pairs += m
+        if i != live:
+            live, fi, order = i, values[i].tolist(), ranked[i].tolist()
+        return _best_by_affinity(ledger, i, fi, order)
 
     return _greedy(scenario, choose)
 
@@ -171,28 +210,44 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
     with candidate one winning ties. The candidates may coincide.
     """
     require_final(scenario, affinity)
-    f = affinity.values.tolist()
+    values = affinity.values
+    ranked = (-values).argsort(axis=1)  # live rows as in aap_place
+    live, fi, order = -1, [], []
     machines = scenario.machines
+    m = len(machines)
     alpha = scenario.alpha
+    # every (pi[j], j) ascending, candidate one's scan order; a placement
+    # moves only the chosen machine's pair, as PapPriorityState.order does
+    by_pi = [(0.0, j) for j in range(m)]
 
     def choose(ledger: CapacityLedger, i: int) -> int:
-        fi = f[i]
+        nonlocal live, fi, order
+        ledger.pairs += m
+        anti = ledger.anti[i]
+        d0, d1, d2, d3 = ledger.demands[i]
+        remaining = ledger.remaining
+        for _, j1 in by_pi:
+            r = remaining[j1]
+            if not anti[j1] and d0 <= r[0] and d1 <= r[1] and d2 <= r[2] and d3 <= r[3]:
+                break
+        else:
+            return -1
+        if i != live:
+            live, fi, order = i, values[i].tolist(), ranked[i].tolist()
+        j2 = _best_by_affinity(ledger, i, fi, order)
         pi = ledger.pi
-        j1 = j2 = -1
-        key1 = key2 = None
-        for j in range(len(machines)):
-            if ledger.admissible(i, j):
-                k1 = (pi[j], j)
-                if j1 < 0 or k1 < key1:
-                    j1, key1 = j, k1
-                k2 = (-fi[j], pi[j], j)
-                if j2 < 0 or k2 < key2:
-                    j2, key2 = j, k2
-        if j1 == j2:
-            return j1
-        cost1 = delta_cost(machines[j1], pi[j1], ledger.pi_after(i, j1), fi[j1], alpha)
-        cost2 = delta_cost(machines[j2], pi[j2], ledger.pi_after(i, j2), fi[j2], alpha)
-        return j1 if cost1 <= cost2 else j2
+        after = ledger.pi_after(i, j1)
+        if j1 != j2:
+            after2 = ledger.pi_after(i, j2)
+            cost1 = delta_cost(machines[j1], pi[j1], after, fi[j1], alpha)
+            cost2 = delta_cost(machines[j2], pi[j2], after2, fi[j2], alpha)
+            if cost1 > cost2:
+                j1, after = j2, after2
+        # the returned machine is always placed: its pair moves now, to the
+        # utilization CapacityLedger.add is about to give it
+        del by_pi[bisect_left(by_pi, (pi[j1], j1))]
+        insort(by_pi, (after, j1))
+        return j1
 
     return _greedy(scenario, choose)
 

@@ -104,7 +104,12 @@ class GeneratorConfig:
     pi_threshold: float = DEFAULT_PI_THRESHOLD
 
     def __post_init__(self) -> None:
-        lo, hi = self.instance_range
+        try:
+            lo, hi = self.instance_range
+        except (TypeError, ValueError):
+            raise WorkloadError(
+                f"'instance_range' must be a (low, high) pair, got {self.instance_range!r}"
+            ) from None
         for name, value in (
             ("machine_count", self.machine_count),
             ("application_count", self.application_count),
@@ -115,6 +120,10 @@ class GeneratorConfig:
             # bool is an Integral, but True is no count
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise WorkloadError(f"'{name}' must be an integer, got {value!r}")
+        for name in ("user_affinity_density", "anti_affinity_fraction", "alpha", "pi_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise WorkloadError(f"'{name}' must be a real number, got {value!r}")
         if self.machine_count < 1 or self.application_count < 1:
             raise WorkloadError("machine_count and application_count must be >= 1")
         if self.seed < 0:

@@ -1,10 +1,11 @@
 """Shared test helpers: scenario builders and independent re-checkers.
 
-The replay validators re-simulate a placement trace with their own
-bookkeeping and verify the per-step selection rule of each algorithm, so
-they stay independent of the implementation they check. The brute-force
-optimum enumerates labeled instances (not count vectors) and computes the
-objective with plain Python arithmetic.
+The replay validators re-simulate a placement with their own bookkeeping,
+applying each algorithm's rule the slow way (a full re-sort or a ranking
+of every machine per step), and require the same trace, failure point and
+work count, so they stay independent of the implementation they check.
+The brute-force optimum enumerates labeled instances (not count vectors)
+and computes the objective with plain Python arithmetic.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from powerplace import (
     Machine,
     ResourceVector,
     Scenario,
+    delta_cost,
 )
 from powerplace.affinity import FINAL, AffinityMatrix
 
@@ -67,7 +69,8 @@ class Replay:
         self.counts = np.zeros((scn.num_applications, self.m), dtype=int)
 
     def pi(self, j):
-        return self.used[j][0] / self.caps[j][0]
+        # the ledger snaps float overshoot of a full machine to 1.0
+        return min(self.used[j][0] / self.caps[j][0], 1.0)
 
     def admissible(self, i, j, slack=1e-9):
         if self.scn.anti_affinity[i, j]:
@@ -98,6 +101,15 @@ def check_trace_shape(scn, outcome):
         assert len(outcome.trace) == scn.total_instances
 
 
+def expected_steps(scn):
+    """(application id, instance index) in the order every strategy places them."""
+    apps = sorted(
+        scn.applications,
+        key=lambda a: (-a.demand.cpu, -a.demand.io, -a.demand.nw, -a.demand.mem, a.id),
+    )
+    return [(a.id, k) for a in apps for k in range(a.instances)]
+
+
 def replay_pap(scn, affinity, outcome):
     """Re-run pap by re-sorting every machine by (omega, id) before each instance.
 
@@ -108,11 +120,7 @@ def replay_pap(scn, affinity, outcome):
     """
     rep = Replay(scn)
     omega = [0.0] * rep.m
-    apps = sorted(
-        scn.applications,
-        key=lambda a: (-a.demand.cpu, -a.demand.io, -a.demand.nw, -a.demand.mem, a.id),
-    )
-    steps = [(a.id, k) for a in apps for k in range(a.instances)]
+    steps = expected_steps(scn)
     pairs = 0
     for s, (i, k) in enumerate(steps):
         for j in sorted(range(rep.m), key=lambda c: (omega[c], c)):
@@ -140,43 +148,76 @@ def replay_pap(scn, affinity, outcome):
     assert outcome.pairs_examined == pairs
 
 
-def replay_aap(scn, affinity, outcome):
-    """No admissible machine may beat the chosen one on affinity."""
-    f = affinity.values
+def _replay_ranked(scn, outcome, name, pick):
+    """Re-run a strategy that ranks all M machines before each instance.
+
+    ``pick(rep, i, cands)`` is the strategy's rule over the admissible
+    machines ``cands``. Each step must place where the rule says, an
+    infeasible run must stop at the first instance no machine admits, and
+    pairs_examined must be M per step, the failing step included.
+    """
     rep = Replay(scn)
-    for i, k, j in outcome.trace:
-        assert rep.admissible(i, j)
-        for cand in range(rep.m):
-            if cand != j and rep.admissible(i, cand):
-                assert f[i, cand] <= f[i, j] + 1e-12, (
-                    f"aap chose f={f[i, j]} over admissible f={f[i, cand]}"
-                )
+    steps = expected_steps(scn)
+    for s, (i, k) in enumerate(steps):
+        cands = [c for c in range(rep.m) if rep.admissible(i, c)]
+        if not cands:
+            assert outcome.failed_at == (i, k), f"{name} failed at {outcome.failed_at}, not {(i, k)}"
+            assert len(outcome.trace) == s
+            break
+        j = pick(rep, i, cands)
+        assert s < len(outcome.trace), f"{name} stopped at {outcome.failed_at}, {(i, k)} fits"
+        assert outcome.trace[s] == (i, k, j), f"{name} placed {outcome.trace[s]}, rule says {(i, k, j)}"
         rep.apply(i, j)
+    else:
+        assert outcome.failed_at is None and len(outcome.trace) == len(steps)
+    ranked = len(outcome.trace) + (outcome.failed_at is not None)
+    assert outcome.pairs_examined == rep.m * ranked
+
+
+def replay_aap(scn, affinity, outcome):
+    """Re-run aap: each step takes the admissible machine of least (-f, pi, id)."""
+    f = affinity.values.tolist()
+
+    def pick(rep, i, cands):
+        return min(cands, key=lambda c: (-f[i][c], rep.pi(c), c))
+
+    _replay_ranked(scn, outcome, "aap", pick)
 
 
 def replay_cpaap(scn, affinity, outcome):
-    """The chosen machine's cost delta must not exceed the alternative's."""
-    from powerplace import delta_cost
+    """Re-run cpaap: least (pi, id) against least (-f, pi, id), by delta_cost.
 
-    f = affinity.values
-    rep = Replay(scn)
-    for i, k, j in outcome.trace:
-        cands = [c for c in range(rep.m) if rep.admissible(i, c)]
-        assert j in cands
+    The first candidate wins a tie of the two cost deltas.
+    """
+    f = affinity.values.tolist()
+
+    def pick(rep, i, cands):
         j1 = min(cands, key=lambda c: (rep.pi(c), c))
-        j2 = min(cands, key=lambda c: (-f[i, c], rep.pi(c), c))
+        j2 = min(cands, key=lambda c: (-f[i][c], rep.pi(c), c))
+        if j1 == j2:
+            return j1
         cpu = scn.applications[i].demand.cpu
 
         def step_cost(c):
-            old = rep.pi(c)
             new = min((rep.used[c][0] + cpu) / rep.caps[c][0], 1.0)
-            return delta_cost(scn.machines[c], old, new, float(f[i, c]), scn.alpha)
+            return delta_cost(scn.machines[c], rep.pi(c), new, f[i][c], scn.alpha)
 
-        assert j in (j1, j2), f"cpaap chose {j}, candidates were {j1}, {j2}"
-        chosen_cost = step_cost(j)
-        other = j2 if j == j1 else j1
-        assert chosen_cost <= step_cost(other) + 1e-9
-        rep.apply(i, j)
+        return j1 if step_cost(j1) <= step_cost(j2) else j2
+
+    _replay_ranked(scn, outcome, "cpaap", pick)
+
+
+def replay_delta_sum(scn, f, trace):
+    """Sum of delta_cost over a trace, utilizations tracked from scratch."""
+    used = [0.0] * scn.num_machines
+    acc = 0.0
+    for i, _, j in trace:
+        mach = scn.machines[j]
+        old = min(used[j] / mach.capacity.cpu, 1.0)
+        used[j] += scn.applications[i].demand.cpu
+        new = min(used[j] / mach.capacity.cpu, 1.0)
+        acc += delta_cost(mach, old, new, float(f.values[i, j]), scn.alpha)
+    return acc
 
 
 def brute_force_reduced_cost(scn, affinity, counts) -> float:

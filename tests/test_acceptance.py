@@ -28,7 +28,7 @@ from powerplace import (
 from powerplace.affinity import build_final_affinity
 from powerplace.workload import GeneratorConfig, ResourceRanges, generate_synthetic
 
-from support import app, final_matrix, machine, scenario
+from support import app, final_matrix, machine, replay_delta_sum, scenario
 
 HEURISTICS = (
     ("pap", lambda scn, f: pap_place(scn, f)),
@@ -43,18 +43,6 @@ def report(criterion, label, ok, detail=""):
     suffix = f" - {detail}" if detail else ""
     print(f"[acceptance] criterion {criterion} ({label}): {status}{suffix}")
     assert ok, f"criterion {criterion} ({label}) failed: {detail}"
-
-
-def replay_delta_sum(scn, f, trace):
-    used = [0.0] * scn.num_machines
-    acc = 0.0
-    for i, _, j in trace:
-        mach = scn.machines[j]
-        old = used[j] / mach.capacity.cpu
-        used[j] += scn.applications[i].demand.cpu
-        new = min(used[j] / mach.capacity.cpu, 1.0)
-        acc += delta_cost(mach, old, new, float(f.values[i, j]), scn.alpha)
-    return acc
 
 
 @pytest.fixture(scope="module")

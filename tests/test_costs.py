@@ -15,7 +15,7 @@ from powerplace.costs import utilizations
 from powerplace.harness import run_scenario
 from powerplace.workload import GeneratorConfig, generate_synthetic
 
-from support import app, final_matrix, machine, scenario
+from support import app, final_matrix, machine, replay_delta_sum, scenario
 
 
 def alloc(rows):
@@ -130,18 +130,6 @@ class TestDeltaCost:
             assert result.report.feasible
             total = replay_delta_sum(scn, f, result.outcome.trace)
             assert total == pytest.approx(result.report.reduced_cost, rel=1e-6, abs=1e-9)
-
-
-def replay_delta_sum(scn, f, trace):
-    used = [0.0] * scn.num_machines
-    acc = 0.0
-    for i, _, j in trace:
-        mach = scn.machines[j]
-        old = used[j] / mach.capacity.cpu
-        used[j] += scn.applications[i].demand.cpu
-        new = min(used[j] / mach.capacity.cpu, 1.0)
-        acc += delta_cost(mach, old, new, float(f.values[i, j]), scn.alpha)
-    return acc
 
 
 class TestMetrics:

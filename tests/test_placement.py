@@ -133,9 +133,8 @@ class TestAap:
             scn = generate_synthetic(GeneratorConfig(8, 7, seed=seed, anti_affinity_fraction=0.3))
             f = build_final_affinity(scn)
             out = aap_place(scn, f)
-            if out.feasible:
-                replay_aap(scn, f, out)
-                check_trace_shape(scn, out)
+            replay_aap(scn, f, out)
+            check_trace_shape(scn, out)
 
 
 class TestCpaap:
@@ -170,6 +169,11 @@ class TestCpaap:
         out = cpaap_place(scn, final_matrix([[0.1, 0.9]]))
         assert out.allocation.counts.tolist() == [[2, 2]]
 
+    def test_cost_tie_goes_to_lowest_utilization(self):
+        scn = scenario([machine(0), machine(1)], [app(0, cpu=2)], alpha=0.0)
+        out = cpaap_place(scn, final_matrix([[0.1, 0.9]]))
+        assert out.allocation.counts.tolist() == [[1, 0]]
+
     def test_single_feasible_machine_degenerate(self):
         scn = scenario([machine(0), machine(1)], [app(0)], anti=[[0, 1]])
         out = cpaap_place(scn, final_matrix([[0.0, 1.0]]))
@@ -181,9 +185,8 @@ class TestCpaap:
             scn = generate_synthetic(GeneratorConfig(8, 7, seed=seed, anti_affinity_fraction=0.3))
             f = build_final_affinity(scn)
             out = cpaap_place(scn, f)
-            if out.feasible:
-                replay_cpaap(scn, f, out)
-                check_trace_shape(scn, out)
+            replay_cpaap(scn, f, out)
+            check_trace_shape(scn, out)
 
 
 class TestFirstFit:

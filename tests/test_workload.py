@@ -94,6 +94,39 @@ class TestGeneratorConfig:
         with pytest.raises(WorkloadError, match=f"'{name}' must be an integer"):
             GeneratorConfig(**fields)
 
+    @pytest.mark.parametrize(
+        "value", [(1, 2, 3), (4,), 5, None],
+        ids=["three-values", "one-value", "scalar", "none"],
+    )
+    def test_instance_range_must_be_a_pair(self, value):
+        with pytest.raises(WorkloadError, match="'instance_range' must be a \\(low, high\\) pair"):
+            GeneratorConfig(5, 5, instance_range=value)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("alpha", True),
+            ("alpha", "3"),
+            ("alpha", None),
+            ("pi_threshold", True),
+            ("pi_threshold", "0.5"),
+            ("user_affinity_density", True),
+            ("anti_affinity_fraction", "0.1"),
+        ],
+        ids=["alpha-bool", "alpha-str", "alpha-none", "pi-bool", "pi-str", "density-bool",
+             "fraction-str"],
+    )
+    def test_scalar_settings_must_be_real_numbers(self, field, value):
+        with pytest.raises(WorkloadError, match=f"'{field}' must be a real number"):
+            GeneratorConfig(5, 5, **{field: value})
+
+    def test_numpy_and_integer_scalars_accepted(self):
+        cfg = GeneratorConfig(6, 5, seed=4, alpha=np.float64(4), pi_threshold=np.float32(0.5),
+                              user_affinity_density=0, instance_range=[1, 3])
+        plain = GeneratorConfig(6, 5, seed=4, alpha=4.0, pi_threshold=0.5,
+                                user_affinity_density=0.0, instance_range=(1, 3))
+        assert scenarios_equal(generate_synthetic(cfg), generate_synthetic(plain))
+
     def test_numpy_integers_accepted(self):
         cfg = GeneratorConfig(np.int64(6), np.int32(5), seed=np.uint32(4),
                               instance_range=(np.int64(1), np.int64(3)))
