@@ -55,6 +55,25 @@ class WorkloadError(ValueError):
     """Invalid generator configuration or malformed trace file."""
 
 
+def _check_integer(name: str, value) -> None:
+    # bool is an Integral, but True is no count
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise WorkloadError(f"'{name}' must be an integer, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise WorkloadError(f"'{name}' must be a real number, got {value!r}")
+
+
+def _pair(name: str, value) -> tuple:
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise WorkloadError(f"'{name}' must be a (low, high) pair, got {value!r}") from None
+    return lo, hi
+
+
 def _check_affinity_draw(user_density: float, anti_fraction: float) -> None:
     if not (0.0 <= user_density <= 1.0):
         raise WorkloadError("user_affinity_density must be in [0, 1]")
@@ -104,12 +123,7 @@ class GeneratorConfig:
     pi_threshold: float = DEFAULT_PI_THRESHOLD
 
     def __post_init__(self) -> None:
-        try:
-            lo, hi = self.instance_range
-        except (TypeError, ValueError):
-            raise WorkloadError(
-                f"'instance_range' must be a (low, high) pair, got {self.instance_range!r}"
-            ) from None
+        lo, hi = _pair("instance_range", self.instance_range)
         for name, value in (
             ("machine_count", self.machine_count),
             ("application_count", self.application_count),
@@ -117,13 +131,21 @@ class GeneratorConfig:
             ("instance_range low", lo),
             ("instance_range high", hi),
         ):
-            # bool is an Integral, but True is no count
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise WorkloadError(f"'{name}' must be an integer, got {value!r}")
+            _check_integer(name, value)
         for name in ("user_affinity_density", "anti_affinity_fraction", "alpha", "pi_threshold"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise WorkloadError(f"'{name}' must be a real number, got {value!r}")
+            _check_real(name, getattr(self, name))
+        pairs = {"power_idle_range": self.power_idle_range, "power_max_range": self.power_max_range}
+        for kind in ("capacity_ranges", "demand_ranges"):
+            ranges = getattr(self, kind)
+            if not isinstance(ranges, ResourceRanges):
+                raise WorkloadError(f"'{kind}' must be a ResourceRanges, got {ranges!r}")
+            pairs.update({f"{kind}.{name}": pair for name, pair in ranges.as_dict().items()})
+        for name, pair in pairs.items():
+            rlo, rhi = _pair(name, pair)
+            _check_real(f"{name} low", rlo)
+            _check_real(f"{name} high", rhi)
+        if not isinstance(self.weights, AffinityWeights):
+            raise WorkloadError(f"'weights' must be an AffinityWeights, got {self.weights!r}")
         if self.machine_count < 1 or self.application_count < 1:
             raise WorkloadError("machine_count and application_count must be >= 1")
         if self.seed < 0:
@@ -267,11 +289,97 @@ def _parse_int(row: dict, name: str, line: int, path: Path) -> int:
     return int(value)
 
 
-def _read_rows(path: Path, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> tuple[list[dict], set[str]]:
+def _cell(raw: Optional[str]) -> float:
+    """One cell as a float; NaN when it is missing or no number."""
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+class _Table:
+    """One trace CSV, read once with ``csv.reader``.
+
+    ``values`` holds the data rows' cells as float64, converted by numpy,
+    which applies Python's ``float()`` to each string, so it accepts what
+    ``_parse_float`` accepts. A missing or unparsable cell is NaN there.
+    Blank lines are skipped; ``lines`` holds each row's physical line.
+    ``long_rows`` maps each row with more fields than the header to its
+    field count. Accepted rows are read from ``values``; a rejected row is
+    re-read from its raw cells by the scalar checks, which name the problem.
+    """
+
+    def __init__(
+        self, path: Path, header: list[str], rows: list[tuple], lines: list[int],
+        long_rows: dict[int, int],
+    ) -> None:
+        self.path = path
+        self.header = header
+        self.rows = rows
+        self.lines = lines
+        self.long_rows = long_rows
+        # A repeated column name reads its last column, as csv.DictReader does.
+        self.index = {name: k for k, name in enumerate(header)}
+        try:
+            values = np.array(rows, dtype=np.float64)
+        except ValueError:
+            values = np.array([[_cell(raw) for raw in row] for row in rows], dtype=np.float64)
+        self.values = values.reshape(len(rows), len(header))
+        self.fits = np.ones(len(rows), dtype=bool)
+        self.fits[list(long_rows)] = False
+
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, self.index[name]]
+
+    def parsed(self, floats: tuple[str, ...] = (), ints: tuple[str, ...] = ()) -> np.ndarray:
+        """Rows that fit and whose named cells pass _parse_float / _parse_int."""
+        ok = self.fits.copy()
+        for name in floats + ints:
+            ok &= np.isfinite(self.column(name))
+        for name in ints:
+            column = self.column(name)
+            ok &= np.floor(column) == column
+        return ok
+
+    def raw_row(self, k: int):
+        """Getter ``get(name, integer=False)`` over row k's raw cells, parsed
+        by the scalar helpers, which raise on a bad cell."""
+        line = self.lines[k]
+        if k in self.long_rows:
+            raise WorkloadError(
+                f"{self.path.name} line {line}: {self.long_rows[k]} fields, "
+                f"but the header has {len(self.header)}"
+            )
+        row = dict(zip(self.header, self.rows[k]))
+
+        def get(name: str, integer: bool = False):
+            return (_parse_int if integer else _parse_float)(row, name, line, self.path)
+
+        return get
+
+    def checked_rows(self, ok: np.ndarray):
+        """(line, get) per row in file order, ``get`` as from ``raw_row``.
+
+        Rows in ``ok`` read their converted values; any other row goes
+        through ``raw_row``, so its first failing check raises.
+        """
+        for k, (line, cells) in enumerate(zip(self.lines, self.values.tolist())):
+            if not ok[k]:
+                yield line, self.raw_row(k)
+                continue
+
+            def get(name: str, integer: bool = False, cells=cells):
+                value = cells[self.index[name]]
+                return int(value) if integer else value
+
+            yield line, get
+
+
+def _read_table(path: Path, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> _Table:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames
+            reader = csv.reader(fh)
+            header = next(reader, None)
             if header is None:
                 raise WorkloadError(f"{path.name}: empty file")
             header_set = set(header)
@@ -281,10 +389,29 @@ def _read_rows(path: Path, required: tuple[str, ...], optional: tuple[str, ...] 
             unknown = header_set - set(required) - set(optional)
             if unknown:
                 raise WorkloadError(f"{path.name}: unknown columns {sorted(unknown)}")
-            rows = list(reader)
+            width = len(header)
+            rows: list[tuple] = []
+            lines: list[int] = []
+            long_rows: dict[int, int] = {}
+            end = reader.line_num
+            for row in reader:
+                if row:
+                    if len(row) > width:
+                        long_rows[len(rows)] = len(row)
+                        del row[width:]
+                    elif len(row) < width:
+                        row.extend([None] * (width - len(row)))
+                    # The cyclic GC stops tracking a tuple of strings, never a
+                    # list: rows kept as lists make a million-row file spend
+                    # about as long in GC passes as in parsing.
+                    rows.append(tuple(row))
+                    lines.append(end + 1)
+                end = reader.line_num
     except OSError as exc:
         raise WorkloadError(f"cannot read {path}: {exc}") from exc
-    return rows, header_set
+    except csv.Error as exc:
+        raise WorkloadError(f"{path.name} line {reader.line_num}: {exc}") from None
+    return _Table(path, header, rows, lines, long_rows)
 
 
 @contextmanager
@@ -299,6 +426,57 @@ def _row_rules(path: Path, line: int):
 def _check_ids(kind: str, ids: list[int], path: Path) -> None:
     if sorted(ids) != list(range(len(ids))):
         raise WorkloadError(f"{path.name}: {kind} ids must be exactly 0..{len(ids) - 1}")
+
+
+def _check_pair(get, line: int, path: Path, n: int, m: int) -> None:
+    """The checks of one affinity.csv row, in order; raises on the first that fails."""
+    i = get("app_id", True)
+    j = get("machine_id", True)
+    if not (0 <= i < n and 0 <= j < m):
+        raise WorkloadError(f"{path.name} line {line}: pair ({i}, {j}) out of range")
+    u = get("user_affinity", True)
+    a = get("anti_affinity", True)
+    if u not in (0, 1) or a not in (0, 1):
+        raise WorkloadError(f"{path.name} line {line}: affinity fields must be 0 or 1")
+    if u and a:
+        raise WorkloadError(f"{path.name} line {line}: user_affinity and anti_affinity both set")
+
+
+def _read_affinity(path: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(user, anti) N x M matrices from affinity.csv; omitted pairs are (0, 0).
+
+    _check_pair's checks run as masks over whole columns. The first rejected
+    row in file order is re-checked by _check_pair for its message, unless
+    an earlier row repeats a pair given before it.
+    """
+    table = _read_table(path, AFFINITY_FIELDS)
+    i, j, u, a = (table.column(name) for name in AFFINITY_FIELDS)
+    ok = table.parsed(ints=AFFINITY_FIELDS)
+    ok &= (0 <= i) & (i < n) & (0 <= j) & (j < m)
+    ok &= ((u == 0) | (u == 1)) & ((a == 0) | (a == 1)) & ~((u == 1) & (a == 1))
+    stop = len(ok) if ok.all() else int(np.argmin(ok))
+    pairs = i[:stop].astype(np.intp), j[:stop].astype(np.intp)
+    key = pairs[0] * m + pairs[1]
+    if stop and np.bincount(key).max() > 1:
+        order = np.argsort(key, kind="stable")
+        repeat = key[order[1:]] == key[order[:-1]]
+        later, earlier = order[1:][repeat], order[:-1][repeat]
+        first = int(np.argmin(later))
+        k = int(later[first])
+        raise WorkloadError(
+            f"{path.name} line {table.lines[k]}: duplicate pair ({int(i[k])}, {int(j[k])}), "
+            f"first given on line {table.lines[int(earlier[first])]}"
+        )
+    if stop < len(ok):
+        _check_pair(table.raw_row(stop), table.lines[stop], path, n, m)
+        raise AssertionError(
+            f"{path.name} line {table.lines[stop]}: a column check rejects the row, its row checks do not"
+        )
+    user = np.zeros((n, m), dtype=np.int64)
+    anti = np.zeros((n, m), dtype=np.int64)
+    user[pairs] = u
+    anti[pairs] = a
+    return user, anti
 
 
 def load_trace(
@@ -321,6 +499,7 @@ def load_trace(
     file's matrices as in generate_synthetic, at the given density and fraction.
     """
     _check_affinity_draw(user_affinity_density, anti_affinity_fraction)
+    _check_integer("seed", seed)
     if seed < 0:
         raise WorkloadError(f"'seed' must be >= 0, got {seed}")
     machines_path = Path(machines_path)
@@ -333,23 +512,18 @@ def load_trace(
             rng = np.random.default_rng(seed)
         return rng
 
-    rows, header = _read_rows(machines_path, MACHINE_FIELDS, MACHINE_POWER_FIELDS)
-    has_idle = "p_idle" in header
-    has_max = "p_max" in header
+    table = _read_table(machines_path, MACHINE_FIELDS, MACHINE_POWER_FIELDS)
+    power = tuple(name for name in MACHINE_POWER_FIELDS if name in table.index)
+    ok = table.parsed(floats=MACHINE_FIELDS[1:] + power, ints=MACHINE_FIELDS[:1])
     machine_rows = []
-    for line, row in enumerate(rows, start=2):
-        mid = _parse_int(row, "machine_id", line, machines_path)
+    for line, get in table.checked_rows(ok):
+        mid = get("machine_id", True)
         with _row_rules(machines_path, line):
-            cap = ResourceVector(
-                _parse_float(row, "cpu_cap", line, machines_path),
-                _parse_float(row, "io_cap", line, machines_path),
-                _parse_float(row, "nw_cap", line, machines_path),
-                _parse_float(row, "mem_cap", line, machines_path),
-            )
+            cap = ResourceVector(get("cpu_cap"), get("io_cap"), get("nw_cap"), get("mem_cap"))
         if cap.cpu <= 0:
             raise WorkloadError(f"{machines_path.name} line {line}: cpu_cap must be > 0")
-        p_idle = _parse_float(row, "p_idle", line, machines_path) if has_idle else None
-        p_max = _parse_float(row, "p_max", line, machines_path) if has_max else None
+        p_idle = get("p_idle") if "p_idle" in power else None
+        p_max = get("p_max") if "p_max" in power else None
         machine_rows.append((mid, cap, p_idle, p_max, line))
     _check_ids("machine", [r[0] for r in machine_rows], machines_path)
     machine_rows.sort(key=lambda r: r[0])
@@ -370,18 +544,14 @@ def load_trace(
         with _row_rules(machines_path, line):
             machines.append(Machine(id=mid, capacity=cap, p_idle=p_idle, p_max=p_max))
 
-    rows, _ = _read_rows(applications_path, APPLICATION_FIELDS)
+    table = _read_table(applications_path, APPLICATION_FIELDS)
+    ok = table.parsed(floats=APPLICATION_FIELDS[1:5], ints=("app_id", "instances"))
     applications = []
-    for line, row in enumerate(rows, start=2):
-        aid = _parse_int(row, "app_id", line, applications_path)
+    for line, get in table.checked_rows(ok):
+        aid = get("app_id", True)
         with _row_rules(applications_path, line):
-            demand = ResourceVector(
-                _parse_float(row, "cpu_req", line, applications_path),
-                _parse_float(row, "io_req", line, applications_path),
-                _parse_float(row, "nw_req", line, applications_path),
-                _parse_float(row, "mem_req", line, applications_path),
-            )
-        count = _parse_int(row, "instances", line, applications_path)
+            demand = ResourceVector(get("cpu_req"), get("io_req"), get("nw_req"), get("mem_req"))
+        count = get("instances", True)
         if demand.cpu <= 0:
             raise WorkloadError(f"{applications_path.name} line {line}: cpu_req must be > 0")
         if count < 1:
@@ -392,25 +562,7 @@ def load_trace(
 
     n, m = len(applications), len(machines)
     if affinity_path is not None:
-        affinity_path = Path(affinity_path)
-        user = np.zeros((n, m), dtype=np.int64)
-        anti = np.zeros((n, m), dtype=np.int64)
-        rows, _ = _read_rows(affinity_path, AFFINITY_FIELDS)
-        for line, row in enumerate(rows, start=2):
-            i = _parse_int(row, "app_id", line, affinity_path)
-            j = _parse_int(row, "machine_id", line, affinity_path)
-            if not (0 <= i < n and 0 <= j < m):
-                raise WorkloadError(f"{affinity_path.name} line {line}: pair ({i}, {j}) out of range")
-            u = _parse_int(row, "user_affinity", line, affinity_path)
-            a = _parse_int(row, "anti_affinity", line, affinity_path)
-            if u not in (0, 1) or a not in (0, 1):
-                raise WorkloadError(f"{affinity_path.name} line {line}: affinity fields must be 0 or 1")
-            if u and a:
-                raise WorkloadError(
-                    f"{affinity_path.name} line {line}: user_affinity and anti_affinity both set"
-                )
-            user[i, j] = u
-            anti[i, j] = a
+        user, anti = _read_affinity(Path(affinity_path), n, m)
     else:
         user, anti = _draw_affinity(
             get_rng(), n, m, anti_affinity_fraction, user_affinity_density
@@ -457,8 +609,7 @@ def save_trace(scenario: Scenario, directory: str | Path) -> dict[str, Path]:
     with open(paths["affinity"], "w", encoding="utf-8") as fh:
         fh.write(",".join(AFFINITY_FIELDS) + "\n")
         user, anti = scenario.user_affinity, scenario.anti_affinity
-        for i in range(scenario.num_applications):
-            for j in range(scenario.num_machines):
-                if user[i, j] or anti[i, j]:
-                    fh.write(f"{i},{j},{int(user[i, j])},{int(anti[i, j])}\n")
+        pairs = np.nonzero(user | anti)  # row-major: app, then machine
+        for i, j, u, a in zip(*(v.tolist() for v in (*pairs, user[pairs], anti[pairs]))):
+            fh.write(f"{i},{j},{u},{a}\n")
     return paths

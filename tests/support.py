@@ -54,6 +54,18 @@ def scenario(machines, applications, user=None, anti=None, weights=WEIGHTS,
     )
 
 
+def scenarios_equal(a, b):
+    return (
+        a.machines == b.machines
+        and a.applications == b.applications
+        and np.array_equal(a.user_affinity, b.user_affinity)
+        and np.array_equal(a.anti_affinity, b.anti_affinity)
+        and a.weights == b.weights
+        and a.alpha == b.alpha
+        and a.pi_threshold == b.pi_threshold
+    )
+
+
 def final_matrix(values) -> AffinityMatrix:
     return AffinityMatrix(values=np.asarray(values, dtype=float), kind=FINAL)
 

@@ -15,10 +15,19 @@ cost term, and every difference of cost terms, exactly in binary floating
 point. No comparison a strategy or the exact solver makes can change, so
 their decisions and work counts must stay the same, and the reduced cost
 must scale exactly.
+
+A scenario written by save_trace reads back equal through load_trace. The
+trace reader's column masks reject exactly the affinity rows the row-by-row
+checks reject, and report the first of them in file order.
 """
 
+import csv
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,13 +37,25 @@ from powerplace.model import validate_allocation
 from powerplace.oracle import optimal_place
 from powerplace.placement import aap_place, cpaap_place, first_fit_place, pap_place
 from powerplace.workload import (
+    AFFINITY_FIELDS,
     DEFAULT_CAPACITY_RANGES,
     GeneratorConfig,
     ResourceRanges,
+    WorkloadError,
+    _check_pair,
+    _parse_int,
     generate_synthetic,
+    load_trace,
+    save_trace,
 )
 
-from support import replay_aap, replay_cpaap, replay_delta_sum, replay_pap
+from support import (
+    replay_aap,
+    replay_cpaap,
+    replay_delta_sum,
+    replay_pap,
+    scenarios_equal,
+)
 
 FACTORS = st.sampled_from([0.25, 2.0, 8.0])
 # Subnormal alphas would lose bits when halved, so the scaling would not be exact.
@@ -189,3 +210,113 @@ def test_power_scaling_leaves_oracle_unchanged(config, c):
     else:
         assert b.optimal.counts.tolist() == a.optimal.counts.tolist()
         assert b.optimal_reduced_cost == a.optimal_reduced_cost * c
+
+
+def strip_power(path):
+    lines = path.read_text().splitlines()
+    path.write_text("".join(",".join(line.split(",")[:5]) + "\n" for line in lines))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=st.builds(
+        GeneratorConfig,
+        machine_count=st.integers(1, 12),
+        application_count=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        user_affinity_density=st.floats(0.0, 1.0),
+        anti_affinity_fraction=st.floats(0.0, 0.9),
+    ),
+    power=st.booleans(),
+    load_seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_round_trip(config, power, load_seed):
+    scenario = generate_synthetic(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = save_trace(scenario, Path(tmp) / "a")
+        if not power:
+            strip_power(paths["machines"])
+        loaded = load_trace(paths["machines"], paths["applications"], paths["affinity"],
+                            seed=load_seed)
+        if power:
+            assert scenarios_equal(loaded, scenario)
+        else:
+            # Drawn power aside, the trace reads back; the drawn scenario round-trips.
+            with_power = replace(loaded, machines=scenario.machines)
+            assert scenarios_equal(with_power, scenario)
+            paths = save_trace(loaded, Path(tmp) / "b")
+            again = load_trace(paths["machines"], paths["applications"], paths["affinity"])
+            assert scenarios_equal(again, loaded)
+
+
+def affinity_row_by_row(path, n, m):
+    """(user, anti) read one row at a time with the scalar checks, as the
+    reader did before it went columnar, plus the extra-field and
+    duplicate-pair errors."""
+    user, anti = np.zeros((n, m), dtype=np.int64), np.zeros((n, m), dtype=np.int64)
+    seen = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        start = reader.line_num + 1
+        for row in reader:
+            line, start = start, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) > len(AFFINITY_FIELDS):
+                raise WorkloadError(
+                    f"{path.name} line {line}: {len(row)} fields, "
+                    f"but the header has {len(AFFINITY_FIELDS)}"
+                )
+            cells = dict(zip(AFFINITY_FIELDS, row))
+            get = lambda name, integer=False, cells=cells, line=line: _parse_int(cells, name, line, path)
+            _check_pair(get, line, path, n, m)
+            i, j = get("app_id"), get("machine_id")
+            if (i, j) in seen:
+                raise WorkloadError(
+                    f"{path.name} line {line}: duplicate pair ({i}, {j}), "
+                    f"first given on line {seen[i, j]}"
+                )
+            seen[i, j] = line
+            user[i, j], anti[i, j] = get("user_affinity"), get("anti_affinity")
+    return user, anti
+
+
+CELLS = st.one_of(
+    st.sampled_from(["0", "1"]),
+    st.integers(-1, 4).map(str),
+    st.sampled_from(["2", "nan", "inf", "-inf", "", " ", "x", "1.0", "0.5", "1_0", "-0", " 1 ",
+                     "1e400", "0x1", "\uff11"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 4),
+    rows=st.lists(
+        st.one_of(st.lists(CELLS, min_size=4, max_size=4), st.lists(CELLS, max_size=6)),
+        max_size=12,
+    ),
+)
+def test_affinity_masks_match_row_by_row_checks(n, m, rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        machines, apps, affinity = (tmp / name for name in
+                                    ("machines.csv", "applications.csv", "affinity.csv"))
+        machines.write_text("machine_id,cpu_cap,io_cap,nw_cap,mem_cap,p_idle,p_max\n"
+                            + "".join(f"{j},8,100,100,16,90,210\n" for j in range(m)))
+        apps.write_text("app_id,cpu_req,io_req,nw_req,mem_req,instances\n"
+                        + "".join(f"{i},1,10,10,1,1\n" for i in range(n)))
+        affinity.write_text(",".join(AFFINITY_FIELDS) + "\n"
+                            + "".join(",".join(row) + "\n" for row in rows))
+        try:
+            expected = affinity_row_by_row(affinity, n, m)
+        except WorkloadError as exc:
+            with pytest.raises(WorkloadError) as got:
+                load_trace(machines, apps, affinity)
+            assert str(got.value) == str(exc)
+        else:
+            scenario = load_trace(machines, apps, affinity)
+            assert np.array_equal(scenario.user_affinity, expected[0])
+            assert np.array_equal(scenario.anti_affinity, expected[1])

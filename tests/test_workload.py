@@ -1,3 +1,4 @@
+import hashlib
 from math import inf, nan
 
 import numpy as np
@@ -14,17 +15,7 @@ from powerplace.workload import (
     save_trace,
 )
 
-
-def scenarios_equal(a, b):
-    return (
-        a.machines == b.machines
-        and a.applications == b.applications
-        and np.array_equal(a.user_affinity, b.user_affinity)
-        and np.array_equal(a.anti_affinity, b.anti_affinity)
-        and a.weights == b.weights
-        and a.alpha == b.alpha
-        and a.pi_threshold == b.pi_threshold
-    )
+from support import scenarios_equal
 
 
 class TestGeneratorConfig:
@@ -118,6 +109,29 @@ class TestGeneratorConfig:
     )
     def test_scalar_settings_must_be_real_numbers(self, field, value):
         with pytest.raises(WorkloadError, match=f"'{field}' must be a real number"):
+            GeneratorConfig(5, 5, **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [
+            ("power_idle_range", 5, "'power_idle_range' must be a \\(low, high\\) pair"),
+            ("power_max_range", (1, 2, 3), "'power_max_range' must be a \\(low, high\\) pair"),
+            ("power_idle_range", ("a", "b"), "'power_idle_range low' must be a real number"),
+            ("power_max_range", (200.0, None), "'power_max_range high' must be a real number"),
+            ("capacity_ranges",
+             ResourceRanges((1, 2, 3), (100, 1000), (100, 1000), (16, 256)),
+             "'capacity_ranges.cpu' must be a \\(low, high\\) pair"),
+            ("demand_ranges",
+             ResourceRanges((1, 8), (10, 100), (10, True), (1, 16)),
+             "'demand_ranges.nw high' must be a real number"),
+            ("demand_ranges", (1, 8), "'demand_ranges' must be a ResourceRanges"),
+            ("weights", (1, 2, 3, 4), "'weights' must be an AffinityWeights"),
+        ],
+        ids=["idle-scalar", "max-three-values", "idle-strings", "max-none", "capacity-three-values",
+             "demand-bool", "demand-tuple", "weights-tuple"],
+    )
+    def test_malformed_field_named(self, field, value, name):
+        with pytest.raises(WorkloadError, match=name):
             GeneratorConfig(5, 5, **{field: value})
 
     def test_numpy_and_integer_scalars_accepted(self):
@@ -310,6 +324,101 @@ class TestLoadTrace:
         with pytest.raises(WorkloadError, match="unknown columns"):
             load_trace(m, a, f)
 
+    @pytest.mark.parametrize("seed", ["1", True, 1.5, None], ids=["str", "bool", "float", "none"])
+    def test_seed_must_be_an_integer(self, tmp_path, seed):
+        m, a, f = self.write(tmp_path)
+        with pytest.raises(WorkloadError, match="'seed' must be an integer"):
+            load_trace(m, a, f, seed=seed)
+
+    def test_affinity_line_counts_blank_lines(self, tmp_path):
+        m, a, f = self.write(tmp_path, affinity=AFFINITY_CSV.replace("1,1,0,1", "\n\n0,1,2,0"))
+        with pytest.raises(WorkloadError, match="affinity.csv line 5: affinity fields must be 0 or 1"):
+            load_trace(m, a, f)
+
+    def test_machines_line_counts_blank_lines(self, tmp_path):
+        bad = MACHINES_CSV.replace("\n1,8.0,100.0,", "\n\n\n1,8.0,oops,")
+        m, a, f = self.write(tmp_path, machines=bad)
+        with pytest.raises(WorkloadError, match="machines.csv line 5: bad number 'oops'"):
+            load_trace(m, a, f)
+
+    def test_applications_line_counts_blank_lines(self, tmp_path):
+        bad = APPS_CSV.replace("\n1,2.0,", "\n\n1,0.0,")
+        m, a, f = self.write(tmp_path, apps=bad)
+        with pytest.raises(WorkloadError, match="applications.csv line 4: cpu_req must be > 0"):
+            load_trace(m, a, f)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        spaced = {
+            "machines": MACHINES_CSV.replace("\n", "\n\n"),
+            "apps": APPS_CSV + "\n\n",
+            "affinity": AFFINITY_CSV.replace("\n1,", "\n\n1,"),
+        }
+        plain = load_trace(*self.write(tmp_path))
+        m, a, f = self.write(tmp_path, spaced["machines"], spaced["apps"], spaced["affinity"])
+        assert scenarios_equal(load_trace(m, a, f), plain)
+
+    @pytest.mark.parametrize(
+        "which, old, new, where",
+        [
+            ("machines", "0,16.0,200.0,200.0,32.0,100.0,250.0",
+             "0,16.0,200.0,200.0,32.0,100.0,250.0,junk", "machines.csv line 2: 8 fields, but the header has 7"),
+            ("apps", "1,2.0,20.0,10.0,4.0,1", "1,2.0,20.0,10.0,4.0,1,", "applications.csv line 3: 7 fields"),
+            ("affinity", "0,0,1,0", "0,0,1,0,junk,9", "affinity.csv line 2: 6 fields, but the header has 4"),
+        ],
+        ids=["machines", "applications", "affinity"],
+    )
+    def test_extra_fields_rejected(self, tmp_path, which, old, new, where):
+        files = {"machines": MACHINES_CSV, "apps": APPS_CSV, "affinity": AFFINITY_CSV}
+        assert old in files[which]
+        files[which] = files[which].replace(old, new, 1)
+        m, a, f = self.write(tmp_path, files["machines"], files["apps"], files["affinity"])
+        with pytest.raises(WorkloadError, match=where):
+            load_trace(m, a, f)
+
+    def test_duplicate_pair_rejected_with_both_lines(self, tmp_path):
+        m, a, f = self.write(tmp_path, affinity=AFFINITY_CSV + "1,0,0,0\n0,0,0,0\n")
+        with pytest.raises(
+            WorkloadError, match="affinity.csv line 5: duplicate pair \\(0, 0\\), first given on line 2"
+        ):
+            load_trace(m, a, f)
+
+    @pytest.mark.parametrize(
+        "which, rows, where",
+        [
+            # line 2 fails the last check, line 3 an earlier one, line 4 the first
+            ("affinity", ["1,1,1,1", "7,0,1,0", "0,1,nan,0"],
+             "affinity.csv line 2: user_affinity and anti_affinity both set"),
+            ("affinity", ["0,1,2,0", "1,0,1,1", "0,x,0,0"],
+             "affinity.csv line 2: affinity fields must be 0 or 1"),
+            ("affinity", ["0,0,1,0", "0,0,0,1", "1,5,0,0"],
+             "affinity.csv line 3: duplicate pair \\(0, 0\\), first given on line 2"),
+            ("affinity", ["0,0,1,0", "1,5,0,0", "0,0,0,1"], "affinity.csv line 3: pair \\(1, 5\\) out of range"),
+            ("machines", ["0,16.0,-1,200.0,32.0,100.0,250.0", "1,oops,100.0,100.0,16.0,90.0,210.0"],
+             "machines.csv line 2: resource component 'io'"),
+            ("machines", ["0,16.0,200.0,200.0,32.0,inf,250.0", "1,0,100.0,100.0,16.0,90.0,210.0"],
+             "machines.csv line 2: 'p_idle' must be finite"),
+            ("apps", ["0,4.0,50.0,25.0,8.0,0", "1,2.0,20.0,10.0,4.0,1.5"],
+             "applications.csv line 2: instances must be >= 1"),
+            ("apps", ["0,4.0,50.0,25.0,8.0,2.5", "1,-2.0,20.0,10.0,4.0,1"],
+             "applications.csv line 2: 'instances' must be an integer"),
+        ],
+        ids=["affinity-clash-first", "affinity-binary-first", "affinity-duplicate-first",
+             "affinity-range-before-duplicate", "machines-model-rule-first",
+             "machines-parse-first", "apps-count-first", "apps-parse-first"],
+    )
+    def test_first_failing_row_reported(self, tmp_path, which, rows, where):
+        header = {"machines": MACHINES_CSV, "apps": APPS_CSV, "affinity": AFFINITY_CSV}
+        files = dict(header)
+        files[which] = header[which].splitlines()[0] + "\n" + "\n".join(rows) + "\n"
+        m, a, f = self.write(tmp_path, files["machines"], files["apps"], files["affinity"])
+        with pytest.raises(WorkloadError, match=where):
+            load_trace(m, a, f)
+
+    def test_oversized_field_reports_line(self, tmp_path):
+        m, a, f = self.write(tmp_path, affinity=AFFINITY_CSV + "1,0," + "0" * 200_000 + ",0\n")
+        with pytest.raises(WorkloadError, match="affinity.csv line 4: field larger than field limit"):
+            load_trace(m, a, f)
+
     def test_affinity_pair_out_of_range(self, tmp_path):
         bad = AFFINITY_CSV + "7,0,1,0\n"
         m, a, f = self.write(tmp_path, affinity=bad)
@@ -323,6 +432,16 @@ class TestSaveTrace:
         paths = save_trace(scn, tmp_path)
         loaded = load_trace(paths["machines"], paths["applications"], paths["affinity"])
         assert scenarios_equal(scn, loaded)
+
+    def test_bytes_are_pinned(self, tmp_path):
+        scn = generate_synthetic(GeneratorConfig(9, 7, seed=3, anti_affinity_fraction=0.3))
+        paths = save_trace(scn, tmp_path)
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+        assert digests == {
+            "machines": "a920a6c4a7cc08391d71439c0a6b5f3f9872f366e74cc0684a46b2479025264c",
+            "applications": "033ea95e7acafa23158702e9ce81712067d24bf32eca19470feb2b901d706932",
+            "affinity": "24ea76026bed64b5d81d97eb3d35892fd04d3dd4504300ab5bd7259ad6e9d674",
+        }
 
     def test_alternate_scenario_settings_survive_via_arguments(self, tmp_path):
         scn = generate_synthetic(
