@@ -252,8 +252,10 @@ class CapacityLedger:
     residue and is clamped to 0. ``pi[j]`` is the cpu utilization, snapped
     to 1.0 when it overshoots by no more than CAPACITY_SLACK. ``pairs`` is
     the placement work count: ``admissible`` adds one per probe, which is
-    what pap and first_fit count, while aap and cpaap add M per step, the
-    machines their rule ranks, and probe without it.
+    what pap counts. first_fit, aap and cpaap test admissibility inline
+    and add their own counts: first_fit the probes its scan makes plus
+    the machines it skips, each a probe that would be rejected, and aap
+    and cpaap M per step, the machines their rule ranks.
     """
 
     __slots__ = ("caps", "remaining", "cpu_cap", "used_cpu", "pi", "anti", "demands", "pairs")

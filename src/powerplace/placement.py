@@ -19,7 +19,9 @@ not forbidden and has room. They differ only in how the machine is chosen:
              by the objective delta. The lowest-utilization machine is
              the first admissible one in a (utilization, id) order that
              is kept sorted as pap's is; the other comes from aap's walk
-  first_fit  lowest machine id first (baseline)
+  first_fit  lowest machine id first (baseline). A machine that rejects
+             an instance rejects the rest of its application's instances,
+             so each scan resumes at the machine the last one took
 
 All are deterministic: every tie falls back to machine id. Infeasibility
 is an outcome, not an exception; the partial allocation and trace are
@@ -27,6 +29,8 @@ returned for diagnosis.
 
 ``pairs_examined`` is the work count. pap and first_fit count their
 probes: the machines tried up to the one chosen, all M on a failing step.
+first_fit counts the machines its resumed scan skips as the rejected
+probes they are, so a step that places on machine j counts j + 1.
 aap and cpaap rank all M machines by definition, so each of their steps
 counts M, the failing one included, however few machines the walk tries.
 """
@@ -60,7 +64,9 @@ class PlacementOutcome:
     allocation then holds everything placed up to that point.
     ``pairs_examined`` counts (candidate machine, instance) pairs, the
     work unit of these algorithms: the feasibility probes of pap and
-    first_fit, and M per step of aap and cpaap, which rank every machine.
+    first_fit (the machines first_fit's resumed scan skips count as the
+    rejected probes they are), and M per step of aap and cpaap, which rank
+    every machine.
     """
 
     allocation: AllocationMatrix
@@ -109,8 +115,9 @@ def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) ->
     Applications go in ``sort_applications`` order, instances one at a
     time. ``choose(ledger, i)`` returns the machine for the next instance
     of application i, or -1 when none is admissible, which ends the run.
-    It adds its work to ``ledger.pairs``: pap and first_fit probe through
-    ``ledger.admissible``, aap and cpaap add M per step.
+    It adds its work to ``ledger.pairs``: pap probes through
+    ``ledger.admissible``, first_fit adds the probes its scan makes or
+    skips, aap and cpaap add M per step.
     """
     ledger = CapacityLedger(scenario)
     counts = np.zeros((scenario.num_applications, scenario.num_machines), dtype=np.int64)
@@ -253,13 +260,32 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
 
 
 def first_fit_place(scenario: Scenario) -> PlacementOutcome:
-    """Baseline: lowest-id admissible machine for every instance."""
-    machines = range(scenario.num_machines)
+    """Baseline: lowest-id admissible machine for every instance.
+
+    An application's instances are placed one after another and remaining
+    capacity only shrinks, so a machine that rejected one instance rejects
+    every later instance of that application. The scan for the next one
+    resumes at the machine the last one took; the machines it skips are
+    counted as the rejected probes they are, so a step placing on j adds
+    j + 1 to ``pairs_examined`` and a failing step adds M.
+    """
+    m = scenario.num_machines
+    live, start = -1, 0
 
     def choose(ledger: CapacityLedger, i: int) -> int:
-        for j in machines:
-            if ledger.admissible(i, j):
+        nonlocal live, start
+        if i != live:
+            live, start = i, 0
+        anti = ledger.anti[i]
+        d0, d1, d2, d3 = ledger.demands[i]
+        remaining = ledger.remaining
+        for j in range(start, m):
+            r = remaining[j]
+            if not anti[j] and d0 <= r[0] and d1 <= r[1] and d2 <= r[2] and d3 <= r[3]:
+                start = j
+                ledger.pairs += j + 1
                 return j
+        ledger.pairs += m
         return -1
 
     return _greedy(scenario, choose)

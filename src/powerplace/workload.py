@@ -74,6 +74,11 @@ def _pair(name: str, value) -> tuple:
     return lo, hi
 
 
+def _check_weights(value) -> None:
+    if not isinstance(value, AffinityWeights):
+        raise WorkloadError(f"'weights' must be an AffinityWeights, got {value!r}")
+
+
 def _check_affinity_draw(user_density: float, anti_fraction: float) -> None:
     if not (0.0 <= user_density <= 1.0):
         raise WorkloadError("user_affinity_density must be in [0, 1]")
@@ -144,8 +149,7 @@ class GeneratorConfig:
             rlo, rhi = _pair(name, pair)
             _check_real(f"{name} low", rlo)
             _check_real(f"{name} high", rhi)
-        if not isinstance(self.weights, AffinityWeights):
-            raise WorkloadError(f"'weights' must be an AffinityWeights, got {self.weights!r}")
+        _check_weights(self.weights)
         if self.machine_count < 1 or self.application_count < 1:
             raise WorkloadError("machine_count and application_count must be >= 1")
         if self.seed < 0:
@@ -423,9 +427,25 @@ def _row_rules(path: Path, line: int):
         raise WorkloadError(f"{path.name} line {line}: {exc}") from exc
 
 
-def _check_ids(kind: str, ids: list[int], path: Path) -> None:
-    if sorted(ids) != list(range(len(ids))):
-        raise WorkloadError(f"{path.name}: {kind} ids must be exactly 0..{len(ids) - 1}")
+def _check_ids(kind: str, ids: list[int], lines: list[int], path: Path) -> None:
+    """Row ids must be exactly 0..n-1; name the first repeat, else the first gap."""
+    n = len(ids)
+    first_line: dict[int, int] = {}
+    for i, line in zip(ids, lines):
+        if i in first_line:
+            raise WorkloadError(
+                f"{path.name} line {line}: duplicate {kind} id {i}, "
+                f"first given on line {first_line[i]}"
+            )
+        first_line[i] = line
+    missing = next((i for i in range(n) if i not in first_line), None)
+    if missing is not None:
+        # n distinct ids with one of 0..n-1 missing: some row's id is outside it
+        line, i = next((line, i) for i, line in first_line.items() if not 0 <= i < n)
+        raise WorkloadError(
+            f"{path.name} line {line}: {kind} id {i} is out of range: {kind} ids must be "
+            f"exactly 0..{n - 1}, and {missing} is missing"
+        )
 
 
 def _check_pair(get, line: int, path: Path, n: int, m: int) -> None:
@@ -498,6 +518,14 @@ def load_trace(
     columns are drawn from P_IDLE_DRAW/P_MAX_DRAW, and a missing affinity
     file's matrices as in generate_synthetic, at the given density and fraction.
     """
+    for name, value in (
+        ("user_affinity_density", user_affinity_density),
+        ("anti_affinity_fraction", anti_affinity_fraction),
+        ("alpha", alpha),
+        ("pi_threshold", pi_threshold),
+    ):
+        _check_real(name, value)
+    _check_weights(weights)
     _check_affinity_draw(user_affinity_density, anti_affinity_fraction)
     _check_integer("seed", seed)
     if seed < 0:
@@ -525,7 +553,8 @@ def load_trace(
         p_idle = get("p_idle") if "p_idle" in power else None
         p_max = get("p_max") if "p_max" in power else None
         machine_rows.append((mid, cap, p_idle, p_max, line))
-    _check_ids("machine", [r[0] for r in machine_rows], machines_path)
+    _check_ids("machine", [r[0] for r in machine_rows], [r[4] for r in machine_rows],
+               machines_path)
     machine_rows.sort(key=lambda r: r[0])
 
     machines = []
@@ -547,6 +576,7 @@ def load_trace(
     table = _read_table(applications_path, APPLICATION_FIELDS)
     ok = table.parsed(floats=APPLICATION_FIELDS[1:5], ints=("app_id", "instances"))
     applications = []
+    app_lines = []
     for line, get in table.checked_rows(ok):
         aid = get("app_id", True)
         with _row_rules(applications_path, line):
@@ -557,7 +587,8 @@ def load_trace(
         if count < 1:
             raise WorkloadError(f"{applications_path.name} line {line}: instances must be >= 1")
         applications.append(Application(id=aid, demand=demand, instances=count))
-    _check_ids("application", [a.id for a in applications], applications_path)
+        app_lines.append(line)
+    _check_ids("application", [a.id for a in applications], app_lines, applications_path)
     applications.sort(key=lambda a: a.id)
 
     n, m = len(applications), len(machines)

@@ -1,9 +1,11 @@
 """Shared test helpers: scenario builders and independent re-checkers.
 
-The replay validators re-simulate a placement with their own bookkeeping,
-applying each algorithm's rule the slow way (a full re-sort or a ranking
-of every machine per step), and require the same trace, failure point and
-work count, so they stay independent of the implementation they check.
+The replay validators re-simulate a placement applying each algorithm's
+rule the slow way (a full re-sort, a ranking of every machine, or a scan
+from machine 0 per step), and require the same trace, failure point and
+work count. pap's, aap's and cpaap's keep their own bookkeeping;
+first_fit's probes through CapacityLedger.admissible, the scalar test that
+counts each probe, which first_fit itself no longer calls.
 The brute-force optimum enumerates labeled instances (not count vectors)
 and computes the objective with plain Python arithmetic.
 """
@@ -24,6 +26,7 @@ from powerplace import (
     delta_cost,
 )
 from powerplace.affinity import FINAL, AffinityMatrix
+from powerplace.model import CapacityLedger
 
 WEIGHTS = AffinityWeights(0.4, 0.2, 0.2, 0.2)
 
@@ -158,6 +161,30 @@ def replay_pap(scn, affinity, outcome):
     else:
         assert outcome.failed_at is None and len(outcome.trace) == len(steps)
     assert outcome.pairs_examined == pairs
+
+
+def replay_first_fit(scn, outcome):
+    """Re-run first_fit probing from machine 0 for every instance.
+
+    Each probe goes through ``CapacityLedger.admissible``, which counts it,
+    so the re-run's count is every probe of the plain scan: the machines up
+    to the chosen one, and all M on the failing step. first_fit must make
+    the same choices, stop at the same instance and report that count.
+    """
+    ledger = CapacityLedger(scn)
+    steps = expected_steps(scn)
+    for s, (i, k) in enumerate(steps):
+        j = next((c for c in range(scn.num_machines) if ledger.admissible(i, c)), None)
+        if j is None:
+            assert outcome.failed_at == (i, k), f"first_fit failed at {outcome.failed_at}, not {(i, k)}"
+            assert len(outcome.trace) == s
+            break
+        assert s < len(outcome.trace), f"first_fit stopped at {outcome.failed_at}, {(i, k)} fits"
+        assert outcome.trace[s] == (i, k, j), f"first_fit placed {outcome.trace[s]}, scan says {(i, k, j)}"
+        ledger.add(i, j)
+    else:
+        assert outcome.failed_at is None and len(outcome.trace) == len(steps)
+    assert outcome.pairs_examined == ledger.pairs
 
 
 def _replay_ranked(scn, outcome, name, pick):

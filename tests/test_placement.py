@@ -206,6 +206,15 @@ class TestFirstFit:
         assert not out.feasible
         assert out.failed_at == (0, 0)
 
+    def test_scan_restarts_per_application_and_counts_skipped_machines(self):
+        scn = scenario([machine(0), machine(1)], [app(0, cpu=6, instances=2), app(1, cpu=4, instances=3)])
+        out = first_fit_place(scn)
+        # app 1 starts again at machine 0, which app 0 left 4 cpu on
+        assert out.trace == ((0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1))
+        assert out.failed_at == (1, 2)
+        # probes from machine 0 every time: 1 + 2, then 1 + 2 + M for the failing step
+        assert out.pairs_examined == 8
+
 
 class TestSharedContracts:
     def test_requires_final_affinity(self):

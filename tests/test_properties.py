@@ -3,7 +3,9 @@
 pap's kept machine order must make the same choices, stop at the same
 instance and count the same probes as re-sorting every machine per step.
 aap's and cpaap's ordered scans must match ranking all M machines per
-step, failing step and work count included.
+step, failing step and work count included. first_fit's resumed scan must
+match probing from machine 0 for every instance, with the skipped
+machines counted as the probes that scan makes.
 
 Every strategy's outcome must be sound: a complete allocation passes
 validate_allocation, a partial one breaks no anti-affinity or capacity
@@ -53,6 +55,7 @@ from support import (
     replay_aap,
     replay_cpaap,
     replay_delta_sum,
+    replay_first_fit,
     replay_pap,
     scenarios_equal,
 )
@@ -117,6 +120,30 @@ def test_cpaap_scans_match_ranking_every_step(config):
     scenario = generate_synthetic(config)
     affinity = build_final_affinity(scenario)
     replay_cpaap(scenario, affinity, cpaap_place(scenario, affinity))
+
+
+# Capacities a few demands deep, so machines fill within one application's
+# instances and, with high anti-affinity, whole runs fail.
+TIGHT_MACHINES = ResourceRanges(cpu=(8, 12), io=(100, 150), nw=(100, 150), mem=(16, 24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    config=st.builds(
+        GeneratorConfig,
+        machine_count=st.integers(1, 40),
+        application_count=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        instance_range=st.tuples(st.integers(1, 3), st.integers(3, 8)),
+        capacity_ranges=st.sampled_from(
+            [DEFAULT_CAPACITY_RANGES, IDENTICAL_MACHINES, TIGHT_MACHINES]
+        ),
+        anti_affinity_fraction=st.floats(0.0, 0.95),
+    ),
+)
+def test_first_fit_resumed_scan_matches_scan_from_zero(config):
+    scenario = generate_synthetic(config)
+    replay_first_fit(scenario, first_fit_place(scenario))
 
 
 def place(strategy, scenario, affinity):

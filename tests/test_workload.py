@@ -330,6 +330,46 @@ class TestLoadTrace:
         with pytest.raises(WorkloadError, match="'seed' must be an integer"):
             load_trace(m, a, f, seed=seed)
 
+    @pytest.mark.parametrize(
+        "keyword, value, message",
+        [
+            ("weights", (0.25, 0.25, 0.25, 0.25), "'weights' must be an AffinityWeights"),
+            ("alpha", "3", "'alpha' must be a real number"),
+            ("alpha", True, "'alpha' must be a real number"),
+            ("pi_threshold", None, "'pi_threshold' must be a real number"),
+        ],
+        ids=["weights-tuple", "alpha-string", "alpha-bool", "pi_threshold-none"],
+    )
+    def test_scenario_setting_checked(self, tmp_path, keyword, value, message):
+        m, a, f = self.write(tmp_path)
+        with pytest.raises(WorkloadError, match=message):
+            load_trace(m, a, f, **{keyword: value})
+
+    @pytest.mark.parametrize(
+        "which, old, new, message",
+        [
+            ("machines", "\n1,8.0,", "\n0,8.0,",
+             "machines.csv line 3: duplicate machine id 0, first given on line 2"),
+            ("apps", "\n1,2.0,", "\n0,2.0,",
+             "applications.csv line 3: duplicate application id 0, first given on line 2"),
+            ("machines", "\n0,16.0,", "\n2,16.0,",
+             "machines.csv line 2: machine id 2 is out of range: "
+             "machine ids must be exactly 0..1, and 0 is missing"),
+            ("apps", "\n1,2.0,", "\n\n7,2.0,",
+             "applications.csv line 4: application id 7 is out of range: "
+             "application ids must be exactly 0..1, and 1 is missing"),
+        ],
+        ids=["machines-repeat", "apps-repeat", "machines-gap", "apps-gap"],
+    )
+    def test_bad_ids_name_the_id_and_line(self, tmp_path, which, old, new, message):
+        files = {"machines": MACHINES_CSV, "apps": APPS_CSV}
+        assert old in files[which]
+        files[which] = files[which].replace(old, new, 1)
+        m, a, f = self.write(tmp_path, files["machines"], files["apps"])
+        with pytest.raises(WorkloadError) as err:
+            load_trace(m, a, f)
+        assert str(err.value) == message
+
     def test_affinity_line_counts_blank_lines(self, tmp_path):
         m, a, f = self.write(tmp_path, affinity=AFFINITY_CSV.replace("1,1,0,1", "\n\n0,1,2,0"))
         with pytest.raises(WorkloadError, match="affinity.csv line 5: affinity fields must be 0 or 1"):
