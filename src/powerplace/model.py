@@ -246,7 +246,10 @@ class CapacityLedger:
     """Remaining capacity, cpu used and utilization of every machine.
 
     The one bookkeeping path for placements made one instance at a time,
-    shared by the greedy strategies and the exact solver. ``remaining[j]``
+    shared by the greedy strategies and the exact solver. Placements are
+    never taken back: the exact solver memoizes the machine states it
+    builds and loads one into machine j's ``remaining[j]`` and
+    ``used_cpu[j]`` before placing more on it. ``remaining[j]``
     is machine j's leftover (cpu, io, nw, mem); a subtraction that lands
     below zero by no more than CAPACITY_SLACK of the capacity is float
     residue and is clamped to 0. ``pi[j]`` is the cpu utilization, snapped
@@ -285,8 +288,8 @@ class CapacityLedger:
         pi = (self.used_cpu[j] + self.demands[i][0]) / self.cpu_cap[j]
         return 1.0 if 1.0 < pi <= 1.0 + CAPACITY_SLACK else pi
 
-    # The clamp and the snap are written out in each method: a helper call
-    # per step is measurable in the oracle's inner loop.
+    # The snap is written out here and in pi_after, not shared through a
+    # helper, which would add a call to every placement step.
     def add(self, i: int, j: int) -> None:
         """Place one instance of application i on machine j."""
         d = self.demands[i]
@@ -297,17 +300,6 @@ class CapacityLedger:
                 nr = 0.0
             r[c] = nr
         used = self.used_cpu[j] + d[0]
-        self.used_cpu[j] = used
-        pi = used / self.cpu_cap[j]
-        self.pi[j] = 1.0 if 1.0 < pi <= 1.0 + CAPACITY_SLACK else pi
-
-    def remove(self, i: int, j: int, count: int) -> None:
-        """Take back ``count`` instances of application i from machine j."""
-        d = self.demands[i]
-        r = self.remaining[j]
-        for c in range(4):
-            r[c] += count * d[c]
-        used = self.used_cpu[j] - count * d[0]
         self.used_cpu[j] = used
         pi = used / self.cpu_cap[j]
         self.pi[j] = 1.0 if 1.0 < pi <= 1.0 + CAPACITY_SLACK else pi

@@ -6,6 +6,9 @@ from machine 0 per step), and require the same trace, failure point and
 work count. pap's, aap's and cpaap's keep their own bookkeeping;
 first_fit's probes through CapacityLedger.admissible, the scalar test that
 counts each probe, which first_fit itself no longer calls.
+The exact solver's replay searches depth first with one call per machine
+and instance, and must agree with the solver's whole-row enumeration on
+nodes, the exhausted flag, the optimum and, within float noise, its cost.
 The brute-force optimum enumerates labeled instances (not count vectors)
 and computes the objective with plain Python arithmetic.
 """
@@ -27,6 +30,7 @@ from powerplace import (
 )
 from powerplace.affinity import FINAL, AffinityMatrix
 from powerplace.model import CapacityLedger
+from powerplace.oracle import DEFAULT_NODE_BUDGET
 
 WEIGHTS = AffinityWeights(0.4, 0.2, 0.2, 0.2)
 
@@ -244,6 +248,100 @@ def replay_cpaap(scn, affinity, outcome):
         return j1 if step_cost(j1) <= step_cost(j2) else j2
 
     _replay_ranked(scn, outcome, "cpaap", pick)
+
+
+class _ReplayBudgetHit(Exception):
+    pass
+
+
+def replay_oracle(scn, affinity, result, budget=DEFAULT_NODE_BUDGET):
+    """Re-run the exact search one machine and one instance per call.
+
+    ``assign(i, j, left)`` spreads the ``left`` unplaced instances of
+    application i over machines j..m-1: first none on j, then one more at a
+    time while CapacityLedger admits it, restoring machine j's slot after.
+    Each completed row is a node, counted before it is extended or scored,
+    and the search stops at node ``budget + 1``. The leaf cost keeps a
+    running payoff. ``result`` (optimal_place at ``budget``) must report
+    the same nodes, exhausted flag and optimum, and a cost within 1e-9 of
+    ``max(1, |cost|)``.
+    """
+    n, m = scn.num_applications, scn.num_machines
+    ledger = CapacityLedger(scn)
+    spans = [mach.p_max - mach.p_idle for mach in scn.machines]
+    instances = [a.instances for a in scn.applications]
+    f = affinity.values.tolist()
+    counts = [[0] * m for _ in range(n)]
+    payoff, nodes, best_cost, best_counts = 0.0, 0, math.inf, None
+
+    def assign(i, j, left):
+        nonlocal payoff, nodes, best_cost, best_counts
+        if j == m:
+            if left:
+                return
+            nodes += 1
+            if nodes > budget:
+                raise _ReplayBudgetHit
+            if i + 1 < n:
+                assign(i + 1, 0, instances[i + 1])
+                return
+            dynamic = 0.0
+            for span, pi in zip(spans, ledger.pi):
+                dynamic += span * pi * pi * pi
+            cost = dynamic - scn.alpha * payoff
+            if cost < best_cost:
+                best_cost, best_counts = cost, [row[:] for row in counts]
+            return
+        assign(i, j + 1, left)
+        saved = list(ledger.remaining[j]), ledger.used_cpu[j], ledger.pi[j]
+        placed = 0
+        while placed < left and ledger.admissible(i, j):
+            ledger.add(i, j)
+            counts[i][j] += 1
+            payoff += f[i][j]
+            placed += 1
+            assign(i, j + 1, left - placed)
+        ledger.remaining[j], ledger.used_cpu[j], ledger.pi[j] = saved
+        counts[i][j] -= placed
+        payoff -= placed * f[i][j]
+
+    try:
+        assign(0, 0, instances[0])
+        exhausted = True
+    except _ReplayBudgetHit:
+        exhausted = False
+    assert result.nodes_explored == nodes, f"{result.nodes_explored} nodes, replay {nodes}"
+    assert result.exhausted == exhausted
+    if best_counts is None:
+        assert result.optimal is None and result.optimal_reduced_cost is None
+    else:
+        assert result.optimal is not None, f"replay found {best_counts}"
+        assert result.optimal.counts.tolist() == best_counts
+        assert abs(result.optimal_reduced_cost - best_cost) <= 1e-9 * max(1.0, abs(best_cost))
+
+
+def fresh_oracle_cost(scn, affinity, counts):
+    """optimal_place's cost recomputed from ``counts`` alone.
+
+    Instances go through a new CapacityLedger application by application
+    and machine by machine, each machine's payoff adds one f per instance
+    in that order, and the terms ``span * pi**3 - alpha * payoff`` are
+    summed in machine order.
+    """
+    n, m = scn.num_applications, scn.num_machines
+    ledger = CapacityLedger(scn)
+    f = affinity.values.tolist()
+    payoff = [0.0] * m
+    for i in range(n):
+        for j in range(m):
+            for _ in range(int(counts[i][j])):
+                ledger.add(i, j)
+                payoff[j] += f[i][j]
+    cost = 0.0
+    for j, mach in enumerate(scn.machines):
+        span, pi = mach.p_max - mach.p_idle, ledger.pi[j]
+        cost += span * pi * pi * pi - scn.alpha * payoff[j]
+    return cost
 
 
 def replay_delta_sum(scn, f, trace):

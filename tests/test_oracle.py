@@ -16,6 +16,7 @@ from support import (
     app,
     brute_force_optimal,
     final_matrix,
+    fresh_oracle_cost,
     machine,
     scenario,
 )
@@ -96,11 +97,59 @@ class TestOptimalPlace:
         # and repeat runs return the same matrix
         assert optimal_place(scn, f).optimal.counts.tolist() == [[0, 1]]
 
+    def test_equal_cost_tie_across_earlier_rows_keeps_the_first(self):
+        # [[0, 1], [1, 0]] and [[1, 0], [0, 1]] cost the same bits on twin
+        # machines; they sit under different rows of app 0, and the first wins
+        scn = scenario([machine(0, cpu=10), machine(1, cpu=10)], [app(0, cpu=5), app(1, cpu=5)])
+        f = final_matrix([[0.5, 0.5], [0.5, 0.5]])
+        res = optimal_place(scn, f)
+        assert res.optimal.counts.tolist() == [[0, 1], [1, 0]]
+        assert res.optimal_reduced_cost == 12.5 + 12.5 - 4 * 1.0
+
     def test_budget_exhaustion_is_flagged(self):
         scn = generate_synthetic(GeneratorConfig(4, 4, seed=0, instance_range=(2, 2)))
         f = build_final_affinity(scn)
         res = optimal_place(scn, f, budget=3)
         assert not res.exhausted
+
+    def test_cost_is_recomputed_from_counts_bit_for_bit(self):
+        # the reported cost depends only on the optimum's counts, never on
+        # the branches searched before it
+        for seed in range(30):
+            if seed % 2:
+                config = GeneratorConfig(3, 3, seed=seed, instance_range=(1, 3), anti_affinity_fraction=0.3)
+            else:
+                config = GeneratorConfig(4, 4, seed=seed, instance_range=(2, 2))
+            scn = generate_synthetic(config)
+            f = build_final_affinity(scn)
+            res = optimal_place(scn, f)
+            if res.optimal is not None:
+                assert res.optimal_reduced_cost == fresh_oracle_cost(scn, f, res.optimal.counts)
+
+    @pytest.mark.parametrize(
+        "budget, nodes, counts",
+        [
+            (1, 2, None),  # the first row of app 1 trips before any is scored
+            (2, 3, [[0, 1], [0, 1]]),  # trips inside app 1's first batch of rows
+            (3, 4, [[0, 1], [1, 0]]),
+            (5, 6, [[0, 1], [1, 0]]),  # trips inside app 1's second batch
+            (6, 6, [[0, 1], [1, 0]]),
+        ],
+    )
+    def test_budget_trip_inside_last_rows_keeps_best_so_far(self, budget, nodes, counts):
+        # nodes in order: app 0 [0, 1]; app 1 [0, 1], [1, 0]; app 0 [1, 0];
+        # app 1 [0, 1], [1, 0]. App 1 on machine 0 next to app 0 costs 21.4,
+        # on machine 1 with it 100, and [[1, 0], [0, 1]] 25.
+        scn = scenario([machine(0, cpu=10), machine(1, cpu=10)], [app(0, cpu=5), app(1, cpu=5)])
+        f = final_matrix([[0.0, 0.0], [0.9, 0.0]])
+        res = optimal_place(scn, f, budget=budget)
+        assert res.nodes_explored == nodes
+        assert res.exhausted == (budget >= 6)
+        if counts is None:
+            assert res.optimal is None and res.optimal_reduced_cost is None
+        else:
+            assert res.optimal.counts.tolist() == counts
+            assert res.optimal_reduced_cost == fresh_oracle_cost(scn, f, counts)
 
     def test_dominates_heuristics(self):
         for seed in range(15):

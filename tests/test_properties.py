@@ -5,7 +5,10 @@ instance and count the same probes as re-sorting every machine per step.
 aap's and cpaap's ordered scans must match ranking all M machines per
 step, failing step and work count included. first_fit's resumed scan must
 match probing from machine 0 for every instance, with the skipped
-machines counted as the probes that scan makes.
+machines counted as the probes that scan makes. The exact solver's
+whole-row enumeration must match a depth-first search with one call per
+machine and instance at every node budget, and its cost must be the one
+recomputed from the optimum's counts, bit for bit.
 
 Every strategy's outcome must be sound: a complete allocation passes
 validate_allocation, a partial one breaks no anti-affinity or capacity
@@ -36,7 +39,7 @@ from hypothesis import strategies as st
 from powerplace.affinity import build_final_affinity
 from powerplace.costs import total_cost
 from powerplace.model import validate_allocation
-from powerplace.oracle import optimal_place
+from powerplace.oracle import DEFAULT_NODE_BUDGET, optimal_place
 from powerplace.placement import aap_place, cpaap_place, first_fit_place, pap_place
 from powerplace.workload import (
     AFFINITY_FIELDS,
@@ -52,10 +55,12 @@ from powerplace.workload import (
 )
 
 from support import (
+    fresh_oracle_cost,
     replay_aap,
     replay_cpaap,
     replay_delta_sum,
     replay_first_fit,
+    replay_oracle,
     replay_pap,
     scenarios_equal,
 )
@@ -144,6 +149,38 @@ TIGHT_MACHINES = ResourceRanges(cpu=(8, 12), io=(100, 150), nw=(100, 150), mem=(
 def test_first_fit_resumed_scan_matches_scan_from_zero(config):
     scenario = generate_synthetic(config)
     replay_first_fit(scenario, first_fit_place(scenario))
+
+
+# Room for a few instances of each application, so a machine's room is
+# often smaller than an application's count but most scenarios are feasible.
+SNUG_MACHINES = ResourceRanges(cpu=(8, 24), io=(100, 300), nw=(100, 300), mem=(16, 48))
+# Budgets 1-3 and 7 trip inside the first rows, the last application's
+# batch included whenever there are one or two applications.
+ORACLE_BUDGETS = (1, 2, 3, 7, 50, DEFAULT_NODE_BUDGET)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    config=st.builds(
+        GeneratorConfig,
+        machine_count=st.integers(1, 4),
+        application_count=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        instance_range=st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]),
+        capacity_ranges=st.sampled_from([TIGHT_MACHINES, SNUG_MACHINES]),
+        anti_affinity_fraction=st.floats(0.0, 0.5),
+        alpha=ALPHAS,
+    ),
+)
+def test_oracle_rows_match_per_machine_search(config):
+    scenario = generate_synthetic(config)
+    affinity = build_final_affinity(scenario)
+    for budget in ORACLE_BUDGETS:
+        result = optimal_place(scenario, affinity, budget=budget)
+        replay_oracle(scenario, affinity, result, budget)
+        if result.optimal is not None:
+            counts = result.optimal.counts
+            assert result.optimal_reduced_cost == fresh_oracle_cost(scenario, affinity, counts)
 
 
 def place(strategy, scenario, affinity):
