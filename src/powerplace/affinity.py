@@ -17,6 +17,11 @@ from .model import ModelError, Scenario
 SYSTEM = "system"
 FINAL = "final"
 
+# Cells per block of the affinity build. A block's (rows, M, 4) float
+# temporaries take about 32 bytes a cell; a fleet wider than this is built
+# one row at a time.
+_BLOCK_CELLS = 8192
+
 
 @dataclass(frozen=True)
 class AffinityMatrix:
@@ -32,12 +37,17 @@ class AffinityMatrix:
     def __post_init__(self) -> None:
         if self.kind not in (SYSTEM, FINAL):
             raise ModelError(f"affinity kind must be {SYSTEM!r} or {FINAL!r}")
-        values = np.array(self.values, dtype=float)
+        values = self.values
+        # a read-only float64 array is kept as it is; anything else is copied
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+                and not values.flags.writeable):
+            values = np.array(values, dtype=float)
+            values.setflags(write=False)
         if values.ndim != 2:
             raise ModelError("affinity values must be a 2-D matrix")
-        if not ((values >= 0) & (values <= 1)).all():
+        # a NaN makes min() or max() NaN, and both comparisons False
+        if values.size and not (values.min() >= 0 and values.max() <= 1):
             raise ModelError("affinity values must lie in [0, 1]")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -54,6 +64,39 @@ def require_final(scenario: Scenario, affinity: AffinityMatrix) -> None:
         raise ModelError(f"affinity shape {affinity.shape} does not match scenario {shape}")
 
 
+def _build(scenario: Scenario, user: np.ndarray | None) -> np.ndarray:
+    """System scores, or their blend (user + s) / 2.0 when ``user`` is given.
+
+    Rows are scored in blocks of about _BLOCK_CELLS cells, so the
+    (rows, M, 4) temporaries stay small at any fleet size. Each block runs
+    the one-shot formula on its rows, and every cell is bit-identical to it.
+    """
+    caps = np.array([m.capacity.as_tuple() for m in scenario.machines])  # (M, 4)
+    reqs = np.array([a.demand.as_tuple() for a in scenario.applications])  # (N, 4)
+    betas = np.array(scenario.weights.as_tuple())
+    # a zero capacity divides by 1: a zero demand then has zero headroom,
+    # and a positive demand exceeds the capacity, which zeroes the cell
+    denom = np.where(caps > 0, caps, 1.0)
+    n, m = len(reqs), len(caps)
+    out = np.empty((n, m))
+    step = max(1, _BLOCK_CELLS // m)
+    for r0 in range(0, n, step):
+        req = reqs[r0:r0 + step, None, :]
+        head = (caps - req) / denom
+        # weights may sum to 1 + O(1e-9) within their tolerance; keep every
+        # score inside [0, 1]
+        score = np.minimum(head @ betas, 1.0)
+        score[(req > caps).any(axis=2)] = 0.0
+        if user is None:
+            out[r0:r0 + step] = score
+        else:
+            block = out[r0:r0 + step]
+            np.add(user[r0:r0 + step], score, out=block)
+            block /= 2.0
+    out.setflags(write=False)
+    return out
+
+
 def system_affinity_matrix(scenario: Scenario) -> AffinityMatrix:
     """Resource affinity for every (application, machine) pair.
 
@@ -64,16 +107,7 @@ def system_affinity_matrix(scenario: Scenario) -> AffinityMatrix:
     zero-capacity component (possible for io/nw/mem) contributes zero
     headroom.
     """
-    caps = np.array([m.capacity.as_tuple() for m in scenario.machines])  # (M, 4)
-    reqs = np.array([a.demand.as_tuple() for a in scenario.applications])  # (N, 4)
-    betas = np.array(scenario.weights.as_tuple())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        head = np.where(caps > 0, (caps[None, :, :] - reqs[:, None, :]) / caps[None, :, :], 0.0)
-    blocked = (reqs[:, None, :] > caps[None, :, :]).any(axis=2)
-    # weights may sum to 1 + O(1e-9) within their tolerance; keep every
-    # score inside [0, 1]
-    values = np.where(blocked, 0.0, np.minimum(head @ betas, 1.0))
-    return AffinityMatrix(values=values, kind=SYSTEM)
+    return AffinityMatrix(values=_build(scenario, None), kind=SYSTEM)
 
 
 def final_affinity(user: np.ndarray, system: AffinityMatrix) -> AffinityMatrix:
@@ -83,10 +117,12 @@ def final_affinity(user: np.ndarray, system: AffinityMatrix) -> AffinityMatrix:
     user = np.asarray(user)
     if user.shape != system.shape:
         raise ModelError(f"user matrix shape {user.shape} != system shape {system.shape}")
-    return AffinityMatrix(values=(user + system.values) / 2.0, kind=FINAL)
+    values = np.add(user, system.values)
+    values /= 2.0
+    values.setflags(write=False)
+    return AffinityMatrix(values=values, kind=FINAL)
 
 
 def build_final_affinity(scenario: Scenario) -> AffinityMatrix:
-    """The final affinity matrix for a scenario, built in one step."""
-    return final_affinity(scenario.user_affinity, system_affinity_matrix(scenario))
-
+    """The final affinity matrix for a scenario, blended block by block."""
+    return AffinityMatrix(values=_build(scenario, scenario.user_affinity), kind=FINAL)

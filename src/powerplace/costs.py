@@ -98,6 +98,15 @@ def total_cost(
     Per-machine terms are accumulated in machine-id order so repeated runs
     are bit-identical.
     """
+    return _cost_and_utilizations(scenario, allocation, affinity)[0]
+
+
+def _cost_and_utilizations(
+    scenario: Scenario,
+    allocation: AllocationMatrix,
+    affinity: AffinityMatrix,
+) -> tuple[CostBreakdown, np.ndarray]:
+    """``total_cost`` and the utilizations it was computed from, for ``metrics``."""
     require_final(scenario, affinity)
     shape = (scenario.num_applications, scenario.num_machines)
     if allocation.counts.shape != shape:
@@ -113,7 +122,7 @@ def total_cost(
     power = idle_sum + dynamic
     total = power - scenario.alpha * payoff
     reduced = dynamic - scenario.alpha * payoff
-    return CostBreakdown(total=total, reduced=reduced, power=power, payoff=payoff)
+    return CostBreakdown(total=total, reduced=reduced, power=power, payoff=payoff), pis
 
 
 def metrics(
@@ -129,12 +138,12 @@ def metrics(
     score low rather than failing. Utilization is capped at 1 per machine
     (see ``utilizations``), which only matters for capacity-violating input.
     """
-    breakdown = total_cost(scenario, allocation, affinity)
+    breakdown, pis = _cost_and_utilizations(scenario, allocation, affinity)
     report = validate_allocation(scenario, allocation)
     requested = scenario.total_instances
     on_affine = float((scenario.user_affinity * allocation.counts).sum())
     rho = on_affine / requested
-    avg_util = float(utilizations(scenario, allocation).sum()) / scenario.num_machines
+    avg_util = float(pis.sum()) / scenario.num_machines
     if breakdown.total == 0.0:
         psi = float("nan")
     else:

@@ -10,7 +10,7 @@ per-machine resource capacities are never exceeded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -114,6 +114,27 @@ class Application:
             raise ModelError(f"application {self.id}: cpu demand must be > 0")
 
 
+def _binary_matrix(name: str, mat: np.ndarray) -> np.ndarray:
+    """A read-only int64 copy of ``mat``; ModelError unless every cell is 0 or 1.
+
+    Cells are checked before the cast, so a fraction or a NaN is rejected
+    rather than truncated.
+    """
+    if mat.dtype.kind not in "biuf":
+        try:
+            mat = np.asarray(mat, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"{name} must be binary") from exc
+    # a NaN fails the range test: min() and max() are NaN
+    if not (mat.min() >= 0 and mat.max() <= 1):
+        raise ModelError(f"{name} must be binary")
+    ints = mat.astype(np.int64)
+    if mat.dtype.kind == "f" and not np.array_equal(ints, mat):
+        raise ModelError(f"{name} must be binary")
+    ints.setflags(write=False)
+    return ints
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A complete placement problem instance.
@@ -134,6 +155,9 @@ class Scenario:
     weights: AffinityWeights
     alpha: float
     pi_threshold: float = 0.5
+    # anti_affinity as one bytes row per application, built once here and
+    # shared by every CapacityLedger: anti_rows[i][j] is 0 or 1
+    anti_rows: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         machines = tuple(self.machines)
@@ -147,16 +171,15 @@ class Scenario:
             if a.id != i:
                 raise ModelError(f"application ids must be 0..N-1 in order, got {a.id} at {i}")
         shape = (len(applications), len(machines))
-        user = np.array(self.user_affinity, dtype=np.int64)
-        anti = np.array(self.anti_affinity, dtype=np.int64)
+        user = np.asarray(self.user_affinity)
+        anti = np.asarray(self.anti_affinity)
         if user.shape != shape or anti.shape != shape:
             raise ModelError(f"affinity matrices must have shape {shape}")
-        for name, mat in (("user_affinity", user), ("anti_affinity", anti)):
-            if not np.isin(mat, (0, 1)).all():
-                raise ModelError(f"{name} must be binary")
-        clash = np.argwhere((user == 1) & (anti == 1))
-        if clash.size:
-            i, j = (int(v) for v in clash[0])
+        user = _binary_matrix("user_affinity", user)
+        anti = _binary_matrix("anti_affinity", anti)
+        clash = np.logical_and(user, anti)
+        if clash.any():
+            i, j = (int(v) for v in np.argwhere(clash)[0])
             raise ModelError(
                 f"user affinity and anti-affinity both set for app {i}, machine {j}"
             )
@@ -164,12 +187,11 @@ class Scenario:
             raise ModelError("alpha must be finite and >= 0")
         if not (0.0 < self.pi_threshold <= 1.0):
             raise ModelError("pi_threshold must be in (0, 1]")
-        user.setflags(write=False)
-        anti.setflags(write=False)
         object.__setattr__(self, "machines", machines)
         object.__setattr__(self, "applications", applications)
         object.__setattr__(self, "user_affinity", user)
         object.__setattr__(self, "anti_affinity", anti)
+        object.__setattr__(self, "anti_rows", tuple(map(bytes, anti.astype(np.uint8))))
 
     @property
     def num_machines(self) -> int:
@@ -253,12 +275,13 @@ class CapacityLedger:
     is machine j's leftover (cpu, io, nw, mem); a subtraction that lands
     below zero by no more than CAPACITY_SLACK of the capacity is float
     residue and is clamped to 0. ``pi[j]`` is the cpu utilization, snapped
-    to 1.0 when it overshoots by no more than CAPACITY_SLACK. ``pairs`` is
-    the placement work count: ``admissible`` adds one per probe, which is
-    what pap counts. first_fit, aap and cpaap test admissibility inline
-    and add their own counts: first_fit the probes its scan makes plus
-    the machines it skips, each a probe that would be rejected, and aap
-    and cpaap M per step, the machines their rule ranks.
+    to 1.0 when it overshoots by no more than CAPACITY_SLACK. ``anti`` is
+    the scenario's ``anti_rows``, shared, not copied. ``pairs`` is the
+    placement work count: ``admissible`` adds one per probe, and only the
+    exact solver calls it. The greedy strategies test admissibility inline
+    and add their own counts: pap the probes its scan makes, first_fit
+    those plus the machines it skips, each a probe that would be rejected,
+    and aap and cpaap M per step, the machines their rule ranks.
     """
 
     __slots__ = ("caps", "remaining", "cpu_cap", "used_cpu", "pi", "anti", "demands", "pairs")
@@ -270,7 +293,7 @@ class CapacityLedger:
         self.cpu_cap = [mach.capacity.cpu for mach in machines]
         self.used_cpu = [0.0] * len(machines)
         self.pi = [0.0] * len(machines)
-        self.anti = scenario.anti_affinity.tolist()
+        self.anti = scenario.anti_rows
         self.demands = [app.demand.as_tuple() for app in scenario.applications]
         self.pairs = 0
 

@@ -115,9 +115,8 @@ def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) ->
     Applications go in ``sort_applications`` order, instances one at a
     time. ``choose(ledger, i)`` returns the machine for the next instance
     of application i, or -1 when none is admissible, which ends the run.
-    It adds its work to ``ledger.pairs``: pap probes through
-    ``ledger.admissible``, first_fit adds the probes its scan makes or
-    skips, aap and cpaap add M per step.
+    It adds its work to ``ledger.pairs``: pap the probes its scan makes,
+    first_fit the probes its scan makes or skips, aap and cpaap M per step.
     """
     ledger = CapacityLedger(scenario)
     counts = np.zeros((scenario.num_applications, scenario.num_machines), dtype=np.int64)
@@ -144,15 +143,22 @@ def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) ->
 def pap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
     """Power-aware placement: first admissible machine in (omega, id) order."""
     require_final(scenario, affinity)
-    state = PapPriorityState(omega=[0.0] * scenario.num_machines, threshold=scenario.pi_threshold)
+    m = scenario.num_machines
+    state = PapPriorityState(omega=[0.0] * m, threshold=scenario.pi_threshold)
 
     def choose(ledger: CapacityLedger, i: int) -> int:
-        for _, j in state.order:
-            if ledger.admissible(i, j):
+        anti = ledger.anti[i]
+        d0, d1, d2, d3 = ledger.demands[i]
+        remaining = ledger.remaining
+        for k, (_, j) in enumerate(state.order, 1):
+            r = remaining[j]
+            if not anti[j] and d0 <= r[0] and d1 <= r[1] and d2 <= r[2] and d3 <= r[3]:
+                ledger.pairs += k
                 # the returned machine is always placed, so its priority
                 # moves on now, with the utilization it is about to have
                 state.after_placement(j, ledger.pi_after(i, j))
                 return j
+        ledger.pairs += m
         return -1
 
     return _greedy(scenario, choose)
@@ -191,10 +197,11 @@ def aap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
     """
     require_final(scenario, affinity)
     values = affinity.values
-    # One argsort per call, kept as a numpy array. An application's
+    # One argsort per call, kept as a numpy array and read reversed through
+    # a view, so no negated copy of the matrix is made. An application's
     # instances are placed one after another, so only its row is live and
     # becomes Python lists; N x M lists would only add memory.
-    ranked = (-values).argsort(axis=1)
+    ranked = values.argsort(axis=1)[:, ::-1]
     m = scenario.num_machines
     live, fi, order = -1, [], []
 
@@ -218,7 +225,7 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
     """
     require_final(scenario, affinity)
     values = affinity.values
-    ranked = (-values).argsort(axis=1)  # live rows as in aap_place
+    ranked = values.argsort(axis=1)[:, ::-1]  # live rows as in aap_place
     live, fi, order = -1, [], []
     machines = scenario.machines
     m = len(machines)

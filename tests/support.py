@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -71,6 +72,18 @@ def scenarios_equal(a, b):
         and a.alpha == b.alpha
         and a.pi_threshold == b.pi_threshold
     )
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: the most memory ``fn`` held at once, in bytes, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 def final_matrix(values) -> AffinityMatrix:

@@ -12,10 +12,11 @@ from powerplace import (
     system_affinity_matrix,
     final_affinity,
 )
-from powerplace.affinity import FINAL, SYSTEM, AffinityMatrix
+from powerplace import affinity
+from powerplace.affinity import FINAL, SYSTEM, AffinityMatrix, build_final_affinity
 from powerplace.workload import GeneratorConfig, generate_synthetic
 
-from support import WEIGHTS, app, machine, scenario
+from support import WEIGHTS, app, machine, scenario, traced_peak
 
 
 class TestWeights:
@@ -184,3 +185,67 @@ class TestAffinityMatrixType:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ModelError):
             AffinityMatrix(np.array([[0.5]]), "both")
+
+    def test_keeps_a_read_only_float_matrix_and_copies_any_other(self):
+        kept = np.array([[0.5, 1.0]])
+        kept.setflags(write=False)
+        assert AffinityMatrix(kept, FINAL).values is kept
+        for other in (np.array([[0.5, 1.0]]), np.array([[0, 1]]), [[0.5, 1.0]]):
+            values = AffinityMatrix(other, FINAL).values
+            assert values.dtype == np.float64 and not values.flags.writeable
+            assert not np.shares_memory(values, np.asarray(other))
+
+
+def one_shot(scn):
+    """(system, final) affinity as one broadcast over all (N, M, 4) cells."""
+    caps = np.array([m.capacity.as_tuple() for m in scn.machines])
+    reqs = np.array([a.demand.as_tuple() for a in scn.applications])
+    betas = np.array(scn.weights.as_tuple())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        head = np.where(caps > 0, (caps[None, :, :] - reqs[:, None, :]) / caps[None, :, :], 0.0)
+    blocked = (reqs[:, None, :] > caps[None, :, :]).any(axis=2)
+    system = np.where(blocked, 0.0, np.minimum(head @ betas, 1.0))
+    return system, (scn.user_affinity + system) / 2.0
+
+
+def zero_capacity_fleet(n, m, seed):
+    """n apps on m machines; a third of each lack some of io, nw and mem."""
+    rng = np.random.default_rng(seed)
+    machines = [machine(j, *rng.uniform(5, 50, 4)) for j in range(m)]
+    for j in range(0, m, 3):
+        machines[j] = machine(j, 40.0, *rng.choice([0.0, 30.0], 3))
+    apps = [app(i, *rng.uniform(0.5, 30, 4)) for i in range(n)]
+    for i in range(0, n, 3):
+        apps[i] = app(i, 5.0, *rng.choice([0.0, 20.0], 3))
+    user = (rng.random((n, m)) < 0.3).astype(int)
+    return scenario(machines, apps, user=user)
+
+
+class TestBlockedBuild:
+    """The build scores rows in blocks; every cell must match the one-shot formula bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # 100 machines: two whole blocks of rows and 5 rows over
+            lambda: generate_synthetic(GeneratorConfig(100, 2 * (affinity._BLOCK_CELLS // 100) + 5, seed=4)),
+            lambda: generate_synthetic(GeneratorConfig(affinity._BLOCK_CELLS + 7, 3, seed=5)),
+            lambda: generate_synthetic(GeneratorConfig(1, 1, seed=6)),
+            lambda: zero_capacity_fleet(60, 300, seed=7),
+        ],
+        ids=["rows-not-a-block-multiple", "machines-over-one-block", "1x1", "zero-capacities"],
+    )
+    def test_matches_one_shot_through_int64_views(self, make):
+        scn = make()
+        system, final = one_shot(scn)
+        assert np.array_equal(system_affinity_matrix(scn).values.view(np.int64), system.view(np.int64))
+        built = build_final_affinity(scn)
+        assert built.kind == FINAL and not built.values.flags.writeable
+        assert np.array_equal(built.values.view(np.int64), final.view(np.int64))
+        blended = final_affinity(scn.user_affinity, system_affinity_matrix(scn)).values
+        assert np.array_equal(blended.view(np.int64), final.view(np.int64))
+
+    def test_peak_memory_stays_within_twice_the_result(self):
+        scn = generate_synthetic(GeneratorConfig(400, 640, seed=7, anti_affinity_fraction=0.5))
+        built, peak = traced_peak(lambda: build_final_affinity(scn))
+        assert peak <= 2 * built.values.nbytes

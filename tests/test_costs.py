@@ -11,6 +11,7 @@ from powerplace import (
     total_cost,
 )
 from powerplace.affinity import build_final_affinity
+from powerplace import costs
 from powerplace.costs import utilizations
 from powerplace.harness import run_scenario
 from powerplace.workload import GeneratorConfig, generate_synthetic
@@ -167,6 +168,23 @@ class TestMetrics:
         assert rep.total_cost < 0
         assert rep.payoff_ratio < 0
         assert not rep.psi_well_defined
+
+    def test_utilizations_computed_once_and_costs_unchanged(self, monkeypatch):
+        scn = generate_synthetic(GeneratorConfig(9, 7, seed=2))
+        f = build_final_affinity(scn)
+        allocation = run_scenario(scn, "cpaap", f).outcome.allocation
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return utilizations(*args)
+
+        monkeypatch.setattr(costs, "utilizations", counted)
+        rep = metrics(scn, allocation, f)
+        assert len(calls) == 1
+        breakdown = total_cost(scn, allocation, f)
+        assert (rep.total_cost, rep.reduced_cost, rep.power_cost, rep.affinity_payoff) == tuple(breakdown)
+        assert rep.avg_utilization == float(utilizations(scn, allocation).sum()) / scn.num_machines
 
     def test_report_invariants_on_random_runs(self):
         for seed in range(8):

@@ -12,13 +12,15 @@ from powerplace import (
     Machine,
     ModelError,
     ResourceVector,
+    Scenario,
     validate_allocation,
 )
 from powerplace.model import CapacityLedger
 from powerplace.oracle import optimal_place
 from powerplace.affinity import build_final_affinity
 
-from support import app, machine, scenario
+from support import app, machine, scenario, traced_peak
+from powerplace.workload import GeneratorConfig, generate_synthetic
 
 
 def alloc(rows):
@@ -57,6 +59,32 @@ class TestTypes:
         with pytest.raises(ValueError):
             scn.user_affinity[0, 0] = 1
 
+    @pytest.mark.parametrize("bad", [0.5, 1.7, math.nan, -1, 2])
+    @pytest.mark.parametrize("name", ["user_affinity", "anti_affinity"])
+    def test_scenario_rejects_a_non_binary_cell_by_name(self, name, bad):
+        cells = np.array([[0, bad]])
+        other = np.zeros((1, 2), dtype=int)
+        user, anti = (cells, other) if name == "user_affinity" else (other, cells)
+        with pytest.raises(ModelError, match=f"{name} must be binary"):
+            scenario([machine(0), machine(1)], [app(0)], user=user, anti=anti)
+
+    @pytest.mark.parametrize("dtype", [float, bool, np.uint8, np.int32])
+    def test_scenario_stores_binary_cells_as_int64(self, dtype):
+        scn = scenario([machine(0), machine(1)], [app(0)],
+                       user=np.array([[1, 0]], dtype=dtype), anti=np.array([[0, 1]], dtype=dtype))
+        assert scn.user_affinity.dtype == np.int64 and scn.anti_affinity.dtype == np.int64
+        assert scn.user_affinity.tolist() == [[1, 0]] and scn.anti_affinity.tolist() == [[0, 1]]
+
+    def test_anti_rows_are_bytes_built_once_and_shared(self):
+        anti = [[0, 1, 0], [1, 0, 1]]
+        scn = scenario([machine(0), machine(1), machine(2)], [app(0), app(1)], anti=anti)
+        assert scn.anti_rows == (bytes([0, 1, 0]), bytes([1, 0, 1]))
+        assert "anti_rows" not in repr(scn)
+        assert CapacityLedger(scn).anti is scn.anti_rows
+        with pytest.raises(TypeError):
+            Scenario(scn.machines, scn.applications, scn.user_affinity, scn.anti_affinity,
+                     scn.weights, scn.alpha, scn.pi_threshold, scn.anti_rows)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "build",
@@ -87,6 +115,15 @@ def ledger_for(machines, apps, anti=None):
 
 
 class TestRemainingCapacity:
+    def test_allocates_a_small_share_of_the_matrix(self):
+        # the ledger holds per-machine and per-application state and shares
+        # the scenario's anti-affinity rows, so it allocates no N x M copy.
+        # That state is about 130 bytes per machine or application, so at
+        # 1000 x 1000 it is near 3% of one N x M int64 matrix
+        scn = generate_synthetic(GeneratorConfig(1000, 1000, seed=7, anti_affinity_fraction=0.5))
+        _, peak = traced_peak(lambda: CapacityLedger(scn))
+        assert peak < 0.05 * scn.num_applications * scn.num_machines * 8
+
     def test_empty_allocation_is_identity(self):
         ledger = ledger_for([machine(0, 8, 100, 100, 16)], [app(0, 4, 50, 25, 8)])
         assert ledger.remaining[0] == [8, 100, 100, 16]
