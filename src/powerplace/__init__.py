@@ -5,17 +5,11 @@ tiny instances, synthetic and trace-based workloads, and an experiment
 harness with a CLI.
 """
 
-from .affinity import (
-    AffinityMatrix,
-    build_final_affinity,
-    final_affinity,
-    system_affinity_matrix,
-)
+from .affinity import AffinityMatrix, build_final_affinity
 from .costs import (
     CostBreakdown,
     MetricsReport,
     delta_cost,
-    machine_power,
     metrics,
     total_cost,
 )
@@ -87,11 +81,9 @@ __all__ = [
     "cpaap_place",
     "delta_cost",
     "emit_results",
-    "final_affinity",
     "first_fit_place",
     "generate_synthetic",
     "load_trace",
-    "machine_power",
     "metrics",
     "optimal_place",
     "pap_place",
@@ -99,7 +91,6 @@ __all__ = [
     "run_sweep",
     "save_trace",
     "sort_applications",
-    "system_affinity_matrix",
     "total_cost",
     "validate_allocation",
 ]

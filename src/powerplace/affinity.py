@@ -2,8 +2,9 @@
 
 A machine's resource affinity for an application is the weighted share of
 capacity headroom it would keep: machines with more spare room score
-higher, and a machine that cannot hold even one instance scores zero. The
-final affinity blends this score with the binary user preference matrix.
+higher, and a machine that cannot hold even one instance scores zero.
+Placement uses one matrix, the final affinity, which blends this score
+with the binary user preference matrix: F = (U + S) / 2.
 """
 
 from __future__ import annotations
@@ -14,34 +15,31 @@ import numpy as np
 
 from .model import ModelError, Scenario
 
-SYSTEM = "system"
-FINAL = "final"
-
 # Cells per block of the affinity build. A block's (rows, M, 4) float
 # temporaries take about 32 bytes a cell; a fleet wider than this is built
 # one row at a time.
 _BLOCK_CELLS = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffinityMatrix:
-    """N x M affinity scores in [0, 1].
+    """N x M final affinity scores in [0, 1], held read-only as float64.
 
-    ``kind`` distinguishes the resource-derived matrix ("system") from the
-    blended matrix ("final") that placement algorithms consume.
+    Compared and hashed by identity: the matrix is an array, which has no
+    single truth value.
     """
 
     values: np.ndarray
-    kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in (SYSTEM, FINAL):
-            raise ModelError(f"affinity kind must be {SYSTEM!r} or {FINAL!r}")
         values = self.values
         # a read-only float64 array is kept as it is; anything else is copied
         if not (isinstance(values, np.ndarray) and values.dtype == np.float64
                 and not values.flags.writeable):
-            values = np.array(values, dtype=float)
+            try:
+                values = np.array(values, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ModelError("affinity values must be a 2-D matrix of numbers") from exc
             values.setflags(write=False)
         if values.ndim != 2:
             raise ModelError("affinity values must be a 2-D matrix")
@@ -56,21 +54,28 @@ class AffinityMatrix:
 
 
 def require_final(scenario: Scenario, affinity: AffinityMatrix) -> None:
-    """Raise ModelError unless ``affinity`` is the final matrix, shaped (N, M) for ``scenario``."""
-    if affinity.kind != FINAL:
-        raise ModelError(f"expected the final affinity matrix, got kind {affinity.kind!r}")
+    """Raise ModelError unless ``affinity`` is shaped (N, M) for ``scenario``."""
     shape = (scenario.num_applications, scenario.num_machines)
     if affinity.shape != shape:
         raise ModelError(f"affinity shape {affinity.shape} does not match scenario {shape}")
 
 
-def _build(scenario: Scenario, user: np.ndarray | None) -> np.ndarray:
-    """System scores, or their blend (user + s) / 2.0 when ``user`` is given.
+def build_final_affinity(scenario: Scenario) -> AffinityMatrix:
+    """The final affinity matrix (U + S) / 2.0 for a scenario.
+
+    S is the resource affinity of every (application, machine) pair. A
+    cell is zero when any demand component strictly exceeds the machine's
+    capacity; otherwise it is the weighted sum of per-resource headroom
+    fractions (cap - req) / cap. Exact equality of demand and capacity
+    contributes zero headroom but does not trigger the zero branch. A
+    zero-capacity component (possible for io/nw/mem) contributes zero
+    headroom.
 
     Rows are scored in blocks of about _BLOCK_CELLS cells, so the
     (rows, M, 4) temporaries stay small at any fleet size. Each block runs
     the one-shot formula on its rows, and every cell is bit-identical to it.
     """
+    user = scenario.user_affinity
     caps = np.array([m.capacity.as_tuple() for m in scenario.machines])  # (M, 4)
     reqs = np.array([a.demand.as_tuple() for a in scenario.applications])  # (N, 4)
     betas = np.array(scenario.weights.as_tuple())
@@ -87,42 +92,8 @@ def _build(scenario: Scenario, user: np.ndarray | None) -> np.ndarray:
         # score inside [0, 1]
         score = np.minimum(head @ betas, 1.0)
         score[(req > caps).any(axis=2)] = 0.0
-        if user is None:
-            out[r0:r0 + step] = score
-        else:
-            block = out[r0:r0 + step]
-            np.add(user[r0:r0 + step], score, out=block)
-            block /= 2.0
+        block = out[r0:r0 + step]
+        np.add(user[r0:r0 + step], score, out=block)
+        block /= 2.0
     out.setflags(write=False)
-    return out
-
-
-def system_affinity_matrix(scenario: Scenario) -> AffinityMatrix:
-    """Resource affinity for every (application, machine) pair.
-
-    A cell is zero when any demand component strictly exceeds the machine's
-    capacity; otherwise it is the weighted sum of per-resource headroom
-    fractions (cap - req) / cap. Exact equality of demand and capacity
-    contributes zero headroom but does not trigger the zero branch. A
-    zero-capacity component (possible for io/nw/mem) contributes zero
-    headroom.
-    """
-    return AffinityMatrix(values=_build(scenario, None), kind=SYSTEM)
-
-
-def final_affinity(user: np.ndarray, system: AffinityMatrix) -> AffinityMatrix:
-    """Blend binary user preferences with resource affinity: (U + S) / 2."""
-    if system.kind != SYSTEM:
-        raise ModelError("final_affinity expects the system-kind matrix")
-    user = np.asarray(user)
-    if user.shape != system.shape:
-        raise ModelError(f"user matrix shape {user.shape} != system shape {system.shape}")
-    values = np.add(user, system.values)
-    values /= 2.0
-    values.setflags(write=False)
-    return AffinityMatrix(values=values, kind=FINAL)
-
-
-def build_final_affinity(scenario: Scenario) -> AffinityMatrix:
-    """The final affinity matrix for a scenario, blended block by block."""
-    return AffinityMatrix(values=_build(scenario, scenario.user_affinity), kind=FINAL)
+    return AffinityMatrix(values=out)

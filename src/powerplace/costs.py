@@ -52,13 +52,6 @@ class MetricsReport:
     runtime_s: float = 0.0
 
 
-def machine_power(machine: Machine, pi: float) -> float:
-    """Power draw in watts at utilization ``pi``: idle + span * pi^3."""
-    if not (0.0 <= pi <= 1.0):
-        raise ValueError(f"utilization must be in [0, 1], got {pi!r}")
-    return machine.p_idle + (machine.p_max - machine.p_idle) * pi * pi * pi
-
-
 def delta_cost(machine: Machine, pi_old: float, pi_new: float, affinity: float, alpha: float) -> float:
     """Increase in the system objective from one placement on ``machine``.
 

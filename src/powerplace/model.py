@@ -135,7 +135,7 @@ def _binary_matrix(name: str, mat: np.ndarray) -> np.ndarray:
     return ints
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """A complete placement problem instance.
 
@@ -146,6 +146,9 @@ class Scenario:
 
     A cell may not be both user-affine and anti-affine: both matrices are
     user-supplied and must not contradict each other.
+
+    Compared and hashed by identity: the matrices are arrays, which have no
+    single truth value.
     """
 
     machines: tuple[Machine, ...]
@@ -206,12 +209,13 @@ class Scenario:
         return sum(a.instances for a in self.applications)
 
 
-@dataclass
+@dataclass(eq=False)
 class AllocationMatrix:
     """Instance counts per (application, machine) cell.
 
     The one mutable structure in the model; placement algorithms own their
-    copy for the duration of a run.
+    copy for the duration of a run. Compared and hashed by identity, like
+    ``Scenario``.
     """
 
     counts: np.ndarray
@@ -222,19 +226,16 @@ class AllocationMatrix:
             raise ModelError("allocation counts must be a 2-D matrix")
         if not np.issubdtype(counts.dtype, np.integer):
             raise ModelError("allocation counts must be integers")
+        # checked after the cast: a uint64 count of 2**63 or more wraps to
+        # a negative int64
+        counts = counts.astype(np.int64, copy=False)
         if (counts < 0).any():
             raise ModelError("allocation counts must be >= 0")
-        self.counts = counts.astype(np.int64, copy=False)
+        self.counts = counts
 
     @classmethod
     def zeros(cls, num_applications: int, num_machines: int) -> "AllocationMatrix":
         return cls(np.zeros((num_applications, num_machines), dtype=np.int64))
-
-    def copy(self) -> "AllocationMatrix":
-        return AllocationMatrix(self.counts.copy())
-
-    def total_placed(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)

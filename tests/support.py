@@ -29,7 +29,7 @@ from powerplace import (
     Scenario,
     delta_cost,
 )
-from powerplace.affinity import FINAL, AffinityMatrix
+from powerplace.affinity import AffinityMatrix
 from powerplace.model import CapacityLedger
 from powerplace.oracle import DEFAULT_NODE_BUDGET
 
@@ -87,7 +87,7 @@ def traced_peak(fn):
 
 
 def final_matrix(values) -> AffinityMatrix:
-    return AffinityMatrix(values=np.asarray(values, dtype=float), kind=FINAL)
+    return AffinityMatrix(values=np.asarray(values, dtype=float))
 
 
 class Replay:

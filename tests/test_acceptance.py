@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from powerplace import (
+    AllocationMatrix,
     Machine,
     ResourceVector,
     aap_place,
     cpaap_place,
     delta_cost,
     first_fit_place,
-    machine_power,
     metrics,
     optimal_place,
     pap_place,
@@ -99,16 +99,22 @@ def test_criterion_1_constraint_suite(constraint_suite):
 def test_criterion_2_power_model_identities():
     rng = np.random.default_rng(77)
     grid = np.linspace(0.0, 1.0, 100)
+    f = final_matrix([[0.0]])
     bad = 0
     for k in range(1000):
         idle = float(rng.uniform(50, 200))
         pmax = float(rng.uniform(200, 500))
         mach = Machine(0, ResourceVector(8, 1, 1, 1), idle, pmax)
-        if abs(machine_power(mach, 0.0) - idle) > 1e-12 * idle:
+        # one instance that takes the whole cpu runs the machine at pi = 1
+        scn = scenario([mach], [app(0, cpu=8)])
+        idle_power = total_cost(scn, AllocationMatrix.zeros(1, 1), f).power
+        if abs(idle_power - idle) > 1e-12 * idle:
             bad += 1
-        if abs(machine_power(mach, 1.0) - pmax) > 1e-12 * pmax:
+        max_power = total_cost(scn, AllocationMatrix(np.ones((1, 1), dtype=np.int64)), f).power
+        if abs(max_power - pmax) > 1e-12 * pmax:
             bad += 1
-        powers = [machine_power(mach, float(pi)) for pi in grid]
+        # the dynamic draw from idle, as cpaap prices a step
+        powers = [delta_cost(mach, 0.0, float(pi), 0.0, 0.0) for pi in grid]
         if any(b < a for a, b in zip(powers, powers[1:])):
             bad += 1
     report(2, "power model identities", bad == 0, f"{bad} machines out of tolerance")

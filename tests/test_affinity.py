@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerplace import (
-    AffinityWeights,
-    ModelError,
-    system_affinity_matrix,
-    final_affinity,
-)
+from powerplace import AffinityWeights, ModelError
 from powerplace import affinity
-from powerplace.affinity import FINAL, SYSTEM, AffinityMatrix, build_final_affinity
+from powerplace.affinity import AffinityMatrix, build_final_affinity
 from powerplace.workload import GeneratorConfig, generate_synthetic
 
 from support import WEIGHTS, app, machine, scenario, traced_peak
@@ -32,10 +27,15 @@ class TestWeights:
             AffinityWeights(-0.5, 0.5, 0.5, 0.5)
 
 
+def without_user(scn):
+    """``scn`` with every user-affinity cell 0, so its final matrix is S / 2 exactly."""
+    return replace(scn, user_affinity=np.zeros_like(scn.user_affinity))
+
+
 def system_affinity(m, a, weights):
-    """Score of one pair, read from the matrix of a 1x1 scenario."""
+    """Resource score S of one pair: twice the final affinity of a 1x1 scenario with no user preference."""
     alone = scenario([replace(m, id=0)], [replace(a, id=0)], weights=weights)
-    return float(system_affinity_matrix(alone).values[0, 0])
+    return float(2 * build_final_affinity(alone).values[0, 0])
 
 
 class TestSystemAffinity:
@@ -105,47 +105,42 @@ class TestSystemAffinity:
         machines = [machine(j, *rng.uniform(5, 50, 4)) for j in range(6)]
         apps = [app(i, *rng.uniform(1, 60, 4)) for i in range(5)]
         scn = scenario(machines, apps)
-        mat = system_affinity_matrix(scn)
-        assert mat.kind == SYSTEM
+        mat = 2 * build_final_affinity(scn).values
         for i, a in enumerate(apps):
             for j, m in enumerate(machines):
-                assert mat.values[i, j] == pytest.approx(
+                assert mat[i, j] == pytest.approx(
                     system_affinity(m, a, WEIGHTS), rel=1e-12, abs=1e-15
                 )
 
 
 class TestFinalAffinity:
-    def system(self, values):
-        return AffinityMatrix(np.asarray(values, dtype=float), SYSTEM)
+    def final(self, m, a, user, weights=WEIGHTS):
+        """The final affinity of a 1x1 scenario whose one user cell is ``user``."""
+        return build_final_affinity(scenario([m], [a], user=[[user]], weights=weights)).values[0, 0]
 
     def test_blend_example(self):
-        out = final_affinity(np.array([[1]]), self.system([[0.55]]))
-        assert out.kind == FINAL
-        assert out.values[0, 0] == pytest.approx(0.775, rel=1e-12)
+        # resource score 0.55, as in TestSystemAffinity::test_headroom_example
+        out = self.final(machine(0, 8, 100, 100, 16), app(0, 4, 50, 25, 8), user=1)
+        assert out == pytest.approx(0.775, rel=1e-12)
 
     def test_both_zero(self):
-        out = final_affinity(np.array([[0]]), self.system([[0.0]]))
-        assert out.values[0, 0] == 0.0
+        # an oversized demand scores 0
+        out = self.final(machine(0, 8, 100, 100, 16), app(0, 9, 1, 1, 1), user=0)
+        assert out == 0.0
 
     def test_upper_bound_attained(self):
-        out = final_affinity(np.array([[1]]), self.system([[1.0]]))
-        assert out.values[0, 0] == 1.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ModelError):
-            final_affinity(np.zeros((2, 2)), self.system([[0.5]]))
-
-    def test_rejects_final_kind_input(self):
-        f = AffinityMatrix(np.array([[0.5]]), FINAL)
-        with pytest.raises(ModelError):
-            final_affinity(np.array([[0]]), f)
+        # 8 - 1e-300 rounds to 8, so every headroom fraction is exactly 1
+        quarters = AffinityWeights(0.25, 0.25, 0.25, 0.25)
+        out = self.final(machine(0, 8, 100, 100, 16), app(0, 1e-300, 0, 0, 0), user=1, weights=quarters)
+        assert out == 1.0
 
     def test_generated_scenarios_stay_in_unit_interval(self):
         for seed in range(5):
             scn = generate_synthetic(GeneratorConfig(8, 6, seed=seed))
-            mat = final_affinity(scn.user_affinity, system_affinity_matrix(scn))
+            mat = build_final_affinity(scn)
             assert (mat.values >= 0).all() and (mat.values <= 1).all()
-            expected = (scn.user_affinity + system_affinity_matrix(scn).values) / 2
+            system = 2 * build_final_affinity(without_user(scn)).values
+            expected = (scn.user_affinity + system) / 2
             assert np.array_equal(mat.values, expected)
 
 
@@ -175,23 +170,24 @@ class TestUserAntiConsistency:
 class TestAffinityMatrixType:
     def test_rejects_out_of_range(self):
         with pytest.raises(ModelError):
-            AffinityMatrix(np.array([[1.5]]), SYSTEM)
+            AffinityMatrix(np.array([[1.5]]))
         with pytest.raises(ModelError):
-            AffinityMatrix(np.array([[-0.1]]), FINAL)
+            AffinityMatrix(np.array([[-0.1]]))
         for bad in (math.nan, math.inf):
             with pytest.raises(ModelError):
-                AffinityMatrix(np.array([[0.5, bad]]), FINAL)
+                AffinityMatrix(np.array([[0.5, bad]]))
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ModelError):
-            AffinityMatrix(np.array([[0.5]]), "both")
+    @pytest.mark.parametrize("bad", [[[0.5], [0.5, 0.25]], [["x"]]], ids=["ragged", "not-a-number"])
+    def test_rejects_a_ragged_or_non_numeric_matrix(self, bad):
+        with pytest.raises(ModelError, match="2-D matrix"):
+            AffinityMatrix(bad)
 
     def test_keeps_a_read_only_float_matrix_and_copies_any_other(self):
         kept = np.array([[0.5, 1.0]])
         kept.setflags(write=False)
-        assert AffinityMatrix(kept, FINAL).values is kept
+        assert AffinityMatrix(kept).values is kept
         for other in (np.array([[0.5, 1.0]]), np.array([[0, 1]]), [[0.5, 1.0]]):
-            values = AffinityMatrix(other, FINAL).values
+            values = AffinityMatrix(other).values
             assert values.dtype == np.float64 and not values.flags.writeable
             assert not np.shares_memory(values, np.asarray(other))
 
@@ -238,12 +234,12 @@ class TestBlockedBuild:
     def test_matches_one_shot_through_int64_views(self, make):
         scn = make()
         system, final = one_shot(scn)
-        assert np.array_equal(system_affinity_matrix(scn).values.view(np.int64), system.view(np.int64))
         built = build_final_affinity(scn)
-        assert built.kind == FINAL and not built.values.flags.writeable
+        assert not built.values.flags.writeable
         assert np.array_equal(built.values.view(np.int64), final.view(np.int64))
-        blended = final_affinity(scn.user_affinity, system_affinity_matrix(scn)).values
-        assert np.array_equal(blended.view(np.int64), final.view(np.int64))
+        # with no user preference F = S / 2, and doubling it gives S back exactly
+        doubled = 2 * build_final_affinity(without_user(scn)).values
+        assert np.array_equal(doubled.view(np.int64), system.view(np.int64))
 
     def test_peak_memory_stays_within_twice_the_result(self):
         scn = generate_synthetic(GeneratorConfig(400, 640, seed=7, anti_affinity_fraction=0.5))

@@ -6,7 +6,6 @@ import pytest
 from powerplace import (
     AllocationMatrix,
     delta_cost,
-    machine_power,
     metrics,
     total_cost,
 )
@@ -43,29 +42,27 @@ class TestUtilization:
 
 
 class TestMachinePower:
+    """A machine's draw idle + span * pi^3, read from ``total_cost(...).power`` on one machine."""
+
+    def power(self, placed, cpu):
+        scn = scenario([machine(0, cpu=10, p_idle=100, p_max=200)], [app(0, cpu=cpu)])
+        return total_cost(scn, alloc([[placed]]), final_matrix([[0.0]])).power
+
     def test_idle_endpoint(self):
-        assert machine_power(machine(0, p_idle=100, p_max=200), 0.0) == 100.0
+        assert self.power(0, cpu=5) == 100.0
 
     def test_max_endpoint(self):
-        assert machine_power(machine(0, p_idle=100, p_max=200), 1.0) == 200.0
+        assert self.power(1, cpu=10) == 200.0
 
     def test_midpoint_cubic(self):
-        assert machine_power(machine(0, p_idle=100, p_max=200), 0.5) == pytest.approx(112.5, rel=1e-12)
-
-    def test_domain_contract(self):
-        m = machine(0)
-        with pytest.raises(ValueError):
-            machine_power(m, -0.01)
-        with pytest.raises(ValueError):
-            machine_power(m, 1.01)
+        assert self.power(1, cpu=5) == pytest.approx(112.5, rel=1e-12)
 
     def test_convexity_witness(self):
         # doubling load more than doubles the dynamic draw
         m = machine(0, cpu=20, p_idle=100, p_max=300)
         scn = scenario([m], [app(0, cpu=2, instances=8)])
         def dyn(k):
-            pi = float(utilizations(scn, alloc([[k]]))[0])
-            return machine_power(m, pi) - m.p_idle
+            return total_cost(scn, alloc([[k]]), final_matrix([[0.0]])).power - m.p_idle
         assert dyn(8) - dyn(0) > 2 * (dyn(4) - dyn(0))
 
 
@@ -101,8 +98,8 @@ class TestTotalCost:
         apps = [app(i, *rng.uniform(1, 5, 4), instances=3) for i in range(2)]
         scn = scenario(machines, apps)
         f = build_final_affinity(scn)
-        counts = alloc([[1, 2, 0], [0, 1, 2]])
-        assert total_cost(scn, counts, f) == total_cost(scn, counts.copy(), f)
+        counts = [[1, 2, 0], [0, 1, 2]]
+        assert total_cost(scn, alloc(counts), f) == total_cost(scn, alloc(counts), f)
 
 
 class TestDeltaCost:

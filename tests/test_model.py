@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,23 @@ class TestTypes:
             AllocationMatrix(np.array([[-1]]))
         with pytest.raises(ModelError):
             AllocationMatrix(np.array([[0.5]]))
+
+    def test_allocation_rejects_a_count_that_wraps_to_negative(self):
+        # 2**63 fits a uint64 but wraps to -2**63 as an int64
+        with pytest.raises(ModelError, match=">= 0"):
+            AllocationMatrix(np.array([[1, 2**63]], dtype=np.uint64))
+        assert AllocationMatrix(np.array([[2**63 - 1]], dtype=np.uint64)).counts[0, 0] == 2**63 - 1
+
+    def test_array_holding_types_compare_and_hash_by_identity(self):
+        scn = generate_synthetic(GeneratorConfig(3, 2, seed=1))
+        pairs = {
+            "Scenario": (scn, replace(scn, alpha=2.0)),
+            "AffinityMatrix": (build_final_affinity(scn), build_final_affinity(scn)),
+            "AllocationMatrix": (alloc([[1, 0, 2], [0, 1, 0]]), alloc([[1, 0, 2], [0, 1, 0]])),
+        }
+        for name, (a, b) in pairs.items():
+            assert (a == a) is True and (a == b) is False and (a != b) is True, name
+            assert hash(a) == hash(a) and len({a, b}) == 2, name
 
 
 def ledger_for(machines, apps, anti=None):
