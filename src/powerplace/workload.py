@@ -5,12 +5,14 @@ from configured ranges, deterministically from the config seed. Trace
 ingestion reads the normalized CSV schema below and backfills any absent
 optional parameters from truncated normal distributions.
 
-CSV schema (UTF-8, comma-separated, decimal point):
+CSV schema (UTF-8, a leading byte order mark allowed, comma-separated,
+decimal point):
     machines.csv      machine_id,cpu_cap,io_cap,nw_cap,mem_cap,p_idle,p_max
                       (p_idle and p_max columns optional)
     applications.csv  app_id,cpu_req,io_req,nw_req,mem_req,instances
     affinity.csv      app_id,machine_id,user_affinity,anti_affinity
                       (optional file; omitted pairs default to 0,0)
+machines.csv and applications.csv need at least one data row.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -287,7 +290,10 @@ def _parse_float(row: dict, name: str, line: int, path: Path) -> float:
 
 
 def _parse_int(row: dict, name: str, line: int, path: Path) -> int:
-    value = _parse_float(row, name, line, path)
+    return _integer(_parse_float(row, name, line, path), name, line, path)
+
+
+def _integer(value: float, name: str, line: int, path: Path) -> int:
     if value != int(value):
         raise WorkloadError(f"{path.name} line {line}: {name!r} must be an integer, got {value!r}")
     return int(value)
@@ -301,87 +307,96 @@ def _cell(raw: Optional[str]) -> float:
         return math.nan
 
 
+# Records (rows and blank lines) _read_table reads and converts at a time: one
+# block's raw rows are all the per-row Python objects a table holds while read.
+# A block's strings stay in cache until numpy converts them; 4096-record blocks
+# read a 500 x 400 trace's affinity.csv about 8% slower than 1024.
+_BLOCK_ROWS = 1024
+
+
+def _convert(rows: list[tuple], width: int) -> np.ndarray:
+    """One block of rows, each cut or padded to ``width`` fields, as float64."""
+    try:
+        values = np.array(rows, dtype=np.float64)
+    except ValueError:
+        values = np.array([[_cell(raw) for raw in row] for row in rows], dtype=np.float64)
+    return values.reshape(len(rows), width)
+
+
 class _Table:
-    """One trace CSV, read once with ``csv.reader``.
+    """One trace CSV, read once with ``csv.reader``, _BLOCK_ROWS records at a time.
 
     ``values`` holds the data rows' cells as float64, converted by numpy,
     which applies Python's ``float()`` to each string, so it accepts what
     ``_parse_float`` accepts. A missing or unparsable cell is NaN there.
-    Blank lines are skipped; ``lines`` holds each row's physical line.
-    ``long_rows`` maps each row with more fields than the header to its
-    field count. Accepted rows are read from ``values``; a rejected row is
-    re-read from its raw cells by the scalar checks, which name the problem.
+    Blank lines are skipped; ``lines`` holds each row's physical line as
+    int64. ``long_rows`` maps each row with more fields than the header to
+    its field count. ``raw`` keeps the raw cells of the rows with a
+    non-finite value, the only rows whose messages quote raw text; no other
+    row outlives its block as Python objects. ``row`` re-checks a row with
+    the scalar checks, which name the problem: from its raw cells when kept,
+    else from its converted cells, which ``_parse_float`` returns unchanged.
     """
 
     def __init__(
-        self, path: Path, header: list[str], rows: list[tuple], lines: list[int],
-        long_rows: dict[int, int],
+        self, path: Path, header: list[str], values: np.ndarray, lines: np.ndarray,
+        long_rows: dict[int, int], raw: dict[int, tuple],
     ) -> None:
         self.path = path
         self.header = header
-        self.rows = rows
+        self.values = values
         self.lines = lines
         self.long_rows = long_rows
+        self.raw = raw
         # A repeated column name reads its last column, as csv.DictReader does.
         self.index = {name: k for k, name in enumerate(header)}
-        try:
-            values = np.array(rows, dtype=np.float64)
-        except ValueError:
-            values = np.array([[_cell(raw) for raw in row] for row in rows], dtype=np.float64)
-        self.values = values.reshape(len(rows), len(header))
-        self.fits = np.ones(len(rows), dtype=bool)
+        self.fits = np.ones(len(lines), dtype=bool)
         self.fits[list(long_rows)] = False
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.index[name]]
 
-    def parsed(self, floats: tuple[str, ...] = (), ints: tuple[str, ...] = ()) -> np.ndarray:
-        """Rows that fit and whose named cells pass _parse_float / _parse_int."""
+    def integral(self, names: tuple[str, ...]) -> np.ndarray:
+        """Rows that fit and whose named cells pass _parse_int."""
         ok = self.fits.copy()
-        for name in floats + ints:
-            ok &= np.isfinite(self.column(name))
-        for name in ints:
+        for name in names:
             column = self.column(name)
-            ok &= np.floor(column) == column
+            ok &= np.isfinite(column) & (np.floor(column) == column)
         return ok
 
-    def raw_row(self, k: int):
-        """Getter ``get(name, integer=False)`` over row k's raw cells, parsed
-        by the scalar helpers, which raise on a bad cell."""
-        line = self.lines[k]
+    def row(self, k: int):
+        """Getter ``get(name, integer=False)`` over row k, checked as
+        _parse_float / _parse_int check a cell; it raises on a bad cell."""
+        line = int(self.lines[k])
         if k in self.long_rows:
             raise WorkloadError(
                 f"{self.path.name} line {line}: {self.long_rows[k]} fields, "
                 f"but the header has {len(self.header)}"
             )
-        row = dict(zip(self.header, self.rows[k]))
+        if k in self.raw:
+            row = dict(zip(self.header, self.raw[k]))
+
+            def get(name: str, integer: bool = False):
+                return (_parse_int if integer else _parse_float)(row, name, line, self.path)
+
+            return get
+        cells = self.values[k].tolist()
 
         def get(name: str, integer: bool = False):
-            return (_parse_int if integer else _parse_float)(row, name, line, self.path)
+            value = cells[self.index[name]]
+            return _integer(value, name, line, self.path) if integer else value
 
         return get
 
-    def checked_rows(self, ok: np.ndarray):
-        """(line, get) per row in file order, ``get`` as from ``raw_row``.
-
-        Rows in ``ok`` read their converted values; any other row goes
-        through ``raw_row``, so its first failing check raises.
-        """
-        for k, (line, cells) in enumerate(zip(self.lines, self.values.tolist())):
-            if not ok[k]:
-                yield line, self.raw_row(k)
-                continue
-
-            def get(name: str, integer: bool = False, cells=cells):
-                value = cells[self.index[name]]
-                return int(value) if integer else value
-
-            yield line, get
+    def checked_rows(self):
+        """(line, get) per row in file order, ``get`` as from ``row``."""
+        for k, line in enumerate(self.lines.tolist()):
+            yield line, self.row(k)
 
 
 def _read_table(path: Path, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> _Table:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -394,28 +409,47 @@ def _read_table(path: Path, required: tuple[str, ...], optional: tuple[str, ...]
             if unknown:
                 raise WorkloadError(f"{path.name}: unknown columns {sorted(unknown)}")
             width = len(header)
-            rows: list[tuple] = []
-            lines: list[int] = []
+            blocks = [np.empty((0, width))]
+            line_blocks = [np.empty(0, dtype=np.int64)]
             long_rows: dict[int, int] = {}
+            raw: dict[int, tuple] = {}
+            done = 0  # rows in earlier blocks
             end = reader.line_num
-            for row in reader:
-                if row:
-                    if len(row) > width:
-                        long_rows[len(rows)] = len(row)
-                        del row[width:]
-                    elif len(row) < width:
-                        row.extend([None] * (width - len(row)))
-                    # The cyclic GC stops tracking a tuple of strings, never a
-                    # list: rows kept as lists make a million-row file spend
-                    # about as long in GC passes as in parsing.
-                    rows.append(tuple(row))
-                    lines.append(end + 1)
-                end = reader.line_num
+            while True:
+                rows: list[tuple] = []
+                lines: list[int] = []
+                start = end
+                for row in islice(reader, _BLOCK_ROWS):
+                    if row:
+                        if len(row) > width:
+                            long_rows[done + len(rows)] = len(row)
+                            del row[width:]
+                        elif len(row) < width:
+                            row.extend([None] * (width - len(row)))
+                        # The cyclic GC stops tracking a tuple of strings, never a
+                        # list: a block kept as lists costs about 9% more time in GC.
+                        rows.append(tuple(row))
+                        lines.append(end + 1)
+                    end = reader.line_num
+                if end == start:  # the reader is exhausted
+                    break
+                values = _convert(rows, width)
+                for k in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
+                    raw[done + k] = rows[k]
+                blocks.append(values)
+                line_blocks.append(np.array(lines, dtype=np.int64))
+                done += len(rows)
     except OSError as exc:
         raise WorkloadError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         raise WorkloadError(f"{path.name} line {reader.line_num}: {exc}") from None
-    return _Table(path, header, rows, lines, long_rows)
+    return _Table(path, header, np.concatenate(blocks), np.concatenate(line_blocks), long_rows, raw)
+
+
+def _require_rows(table: _Table) -> None:
+    """A machine or application table needs a data row; affinity.csv may list no pair."""
+    if not len(table.lines):
+        raise WorkloadError(f"{table.path.name}: no data rows")
 
 
 @contextmanager
@@ -471,13 +505,15 @@ def _read_affinity(path: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     table = _read_table(path, AFFINITY_FIELDS)
     i, j, u, a = (table.column(name) for name in AFFINITY_FIELDS)
-    ok = table.parsed(ints=AFFINITY_FIELDS)
+    ok = table.integral(AFFINITY_FIELDS)
     ok &= (0 <= i) & (i < n) & (0 <= j) & (j < m)
     ok &= ((u == 0) | (u == 1)) & ((a == 0) | (a == 1)) & ~((u == 1) & (a == 1))
     stop = len(ok) if ok.all() else int(np.argmin(ok))
     pairs = i[:stop].astype(np.intp), j[:stop].astype(np.intp)
     key = pairs[0] * m + pairs[1]
-    if stop and np.bincount(key).max() > 1:
+    seen = np.zeros(n * m, dtype=bool)
+    seen[key] = True
+    if np.count_nonzero(seen) < stop:
         order = np.argsort(key, kind="stable")
         repeat = key[order[1:]] == key[order[:-1]]
         later, earlier = order[1:][repeat], order[:-1][repeat]
@@ -488,7 +524,7 @@ def _read_affinity(path: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
             f"first given on line {table.lines[int(earlier[first])]}"
         )
     if stop < len(ok):
-        _check_pair(table.raw_row(stop), table.lines[stop], path, n, m)
+        _check_pair(table.row(stop), table.lines[stop], path, n, m)
         raise AssertionError(
             f"{path.name} line {table.lines[stop]}: a column check rejects the row, its row checks do not"
         )
@@ -541,10 +577,10 @@ def load_trace(
         return rng
 
     table = _read_table(machines_path, MACHINE_FIELDS, MACHINE_POWER_FIELDS)
+    _require_rows(table)
     power = tuple(name for name in MACHINE_POWER_FIELDS if name in table.index)
-    ok = table.parsed(floats=MACHINE_FIELDS[1:] + power, ints=MACHINE_FIELDS[:1])
     machine_rows = []
-    for line, get in table.checked_rows(ok):
+    for line, get in table.checked_rows():
         mid = get("machine_id", True)
         with _row_rules(machines_path, line):
             cap = ResourceVector(get("cpu_cap"), get("io_cap"), get("nw_cap"), get("mem_cap"))
@@ -574,10 +610,10 @@ def load_trace(
             machines.append(Machine(id=mid, capacity=cap, p_idle=p_idle, p_max=p_max))
 
     table = _read_table(applications_path, APPLICATION_FIELDS)
-    ok = table.parsed(floats=APPLICATION_FIELDS[1:5], ints=("app_id", "instances"))
+    _require_rows(table)
     applications = []
     app_lines = []
-    for line, get in table.checked_rows(ok):
+    for line, get in table.checked_rows():
         aid = get("app_id", True)
         with _row_rules(applications_path, line):
             demand = ResourceVector(get("cpu_req"), get("io_req"), get("nw_req"), get("mem_req"))

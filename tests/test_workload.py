@@ -1,11 +1,13 @@
 import hashlib
+import tracemalloc
 from math import inf, nan
 
 import numpy as np
 import pytest
 
-from powerplace import AffinityWeights
+from powerplace import AffinityWeights, workload
 from powerplace.workload import (
+    AFFINITY_FIELDS,
     GeneratorConfig,
     ResourceRanges,
     WorkloadError,
@@ -15,7 +17,7 @@ from powerplace.workload import (
     save_trace,
 )
 
-from support import scenarios_equal
+from support import scenarios_equal, traced_peak
 
 
 class TestGeneratorConfig:
@@ -464,6 +466,143 @@ class TestLoadTrace:
         m, a, f = self.write(tmp_path, affinity=bad)
         with pytest.raises(WorkloadError, match="out of range"):
             load_trace(m, a, f)
+
+    @pytest.mark.parametrize("with_affinity", [True, False], ids=["affinity", "no-affinity"])
+    @pytest.mark.parametrize(
+        "which, name",
+        [("machines", "machines.csv"), ("apps", "applications.csv")],
+        ids=["machines", "applications"],
+    )
+    def test_header_only_file_rejected(self, tmp_path, which, name, with_affinity):
+        files = {"machines": MACHINES_CSV, "apps": APPS_CSV}
+        files[which] = files[which].splitlines()[0] + "\n\n"
+        affinity = AFFINITY_CSV if with_affinity else None
+        m, a, f = self.write(tmp_path, files["machines"], files["apps"], affinity)
+        with pytest.raises(WorkloadError) as err:
+            load_trace(m, a, f)
+        assert str(err.value) == f"{name}: no data rows"
+
+    def test_header_only_affinity_file_lists_no_pair(self, tmp_path):
+        scn = generate_synthetic(GeneratorConfig(3, 2, seed=1, anti_affinity_fraction=0.0,
+                                                 user_affinity_density=0.0))
+        paths = save_trace(scn, tmp_path)
+        assert paths["affinity"].read_text() == ",".join(AFFINITY_FIELDS) + "\n"
+        loaded = load_trace(paths["machines"], paths["applications"], paths["affinity"])
+        assert scenarios_equal(loaded, scn)
+
+    @pytest.mark.parametrize("which", ["machines", "applications", "affinity"])
+    def test_byte_order_mark_accepted(self, tmp_path, which):
+        scn = generate_synthetic(GeneratorConfig(6, 5, seed=2, anti_affinity_fraction=0.3))
+        paths = save_trace(scn, tmp_path)
+        text = paths[which].read_text(encoding="utf-8")
+        paths[which].write_text("\ufeff" + text, encoding="utf-8")
+        assert paths[which].read_bytes().startswith(b"\xef\xbb\xbf" + text[:4].encode())
+        loaded = load_trace(paths["machines"], paths["applications"], paths["affinity"])
+        assert scenarios_equal(loaded, scn)
+
+    def test_peak_memory_is_bounded_by_the_scenario(self, tmp_path):
+        # the fleet-large benchmark trace
+        scn = generate_synthetic(GeneratorConfig(500, 400, seed=7, instance_range=(2, 4)))
+        paths = save_trace(scn, tmp_path)
+
+        def load():
+            loaded = load_trace(paths["machines"], paths["applications"], paths["affinity"])
+            return loaded, tracemalloc.get_traced_memory()[0]
+
+        (loaded, kept), peak = traced_peak(load)
+        assert scenarios_equal(loaded, scn)
+        # converted in blocks, the rows cost about what the scenario keeps
+        assert peak < 2.5 * kept, (peak, kept)
+
+
+BLOCK_MACHINES = MACHINES_CSV.splitlines()[0] + "\n" + "".join(
+    f"{j},8.0,100.0,100.0,16.0,90.0,210.0\n" for j in range(8)
+)
+BLOCK_APPS = APPS_CSV.splitlines()[0] + "\n0,1.0,10.0,10.0,1.0,1\n1,1.0,10.0,10.0,1.0,2\n"
+# Good rows of each file, and the bad row and its message for each kind of rejection.
+BLOCK_GOOD = {
+    "machines": [f"{j},8.0,100.0,100.0,16.0,90.0,210.0" for j in range(8)],
+    "affinity": [f"{k % 2},{k // 2},{int(k % 3 == 0)},0" for k in range(10)],
+}
+BLOCK_BAD = {
+    ("machines", "bad-number"): ("8,8.0,oops,100.0,16.0,90.0,210.0", "bad number 'oops' for 'io_cap'"),
+    ("machines", "nan"): ("8,nan,100.0,100.0,16.0,90.0,210.0", "'cpu_cap' must be finite, got 'nan'"),
+    ("machines", "long-row"): ("8,8.0,100.0,100.0,16.0,90.0,210.0,1", "8 fields, but the header has 7"),
+    ("machines", "non-integer-id"): ("8.5,8.0,100.0,100.0,16.0,90.0,210.0",
+                                     "'machine_id' must be an integer, got 8.5"),
+    ("machines", "repeat"): ("0,8.0,100.0,100.0,16.0,90.0,210.0",
+                             "duplicate machine id 0, first given on line 2"),
+    ("affinity", "bad-number"): ("1,x,0,0", "bad number 'x' for 'machine_id'"),
+    ("affinity", "nan"): ("1,7,nan,0", "'user_affinity' must be finite, got 'nan'"),
+    ("affinity", "long-row"): ("1,7,0,0,0", "5 fields, but the header has 4"),
+    ("affinity", "non-integer-id"): ("1.5,7,0,0", "'app_id' must be an integer, got 1.5"),
+    ("affinity", "repeat"): ("0,0,0,1", "duplicate pair (0, 0), first given on line 2"),
+}
+
+
+def _two_line(row: str) -> str:
+    """The row with its last field quoted and spanning two lines; it reads the same."""
+    head, last = row.rsplit(",", 1)
+    return f'{head},"{last}\n"'
+
+
+class TestReaderBlocks:
+    """Rows rejected at and across block boundaries report what one block reports."""
+
+    def write(self, tmp_path, which, text):
+        m, a, f = (tmp_path / name for name in ("machines.csv", "applications.csv", "affinity.csv"))
+        m.write_text(text if which == "machines" else BLOCK_MACHINES)
+        a.write_text(BLOCK_APPS)
+        if which == "machines":
+            return m, a, None
+        f.write_text(text)
+        return m, a, f
+
+    @pytest.mark.parametrize("which, kind", list(BLOCK_BAD), ids=[f"{w}-{k}" for w, k in BLOCK_BAD])
+    def test_rejected_row_at_block_boundaries(self, tmp_path, monkeypatch, which, kind):
+        bad, problem = BLOCK_BAD[which, kind]
+        good = BLOCK_GOOD[which]
+        header = (MACHINES_CSV if which == "machines" else AFFINITY_CSV).splitlines()[0]
+        placed = set()
+        for after in range(1, len(good) + 1):
+            # after good rows, the last of them spanning two lines, then two blank lines
+            head = [header, *good[:after - 1], _two_line(good[after - 1]), "", ""]
+            prefix = "\n".join(head) + "\n"
+            text = prefix + bad + "\n" + "".join(row + "\n" for row in good[after:])
+            line = prefix.count("\n") + 1
+            expected = f"{which}.csv line {line}: {problem}"
+            m, a, f = self.write(tmp_path, which, text)
+            for size in (1, 2, 3, 4, 5, workload._BLOCK_ROWS):
+                monkeypatch.setattr(workload, "_BLOCK_ROWS", size)
+                with pytest.raises(WorkloadError) as err:
+                    load_trace(m, a, f)
+                assert str(err.value) == expected, (after, size)
+                # records before the bad one: after rows and two blank lines
+                placed.add((size, (after + 2) % size))
+        # the bad row was the last record of a block, the first of one and the second
+        assert {(4, 3), (4, 0), (4, 1)} <= placed
+
+    @staticmethod
+    def float_bits(scn):
+        cells = [(*mach.capacity.as_tuple(), mach.p_idle, mach.p_max) for mach in scn.machines]
+        cells += [app.demand.as_tuple() + (0.0, 0.0) for app in scn.applications]
+        return np.array(cells, dtype=np.float64).view(np.int64)
+
+    @pytest.mark.parametrize("size", [1, 3, None], ids=["1", "3", "default"])
+    def test_good_rows_load_bit_identically(self, tmp_path, monkeypatch, size):
+        # about 2,800 affinity rows: three blocks of the default size
+        scn = generate_synthetic(GeneratorConfig(100, 100, seed=5))
+        paths = save_trace(scn, tmp_path)
+        lines = paths["affinity"].read_text().splitlines(keepends=True)
+        assert len(lines) > 2 * workload._BLOCK_ROWS
+        # rows after a blank line and a two-line field keep their place
+        lines[5] = "\n" + _two_line(lines[5].rstrip("\n")) + "\n"
+        paths["affinity"].write_text("".join(lines))
+        if size is not None:
+            monkeypatch.setattr(workload, "_BLOCK_ROWS", size)
+        loaded = load_trace(paths["machines"], paths["applications"], paths["affinity"])
+        assert scenarios_equal(loaded, scn)
+        assert np.array_equal(self.float_bits(loaded), self.float_bits(scn))
 
 
 class TestSaveTrace:
