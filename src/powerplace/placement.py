@@ -11,9 +11,9 @@ not forbidden and has room. They differ only in how the machine is chosen:
              plus one list delete and one insert, not a sort of M machines
   aap        highest final affinity first. The affinity matrix is
              argsorted row by row once per call; a step walks its
-             application's row to the first admissible machine, then
-             only the rest of that run of equal affinity, for the lower
-             utilization
+             application's argsorted row in place to the first
+             admissible machine, then only the rest of that run of equal
+             affinity, for the lower utilization
   cpaap      evaluates the lowest-utilization machine and the
              highest-affinity machine and takes the cheaper step
              by the objective delta. The lowest-utilization machine is
@@ -164,10 +164,12 @@ def pap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
     return _greedy(scenario, choose)
 
 
-def _best_by_affinity(ledger: CapacityLedger, i: int, fi: list[float], order: list[int]) -> int:
+def _best_by_affinity(ledger: CapacityLedger, i: int, fi: memoryview, order: memoryview) -> int:
     """Admissible machine with the least key (-fi[j], pi[j], j), or -1.
 
-    ``order`` holds the machines by decreasing fi, equal fi in any order.
+    ``fi`` is application i's affinity row and ``order`` its argsorted row,
+    machines by decreasing fi, equal fi in any order. Both are read in
+    place, so only the machines the walk reaches become Python numbers.
     The first admissible one fixes the best affinity; only the rest of its
     run of equal fi can still beat it, on (pi, id). The admissibility test is
     ``CapacityLedger.admissible`` written out, without counting a probe.
@@ -199,17 +201,18 @@ def aap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
     values = affinity.values
     # One argsort per call, kept as a numpy array and read reversed through
     # a view, so no negated copy of the matrix is made. An application's
-    # instances are placed one after another, so only its row is live and
-    # becomes Python lists; N x M lists would only add memory.
+    # instances are placed one after another, so only its row is live. The
+    # walk reads it through a memoryview, which yields Python numbers for
+    # only the machines it reaches; a strided row is not copied.
     ranked = values.argsort(axis=1)[:, ::-1]
     m = scenario.num_machines
-    live, fi, order = -1, [], []
+    live, fi, order = -1, None, None
 
     def choose(ledger: CapacityLedger, i: int) -> int:
         nonlocal live, fi, order
         ledger.pairs += m
         if i != live:
-            live, fi, order = i, values[i].tolist(), ranked[i].tolist()
+            live, fi, order = i, memoryview(values[i]), memoryview(ranked[i])
         return _best_by_affinity(ledger, i, fi, order)
 
     return _greedy(scenario, choose)
@@ -226,7 +229,7 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
     require_final(scenario, affinity)
     values = affinity.values
     ranked = values.argsort(axis=1)[:, ::-1]  # live rows as in aap_place
-    live, fi, order = -1, [], []
+    live, fi, order = -1, None, None
     machines = scenario.machines
     m = len(machines)
     alpha = scenario.alpha
@@ -247,7 +250,7 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
         else:
             return -1
         if i != live:
-            live, fi, order = i, values[i].tolist(), ranked[i].tolist()
+            live, fi, order = i, memoryview(values[i]), memoryview(ranked[i])
         j2 = _best_by_affinity(ledger, i, fi, order)
         pi = ledger.pi
         after = ledger.pi_after(i, j1)

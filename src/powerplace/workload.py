@@ -646,11 +646,17 @@ def load_trace(
     )
 
 
+# Affinity cells save_trace scans at a time: one block's nonzero pairs are all
+# the per-pair Python objects it holds while it writes.
+_WRITE_BLOCK_CELLS = 1 << 16
+
+
 def save_trace(scenario: Scenario, directory: str | Path) -> dict[str, Path]:
     """Write a scenario as the three normalized CSVs; returns the paths.
 
     Floats are written with repr so a round trip through load_trace is
-    exact. Only nonzero affinity pairs are written.
+    exact. Only nonzero affinity pairs are written, in row-major order, a
+    block of about _WRITE_BLOCK_CELLS cells at a time.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -675,8 +681,14 @@ def save_trace(scenario: Scenario, directory: str | Path) -> dict[str, Path]:
             )
     with open(paths["affinity"], "w", encoding="utf-8") as fh:
         fh.write(",".join(AFFINITY_FIELDS) + "\n")
-        user, anti = scenario.user_affinity, scenario.anti_affinity
-        pairs = np.nonzero(user | anti)  # row-major: app, then machine
-        for i, j, u, a in zip(*(v.tolist() for v in (*pairs, user[pairs], anti[pairs]))):
-            fh.write(f"{i},{j},{u},{a}\n")
+        step = max(1, _WRITE_BLOCK_CELLS // scenario.num_machines)
+        for r0 in range(0, scenario.num_applications, step):
+            user = scenario.user_affinity[r0:r0 + step]
+            anti = scenario.anti_affinity[r0:r0 + step]
+            nonzero = (user | anti) != 0
+            rows, cols = np.nonzero(nonzero)  # row-major: app, then machine
+            pairs = (rows + r0, cols, user[nonzero], anti[nonzero])
+            fh.write("".join(
+                f"{i},{j},{u},{a}\n" for i, j, u, a in zip(*(v.tolist() for v in pairs))
+            ))
     return paths

@@ -13,9 +13,9 @@ from powerplace import (
     total_cost,
     validate_allocation,
 )
-from powerplace.affinity import build_final_affinity
+from powerplace.affinity import AffinityMatrix, build_final_affinity
 from powerplace.placement import PapPriorityState
-from powerplace.workload import GeneratorConfig, generate_synthetic
+from powerplace.workload import GeneratorConfig, ResourceRanges, generate_synthetic
 
 from support import (
     app,
@@ -135,6 +135,82 @@ class TestAap:
             out = aap_place(scn, f)
             replay_aap(scn, f, out)
             check_trace_shape(scn, out)
+
+
+def read_only(values):
+    values.setflags(write=False)
+    return values
+
+
+# Tight cpu, so machines fill and the run fails midway.
+TIGHT = ResourceRanges(cpu=(4, 16), io=(100, 200), nw=(100, 200), mem=(8, 32))
+
+
+def tie_laden(config):
+    """A scenario whose affinity matrix has long runs of equal values.
+
+    Rows 0-1 are 0.0 throughout, rows 2-3 are 0.5 throughout, and every
+    other row has 0.5 in its even columns. The built matrix already holds
+    0.0 where no machine fits and the user preference is 0, and 0.5 where
+    it is 1.
+    """
+    scn = generate_synthetic(config)
+    values = build_final_affinity(scn).values.copy()
+    values[:2] = 0.0
+    values[2:4] = 0.5
+    values[4:, ::2] = 0.5
+    return scn, values
+
+
+class TestAffinityLayouts:
+    """aap and cpaap read the live rows in place, whatever their strides."""
+
+    CONFIGS = {
+        "feasible": GeneratorConfig(
+            48, 12, seed=3, instance_range=(2, 5), anti_affinity_fraction=0.3,
+            user_affinity_density=0.5,
+        ),
+        "fails-midway": GeneratorConfig(
+            40, 30, seed=1, instance_range=(3, 6), anti_affinity_fraction=0.3,
+            user_affinity_density=0.5, capacity_ranges=TIGHT,
+        ),
+    }
+
+    @staticmethod
+    def layouts(values):
+        """The same values as a C-ordered copy and as three strided arrays."""
+        wide = np.zeros((values.shape[0], 2 * values.shape[1]))
+        wide[:, ::2] = values
+        return {
+            "c-contiguous": read_only(values.copy()),
+            "transposed-view": read_only(np.ascontiguousarray(values.T)).T,
+            "fortran": read_only(np.asfortranarray(values)),
+            "every-other-column": read_only(wide)[:, ::2],
+        }
+
+    @pytest.mark.parametrize("case", ["feasible", "fails-midway"])
+    @pytest.mark.parametrize(
+        "place, replay", [(aap_place, replay_aap), (cpaap_place, replay_cpaap)],
+        ids=["aap", "cpaap"],
+    )
+    def test_strided_rows_match_the_contiguous_copy(self, case, place, replay):
+        scn, values = tie_laden(self.CONFIGS[case])
+        outcomes = {}
+        for name, layout in self.layouts(values).items():
+            f = AffinityMatrix(values=layout)
+            # kept without a copy, so the walk meets the strided rows
+            assert f.values is layout
+            assert f.values.flags.c_contiguous == (name == "c-contiguous")
+            out = place(scn, f)
+            replay(scn, f, out)
+            outcomes[name] = out
+        ref = outcomes["c-contiguous"]
+        assert ref.feasible == (case == "feasible") and ref.trace
+        for name, out in outcomes.items():
+            assert out.trace == ref.trace, name
+            assert out.failed_at == ref.failed_at, name
+            assert out.pairs_examined == ref.pairs_examined, name
+            assert np.array_equal(out.allocation.counts, ref.allocation.counts), name
 
 
 class TestCpaap:
@@ -258,6 +334,33 @@ class TestSharedContracts:
             for name, place in ALGOS.items():
                 out = place(scn, f)
                 assert out.pairs_examined <= bound, name
+
+    @pytest.mark.parametrize("name", ALGOS)
+    def test_first_instance_failing_leaves_zero_counts(self, name):
+        scn = scenario(
+            [machine(j, cpu=2) for j in range(3)], [app(0, cpu=5, instances=2), app(1, cpu=1)],
+        )
+        out = ALGOS[name](scn, build_final_affinity(scn))
+        assert out.failed_at == (0, 0)
+        assert out.trace == ()
+        counts = out.allocation.counts
+        assert counts.dtype == np.int64
+        assert counts.shape == (2, 3)
+        assert not counts.any()
+
+    @pytest.mark.parametrize("name", ALGOS)
+    def test_counts_are_the_placed_cells_of_the_trace(self, name):
+        scn = generate_synthetic(
+            GeneratorConfig(6, 40, seed=3, instance_range=(3, 6), capacity_ranges=TIGHT)
+        )
+        out = ALGOS[name](scn, build_final_affinity(scn))
+        assert not out.feasible and out.trace
+        expected = np.zeros((40, 6), dtype=np.int64)
+        for i, _, j in out.trace:
+            expected[i, j] += 1
+        counts = out.allocation.counts
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, expected)
 
     def test_scenario_not_mutated(self):
         scn = generate_synthetic(GeneratorConfig(6, 5, seed=1))

@@ -633,3 +633,27 @@ class TestSaveTrace:
             alpha=9.0, pi_threshold=0.4, weights=AffinityWeights(0.25, 0.25, 0.25, 0.25),
         )
         assert scenarios_equal(scn, loaded)
+
+    @staticmethod
+    def one_shot_affinity_csv(scn):
+        """affinity.csv as written with every nonzero pair converted at once."""
+        user, anti = scn.user_affinity, scn.anti_affinity
+        pairs = np.nonzero(user | anti)
+        lines = [",".join(AFFINITY_FIELDS) + "\n"]
+        for i, j, u, a in zip(*(v.tolist() for v in (*pairs, user[pairs], anti[pairs]))):
+            lines.append(f"{i},{j},{u},{a}\n")
+        return "".join(lines).encode()
+
+    @pytest.mark.parametrize("cells", [1, 250, 799, None], ids=["1", "250", "799", "default"])
+    def test_blocks_write_the_one_shot_bytes(self, tmp_path, monkeypatch, cells):
+        # 150,000 cells: three blocks of the default size
+        scn = generate_synthetic(GeneratorConfig(100, 1500, seed=4, anti_affinity_fraction=0.3))
+        assert scn.num_applications * scn.num_machines > 2 * workload._WRITE_BLOCK_CELLS
+        if cells is not None:
+            # one row a block (fewer cells than a row still take a row),
+            # two rows, and seven rows, which leave a last block of two
+            monkeypatch.setattr(workload, "_WRITE_BLOCK_CELLS", cells)
+        paths = save_trace(scn, tmp_path)
+        assert paths["affinity"].read_bytes() == self.one_shot_affinity_csv(scn)
+        loaded = load_trace(paths["machines"], paths["applications"], paths["affinity"])
+        assert scenarios_equal(scn, loaded)
