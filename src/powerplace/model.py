@@ -10,8 +10,9 @@ per-machine resource capacities are never exceeded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -25,6 +26,14 @@ RESOURCE_NAMES = ("cpu", "io", "nw", "mem")
 
 class ModelError(ValueError):
     """Malformed model input: bad dimensions, negative or non-finite quantities, id gaps."""
+
+
+def _integer(name: str, value) -> int:
+    # True is an Integral but no id or count; 0.0 passes the id check but fails as an index.
+    # A numpy integer is stored as int, so traces and failure points hold Python ints
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ModelError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -86,6 +95,7 @@ class Machine:
     p_max: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "id", _integer("machine id", self.id))
         if not (math.isfinite(self.p_idle) and math.isfinite(self.p_max)):
             raise ModelError(f"machine {self.id}: p_idle and p_max must be finite")
         if self.p_idle < 0 or self.p_max < self.p_idle:
@@ -108,6 +118,9 @@ class Application:
     instances: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "id", _integer("application id", self.id))
+        instances = _integer(f"application {self.id}: instances", self.instances)
+        object.__setattr__(self, "instances", instances)
         if self.instances < 1:
             raise ModelError(f"application {self.id}: instances must be >= 1")
         if self.demand.cpu <= 0:
@@ -277,12 +290,10 @@ class CapacityLedger:
     below zero by no more than CAPACITY_SLACK of the capacity is float
     residue and is clamped to 0. ``pi[j]`` is the cpu utilization, snapped
     to 1.0 when it overshoots by no more than CAPACITY_SLACK. ``anti`` is
-    the scenario's ``anti_rows``, shared, not copied. ``pairs`` is the
+    the scenario's ``anti_rows``, shared, not copied. ``first_admissible``
+    holds the one admissibility test and counts nothing. ``pairs`` is the
     placement work count: ``admissible`` adds one per probe, and only the
-    exact solver calls it. The greedy strategies test admissibility inline
-    and add their own counts: pap the probes its scan makes, first_fit
-    those plus the machines it skips, each a probe that would be rejected,
-    and aap and cpaap M per step, the machines their rule ranks.
+    exact solver calls it; the greedy strategies add their own counts.
     """
 
     __slots__ = ("caps", "remaining", "cpu_cap", "used_cpu", "pi", "anti", "demands", "pairs")
@@ -301,11 +312,22 @@ class CapacityLedger:
     def admissible(self, i: int, j: int) -> bool:
         """Application i may take one more instance on machine j; counts one pair."""
         self.pairs += 1
-        if self.anti[i][j]:
-            return False
-        d = self.demands[i]
-        r = self.remaining[j]
-        return d[0] <= r[0] and d[1] <= r[1] and d[2] <= r[2] and d[3] <= r[3]
+        return self.first_admissible(i, (j,)) >= 0
+
+    def first_admissible(self, i: int, machines: Iterable[int]) -> int:
+        """First of ``machines`` that admits one more instance of application i, or -1.
+
+        Admits: the pair is not anti-affine and cpu, io, nw and mem all fit.
+        The scan stops at the machine it returns: an iterator resumes after it.
+        """
+        anti = self.anti[i]
+        d0, d1, d2, d3 = self.demands[i]
+        remaining = self.remaining
+        for j in machines:
+            r = remaining[j]
+            if not anti[j] and d0 <= r[0] and d1 <= r[1] and d2 <= r[2] and d3 <= r[3]:
+                return j
+        return -1
 
     def pi_after(self, i: int, j: int) -> float:
         """Utilization of machine j once one more instance of application i is added."""

@@ -1,44 +1,33 @@
 """Greedy placement algorithms.
 
-Four single-pass strategies share the same skeleton: sort applications by
-decreasing demand, then place instances one at a time on a machine that is
-not forbidden and has room. They differ only in how the machine is chosen:
+Four single-pass strategies share one skeleton, ``_greedy``: sort
+applications by decreasing demand, then place instances one at a time.
+Each step takes a machine that ``CapacityLedger.first_admissible`` accepts
+(not anti-affine, and every resource fits), the first in the strategy's
+own machine order:
 
-  pap        lowest priority parameter first; the parameter tracks
+  pap        (priority parameter, id), kept sorted; the parameter tracks
              utilization below a threshold, then escalates (1, then
-             doubling) so hot machines drop out of rotation. The machines
-             are kept sorted by (parameter, id): a step costs its probes
-             plus one list delete and one insert, not a sort of M machines
-  aap        highest final affinity first. The affinity matrix is
-             argsorted row by row once per call; a step walks its
-             application's argsorted row in place to the first
-             admissible machine, then only the rest of that run of equal
-             affinity, for the lower utilization
-  cpaap      evaluates the lowest-utilization machine and the
-             highest-affinity machine and takes the cheaper step
-             by the objective delta. The lowest-utilization machine is
-             the first admissible one in a (utilization, id) order that
-             is kept sorted as pap's is; the other comes from aap's walk
-  first_fit  lowest machine id first (baseline). A machine that rejects
-             an instance rejects the rest of its application's instances,
-             so each scan resumes at the machine the last one took
+             doubling) so hot machines drop out of rotation
+  aap        decreasing final affinity, from one argsort per call; the
+             rest of the first machine's run of equal affinity may still
+             win on (utilization, id)
+  cpaap      the cheaper by objective delta of aap's machine and the first
+             in (utilization, id) order, kept sorted as pap's order is
+  first_fit  machine id (baseline); a machine that rejects an instance
+             rejects the rest of its application's, so each scan resumes
+             at the machine the last one took
 
 All are deterministic: every tie falls back to machine id. Infeasibility
 is an outcome, not an exception; the partial allocation and trace are
-returned for diagnosis.
-
-``pairs_examined`` is the work count. pap and first_fit count their
-probes: the machines tried up to the one chosen, all M on a failing step.
-first_fit counts the machines its resumed scan skips as the rejected
-probes they are, so a step that places on machine j counts j + 1.
-aap and cpaap rank all M machines by definition, so each of their steps
-counts M, the failing one included, however few machines the walk tries.
+returned for diagnosis. ``PlacementOutcome`` defines the work count.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,13 +49,15 @@ class PlacementOutcome:
     """Result of one placement run.
 
     ``trace`` lists placements in execution order. ``failed_at`` names the
-    first (application id, instance index) that could not be placed; the
-    allocation then holds everything placed up to that point.
-    ``pairs_examined`` counts (candidate machine, instance) pairs, the
-    work unit of these algorithms: the feasibility probes of pap and
-    first_fit (the machines first_fit's resumed scan skips count as the
-    rejected probes they are), and M per step of aap and cpaap, which rank
-    every machine.
+    first (application id, instance index) a strategy could not place; the
+    allocation then holds everything placed up to that point. The exact
+    solver's outcome (``harness.run_scenario`` with "oracle") has no such
+    point: an infeasible scenario gives ``failed_at`` None, an empty trace
+    and an all-zero allocation. ``pairs_examined`` counts (candidate
+    machine, instance) pairs: the probes of pap and first_fit, all M on a
+    failing step (the machines first_fit's resumed scan skips count as the
+    rejected probes they are, so placing on j counts j + 1), and M per
+    step of aap and cpaap, which rank every machine.
     """
 
     allocation: AllocationMatrix
@@ -94,11 +85,19 @@ class PapPriorityState:
     def __post_init__(self) -> None:
         self.order = sorted((w, j) for j, w in enumerate(self.omega))
 
-    def after_placement(self, j: int, pi: float) -> None:
+    def after_placement(self, j: int, pi: float) -> int:
+        """Move j's parameter on after a placement; returns j's old position in ``order``."""
         w = self.omega[j]
         self.omega[j] = new = pi if w < self.threshold else 1.0 if w < 1.0 else 2.0 * w
-        del self.order[bisect_left(self.order, (w, j))]
-        insort(self.order, (new, j))
+        return _refile(self.order, (w, j), (new, j))
+
+
+def _refile(order: list[tuple[float, int]], old: tuple[float, int], new: tuple[float, int]) -> int:
+    """Replace ``old`` by ``new`` in the ascending list ``order``; returns old's position."""
+    k = bisect_left(order, old)
+    del order[k]
+    insort(order, new)
+    return k
 
 
 def sort_applications(applications: Sequence[Application]) -> list[Application]:
@@ -115,8 +114,8 @@ def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) ->
     Applications go in ``sort_applications`` order, instances one at a
     time. ``choose(ledger, i)`` returns the machine for the next instance
     of application i, or -1 when none is admissible, which ends the run.
-    It adds its work to ``ledger.pairs``: pap the probes its scan makes,
-    first_fit the probes its scan makes or skips, aap and cpaap M per step.
+    It finds the machine with ``ledger.first_admissible`` and adds its
+    work, as ``PlacementOutcome`` counts it, to ``ledger.pairs``.
     """
     ledger = CapacityLedger(scenario)
     counts = np.zeros((scenario.num_applications, scenario.num_machines), dtype=np.int64)
@@ -147,49 +146,60 @@ def pap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
     state = PapPriorityState(omega=[0.0] * m, threshold=scenario.pi_threshold)
 
     def choose(ledger: CapacityLedger, i: int) -> int:
-        anti = ledger.anti[i]
-        d0, d1, d2, d3 = ledger.demands[i]
-        remaining = ledger.remaining
-        for k, (_, j) in enumerate(state.order, 1):
-            r = remaining[j]
-            if not anti[j] and d0 <= r[0] and d1 <= r[1] and d2 <= r[2] and d3 <= r[3]:
-                ledger.pairs += k
-                # the returned machine is always placed, so its priority
-                # moves on now, with the utilization it is about to have
-                state.after_placement(j, ledger.pi_after(i, j))
-                return j
-        ledger.pairs += m
-        return -1
+        j = ledger.first_admissible(i, map(itemgetter(1), state.order))
+        if j < 0:
+            ledger.pairs += m
+            return j
+        # the returned machine is always placed, so its priority moves on
+        # now, with the utilization it is about to have; its old position
+        # in the scan order gives the probes made
+        ledger.pairs += state.after_placement(j, ledger.pi_after(i, j)) + 1
+        return j
 
     return _greedy(scenario, choose)
 
 
-def _best_by_affinity(ledger: CapacityLedger, i: int, fi: memoryview, order: memoryview) -> int:
-    """Admissible machine with the least key (-fi[j], pi[j], j), or -1.
+class _AffinityWalk:
+    """aap's choice rule: the admissible machine of least (-fi[j], pi[j], j).
 
-    ``fi`` is application i's affinity row and ``order`` its argsorted row,
-    machines by decreasing fi, equal fi in any order. Both are read in
-    place, so only the machines the walk reaches become Python numbers.
-    The first admissible one fixes the best affinity; only the rest of its
-    run of equal fi can still beat it, on (pi, id). The admissibility test is
-    ``CapacityLedger.admissible`` written out, without counting a probe.
+    The matrix is argsorted once, read reversed through a view, so no
+    negated copy is made. An application's instances are placed one after
+    another, so only its rows are live: ``fi`` (affinity) and ``order``
+    (argsorted), memoryviews that yield Python numbers for only the
+    machines a walk reaches; a strided row is not copied. ``choose`` hands
+    ``iter(order)`` to ``first_admissible``, whose machine fixes the best
+    affinity. That scan stops just past the machine it returns, so the same
+    iterator goes on through the rest of the run of equal affinity, where
+    an admissible machine can still win on (pi, id). A step ranks every
+    machine, so it counts M pairs, however few the walk reaches.
     """
-    anti = ledger.anti[i]
-    d0, d1, d2, d3 = ledger.demands[i]
-    remaining = ledger.remaining
-    pi = ledger.pi
-    best = -1
-    for j in order:
-        if best >= 0:
+
+    __slots__ = ("values", "ranked", "live", "fi", "order")
+
+    def __init__(self, affinity: AffinityMatrix):
+        self.values = affinity.values
+        self.ranked = self.values.argsort(axis=1)[:, ::-1]
+        self.live = -1
+
+    def choose(self, ledger: CapacityLedger, i: int) -> int:
+        """Application i's machine by the rule above, or -1 when none is admissible."""
+        if i != self.live:
+            self.live, self.fi, self.order = i, memoryview(self.values[i]), memoryview(self.ranked[i])
+        fi = self.fi
+        ledger.pairs += len(fi)
+        rest = iter(self.order)
+        best = ledger.first_admissible(i, rest)
+        if best < 0:
+            return best
+        pi = ledger.pi
+        v, best_pi = fi[best], pi[best]
+        for j in rest:
             if fi[j] != v:
                 break
             p = pi[j]
-            if p > best_pi or (p == best_pi and j > best):
-                continue
-        r = remaining[j]
-        if not anti[j] and d0 <= r[0] and d1 <= r[1] and d2 <= r[2] and d3 <= r[3]:
-            best, v, best_pi = j, fi[j], pi[j]
-    return best
+            if (p < best_pi or (p == best_pi and j < best)) and ledger.first_admissible(i, (j,)) >= 0:
+                best, best_pi = j, p
+        return best
 
 
 def aap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
@@ -198,24 +208,7 @@ def aap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
     Ties go to the lower current utilization, then the lower machine id.
     """
     require_final(scenario, affinity)
-    values = affinity.values
-    # One argsort per call, kept as a numpy array and read reversed through
-    # a view, so no negated copy of the matrix is made. An application's
-    # instances are placed one after another, so only its row is live. The
-    # walk reads it through a memoryview, which yields Python numbers for
-    # only the machines it reaches; a strided row is not copied.
-    ranked = values.argsort(axis=1)[:, ::-1]
-    m = scenario.num_machines
-    live, fi, order = -1, None, None
-
-    def choose(ledger: CapacityLedger, i: int) -> int:
-        nonlocal live, fi, order
-        ledger.pairs += m
-        if i != live:
-            live, fi, order = i, memoryview(values[i]), memoryview(ranked[i])
-        return _best_by_affinity(ledger, i, fi, order)
-
-    return _greedy(scenario, choose)
+    return _greedy(scenario, _AffinityWalk(affinity).choose)
 
 
 def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
@@ -227,9 +220,7 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
     with candidate one winning ties. The candidates may coincide.
     """
     require_final(scenario, affinity)
-    values = affinity.values
-    ranked = values.argsort(axis=1)[:, ::-1]  # live rows as in aap_place
-    live, fi, order = -1, None, None
+    walk = _AffinityWalk(affinity)
     machines = scenario.machines
     m = len(machines)
     alpha = scenario.alpha
@@ -238,23 +229,15 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
     by_pi = [(0.0, j) for j in range(m)]
 
     def choose(ledger: CapacityLedger, i: int) -> int:
-        nonlocal live, fi, order
-        ledger.pairs += m
-        anti = ledger.anti[i]
-        d0, d1, d2, d3 = ledger.demands[i]
-        remaining = ledger.remaining
-        for _, j1 in by_pi:
-            r = remaining[j1]
-            if not anti[j1] and d0 <= r[0] and d1 <= r[1] and d2 <= r[2] and d3 <= r[3]:
-                break
-        else:
-            return -1
-        if i != live:
-            live, fi, order = i, memoryview(values[i]), memoryview(ranked[i])
-        j2 = _best_by_affinity(ledger, i, fi, order)
+        # both candidates are admissible, so they exist or fail together
+        j2 = walk.choose(ledger, i)
+        if j2 < 0:
+            return j2
+        j1 = ledger.first_admissible(i, map(itemgetter(1), by_pi))
         pi = ledger.pi
         after = ledger.pi_after(i, j1)
         if j1 != j2:
+            fi = walk.fi
             after2 = ledger.pi_after(i, j2)
             cost1 = delta_cost(machines[j1], pi[j1], after, fi[j1], alpha)
             cost2 = delta_cost(machines[j2], pi[j2], after2, fi[j2], alpha)
@@ -262,8 +245,7 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
                 j1, after = j2, after2
         # the returned machine is always placed: its pair moves now, to the
         # utilization CapacityLedger.add is about to give it
-        del by_pi[bisect_left(by_pi, (pi[j1], j1))]
-        insort(by_pi, (after, j1))
+        _refile(by_pi, (pi[j1], j1), (after, j1))
         return j1
 
     return _greedy(scenario, choose)
@@ -286,16 +268,12 @@ def first_fit_place(scenario: Scenario) -> PlacementOutcome:
         nonlocal live, start
         if i != live:
             live, start = i, 0
-        anti = ledger.anti[i]
-        d0, d1, d2, d3 = ledger.demands[i]
-        remaining = ledger.remaining
-        for j in range(start, m):
-            r = remaining[j]
-            if not anti[j] and d0 <= r[0] and d1 <= r[1] and d2 <= r[2] and d3 <= r[3]:
-                start = j
-                ledger.pairs += j + 1
-                return j
-        ledger.pairs += m
-        return -1
+        j = ledger.first_admissible(i, range(start, m))
+        if j < 0:
+            ledger.pairs += m
+            return j
+        start = j
+        ledger.pairs += j + 1
+        return j
 
     return _greedy(scenario, choose)

@@ -4,8 +4,9 @@ The replay validators re-simulate a placement applying each algorithm's
 rule the slow way (a full re-sort, a ranking of every machine, or a scan
 from machine 0 per step), and require the same trace, failure point and
 work count. pap's, aap's and cpaap's keep their own bookkeeping;
-first_fit's probes through CapacityLedger.admissible, the scalar test that
-counts each probe, which first_fit itself no longer calls.
+first_fit's probes each machine through CapacityLedger.admissible, which
+counts one pair per call, while first_fit scans with first_admissible,
+which counts nothing, and adds its own count.
 The exact solver's replay searches depth first with one call per machine
 and instance, and must agree with the solver's whole-row enumeration on
 nodes, the exhausted flag, the optimum and, within float noise, its cost.

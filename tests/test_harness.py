@@ -48,6 +48,15 @@ class TestRunScenario:
         assert result.report.total_cost == direct.total
         assert result.outcome.trace == ((0, 0, 0),)
 
+    def test_infeasible_oracle_outcome_has_no_failure_point(self):
+        # unlike a greedy strategy, the exact solver names no instance it
+        # could not place: it reports an empty trace and allocation
+        scn = scenario([machine(0, cpu=1)], [app(0, cpu=1, instances=2)])
+        out = run_scenario(scn, "oracle", final_matrix([[0.0]])).outcome
+        assert out.feasible is False and out.failed_at is None and out.trace == ()
+        assert out.allocation.counts.tolist() == [[0]]
+        assert run_scenario(scn, "first_fit").outcome.failed_at == (0, 1)
+
     def test_oracle_cut_short_by_budget_is_an_error(self):
         scn = generate_synthetic(GeneratorConfig(4, 4, seed=2, instance_range=(2, 2)))
         f = build_final_affinity(scn)

@@ -18,6 +18,7 @@ from powerplace import (
 )
 from powerplace.model import CapacityLedger
 from powerplace.oracle import optimal_place
+from powerplace.placement import first_fit_place
 from powerplace.affinity import build_final_affinity
 
 from support import app, machine, scenario, traced_peak
@@ -46,6 +47,31 @@ class TestTypes:
             Application(0, ResourceVector(0, 1, 1, 1), 1)
         with pytest.raises(ModelError):
             Application(0, ResourceVector(1, 1, 1, 1), 0)
+
+    @pytest.mark.parametrize("bad", [0.0, np.float64(1.0), 2.5, True, np.bool_(True), "1"],
+                             ids=["float", "np_float", "fraction", "bool", "np_bool", "str"])
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda v: machine(v), "machine id"),
+            (lambda v: app(v), "application id"),
+            (lambda v: app(0, instances=v), "instances"),
+        ],
+        ids=["machine_id", "application_id", "instances"],
+    )
+    def test_ids_and_instance_counts_must_be_integers(self, build, name, bad):
+        # a float id equals its position (0.0 == 0) and then fails as an index
+        with pytest.raises(ModelError, match=f"{name} must be an integer"):
+            build(bad)
+
+    def test_numpy_integer_ids_and_counts_are_stored_as_ints(self):
+        one = np.int64(1)
+        scn = scenario([machine(np.int64(0)), machine(one)], [app(np.int32(0), instances=one + 1)])
+        values = [scn.machines[1].id, scn.applications[0].id, scn.applications[0].instances]
+        assert values == [1, 0, 2] and {type(v) for v in values} == {int}
+        out = first_fit_place(scn)
+        assert out.allocation.counts.tolist() == [[2, 0]]
+        assert {type(v) for event in out.trace for v in event} == {int}
 
     def test_scenario_rejects_user_anti_overlap(self):
         with pytest.raises(ModelError, match="both set"):
@@ -203,6 +229,54 @@ class TestFits:
         assert not ledger.admissible(0, 0)
         assert ledger.admissible(0, 1)
         assert ledger.pairs == 2
+
+    def test_first_admissible_follows_the_given_order_not_the_ids(self):
+        ledger = ledger_for([machine(j) for j in range(3)], [app(0)])
+        assert ledger.first_admissible(0, [2, 0, 1]) == 2
+        assert ledger.first_admissible(0, range(3)) == 0
+
+    @pytest.mark.parametrize(
+        "blocked, anti",
+        [
+            (machine(0), [[1, 0]]),
+            (machine(0, cpu=3), None),
+            (machine(0, io=49), None),
+            (machine(0, nw=24), None),
+            (machine(0, mem=7), None),
+        ],
+        ids=["anti_affinity", "cpu", "io", "nw", "mem"],
+    )
+    def test_first_admissible_skips_a_blocked_machine(self, blocked, anti):
+        ledger = ledger_for([blocked, machine(1)], [app(0, 4, 50, 25, 8)], anti=anti)
+        assert ledger.first_admissible(0, [0]) == -1
+        assert ledger.first_admissible(0, [0, 1]) == 1
+
+    def test_first_admissible_takes_an_exact_fit(self):
+        ledger = ledger_for([machine(0, 4, 50, 25, 8)], [app(0, 4, 50, 25, 8)])
+        assert ledger.first_admissible(0, [0]) == 0
+
+    def test_first_admissible_of_no_machines_is_minus_one(self):
+        ledger = ledger_for([machine(0)], [app(0)])
+        assert ledger.first_admissible(0, []) == -1
+        assert ledger.first_admissible(0, iter(())) == -1
+
+    def test_first_admissible_counts_no_pairs(self):
+        ledger = ledger_for([machine(0, cpu=3), machine(1)], [app(0, cpu=4)])
+        assert ledger.first_admissible(0, [0, 1]) == 1
+        assert ledger.first_admissible(0, [0]) == -1
+        assert ledger.pairs == 0
+
+    def test_first_admissible_leaves_an_iterator_just_past_its_machine(self):
+        # machines 1 and 3 fit; the rest of the iterator starts at 2
+        machines = [machine(j, cpu=10 if j % 2 else 3) for j in range(4)]
+        ledger = ledger_for(machines, [app(0, cpu=4)])
+        rest = iter(range(4))
+        assert ledger.first_admissible(0, rest) == 1
+        assert list(rest) == [2, 3]
+        rest = iter([3, 1, 0])
+        assert ledger.first_admissible(0, rest) == 3
+        assert ledger.first_admissible(0, rest) == 1
+        assert ledger.first_admissible(0, rest) == -1
 
     @settings(max_examples=200)
     @given(

@@ -128,6 +128,23 @@ class TestAap:
         out = aap_place(scn, final_matrix([[0.9, 0.1]]))
         assert out.allocation.counts.tolist() == [[0, 1]]
 
+    @pytest.mark.parametrize("block", ["anti_affinity", "full"])
+    def test_equal_affinity_run_skips_a_blocked_emptier_machine(self, block):
+        # apps 0-3 each fit one machine only and leave cpu utilization
+        # 0.6, 0.2, 0.4, 0.8 on machines 0-3; app 3 also fills machine 1's
+        # memory. App 4 sees one run of equal affinity: the emptiest
+        # machine, 1, is anti-affine or full, so the next-emptiest, 2, wins
+        machines = [machine(j, cpu=10, mem=16) for j in range(4)]
+        apps = [app(0, cpu=8), app(1, cpu=6), app(2, cpu=4),
+                app(3, cpu=2, mem=16 if block == "full" else 0), app(4, cpu=1, mem=1)]
+        anti = [[1, 1, 1, 0], [0, 1, 1, 1], [1, 1, 0, 1], [1, 0, 1, 1],
+                [0, 1, 0, 0] if block == "anti_affinity" else [0, 0, 0, 0]]
+        scn = scenario(machines, apps, anti=anti)
+        out = aap_place(scn, final_matrix([[0.5] * 4] * 5))
+        assert out.trace[-1] == (4, 0, 2)
+        assert out.allocation.counts.tolist() == [
+            [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+
     def test_replayed_per_step_optimality(self):
         for seed in range(12):
             scn = generate_synthetic(GeneratorConfig(8, 7, seed=seed, anti_affinity_fraction=0.3))
