@@ -292,8 +292,8 @@ class CapacityLedger:
     to 1.0 when it overshoots by no more than CAPACITY_SLACK. ``anti`` is
     the scenario's ``anti_rows``, shared, not copied. ``first_admissible``
     holds the one admissibility test and counts nothing. ``pairs`` is the
-    placement work count: ``admissible`` adds one per probe, and only the
-    exact solver calls it; the greedy strategies add their own counts.
+    greedy strategies' work count: they add to it themselves, and the ledger
+    never changes it.
     """
 
     __slots__ = ("caps", "remaining", "cpu_cap", "used_cpu", "pi", "anti", "demands", "pairs")
@@ -308,11 +308,6 @@ class CapacityLedger:
         self.anti = scenario.anti_rows
         self.demands = [app.demand.as_tuple() for app in scenario.applications]
         self.pairs = 0
-
-    def admissible(self, i: int, j: int) -> bool:
-        """Application i may take one more instance on machine j; counts one pair."""
-        self.pairs += 1
-        return self.first_admissible(i, (j,)) >= 0
 
     def first_admissible(self, i: int, machines: Iterable[int]) -> int:
         """First of ``machines`` that admits one more instance of application i, or -1.

@@ -113,7 +113,7 @@ class _Search:
         fij, span, alpha, k = self.f[i][j], self.spans[j], self.alpha, self.instances[i]
         payoff = state.payoff
         ladder = [_MachineState(state.remaining, state.used_cpu, payoff, state.term)]
-        while len(ladder) <= k and ledger.admissible(i, j):
+        while len(ladder) <= k and ledger.first_admissible(i, (j,)) >= 0:
             ledger.add(i, j)
             payoff += fij
             pi = ledger.pi[j]

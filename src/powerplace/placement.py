@@ -13,7 +13,8 @@ own machine order:
              rest of the first machine's run of equal affinity may still
              win on (utilization, id)
   cpaap      the cheaper by objective delta of aap's machine and the first
-             in (utilization, id) order, kept sorted as pap's order is
+             in pap's order under a threshold no utilization reaches, which
+             is (utilization, id) order
   first_fit  machine id (baseline); a machine that rejects an instance
              rejects the rest of its application's, so each scan resumes
              at the machine the last one took
@@ -25,6 +26,7 @@ returned for diagnosis. ``PlacementOutcome`` defines the work count.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -54,10 +56,10 @@ class PlacementOutcome:
     solver's outcome (``harness.run_scenario`` with "oracle") has no such
     point: an infeasible scenario gives ``failed_at`` None, an empty trace
     and an all-zero allocation. ``pairs_examined`` counts (candidate
-    machine, instance) pairs: the probes of pap and first_fit, all M on a
-    failing step (the machines first_fit's resumed scan skips count as the
-    rejected probes they are, so placing on j counts j + 1), and M per
-    step of aap and cpaap, which rank every machine.
+    machine, instance) pairs: the probes of pap and first_fit (the machines
+    first_fit's resumed scan skips count as the rejected probes they are, so
+    placing on j counts j + 1), M per step of aap and cpaap, which rank
+    every machine, and M on the failing step of every strategy.
     """
 
     allocation: AllocationMatrix
@@ -76,6 +78,8 @@ class PapPriorityState:
     at or above it omega jumps to 1; from 1 on it doubles on every further
     placement. ``order`` keeps every (omega[j], j) ascending, pap's scan
     order; an update moves only j's pair, so omega need not be monotone.
+    Under an infinite threshold omega[j] is always j's utilization, and
+    ``order`` is (utilization, id) order.
     """
 
     omega: list[float]
@@ -89,15 +93,11 @@ class PapPriorityState:
         """Move j's parameter on after a placement; returns j's old position in ``order``."""
         w = self.omega[j]
         self.omega[j] = new = pi if w < self.threshold else 1.0 if w < 1.0 else 2.0 * w
-        return _refile(self.order, (w, j), (new, j))
-
-
-def _refile(order: list[tuple[float, int]], old: tuple[float, int], new: tuple[float, int]) -> int:
-    """Replace ``old`` by ``new`` in the ascending list ``order``; returns old's position."""
-    k = bisect_left(order, old)
-    del order[k]
-    insort(order, new)
-    return k
+        order = self.order
+        k = bisect_left(order, (w, j))
+        del order[k]
+        insort(order, (new, j))
+        return k
 
 
 def sort_applications(applications: Sequence[Application]) -> list[Application]:
@@ -114,17 +114,20 @@ def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) ->
     Applications go in ``sort_applications`` order, instances one at a
     time. ``choose(ledger, i)`` returns the machine for the next instance
     of application i, or -1 when none is admissible, which ends the run.
-    It finds the machine with ``ledger.first_admissible`` and adds its
-    work, as ``PlacementOutcome`` counts it, to ``ledger.pairs``.
+    It finds the machine with ``ledger.first_admissible`` and, when it
+    finds one, adds its work, as ``PlacementOutcome`` counts it, to
+    ``ledger.pairs``. The failing step's M pairs are added here.
     """
     ledger = CapacityLedger(scenario)
-    counts = np.zeros((scenario.num_applications, scenario.num_machines), dtype=np.int64)
+    m = scenario.num_machines
+    counts = np.zeros((scenario.num_applications, m), dtype=np.int64)
     trace: list[PlacementEvent] = []
     failed_at = None
     order = sort_applications(scenario.applications)
     for i, k in ((app.id, k) for app in order for k in range(app.instances)):
         j = choose(ledger, i)
         if j < 0:
+            ledger.pairs += m
             failed_at = (i, k)
             break
         ledger.add(i, j)
@@ -142,18 +145,15 @@ def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) ->
 def pap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
     """Power-aware placement: first admissible machine in (omega, id) order."""
     require_final(scenario, affinity)
-    m = scenario.num_machines
-    state = PapPriorityState(omega=[0.0] * m, threshold=scenario.pi_threshold)
+    state = PapPriorityState(omega=[0.0] * scenario.num_machines, threshold=scenario.pi_threshold)
 
     def choose(ledger: CapacityLedger, i: int) -> int:
         j = ledger.first_admissible(i, map(itemgetter(1), state.order))
-        if j < 0:
-            ledger.pairs += m
-            return j
-        # the returned machine is always placed, so its priority moves on
-        # now, with the utilization it is about to have; its old position
-        # in the scan order gives the probes made
-        ledger.pairs += state.after_placement(j, ledger.pi_after(i, j)) + 1
+        if j >= 0:
+            # the returned machine is always placed, so its priority moves on
+            # now, with the utilization it is about to have; its old position
+            # in the scan order gives the probes made
+            ledger.pairs += state.after_placement(j, ledger.pi_after(i, j)) + 1
         return j
 
     return _greedy(scenario, choose)
@@ -170,8 +170,9 @@ class _AffinityWalk:
     ``iter(order)`` to ``first_admissible``, whose machine fixes the best
     affinity. That scan stops just past the machine it returns, so the same
     iterator goes on through the rest of the run of equal affinity, where
-    an admissible machine can still win on (pi, id). A step ranks every
-    machine, so it counts M pairs, however few the walk reaches.
+    an admissible machine can still win on (pi, id). A step that finds a
+    machine ranks every machine, so it counts M pairs, however few the walk
+    reaches; ``_greedy`` counts a failing step.
     """
 
     __slots__ = ("values", "ranked", "live", "fi", "order")
@@ -186,11 +187,11 @@ class _AffinityWalk:
         if i != self.live:
             self.live, self.fi, self.order = i, memoryview(self.values[i]), memoryview(self.ranked[i])
         fi = self.fi
-        ledger.pairs += len(fi)
         rest = iter(self.order)
         best = ledger.first_admissible(i, rest)
         if best < 0:
             return best
+        ledger.pairs += len(fi)
         pi = ledger.pi
         v, best_pi = fi[best], pi[best]
         for j in rest:
@@ -222,18 +223,17 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
     require_final(scenario, affinity)
     walk = _AffinityWalk(affinity)
     machines = scenario.machines
-    m = len(machines)
     alpha = scenario.alpha
-    # every (pi[j], j) ascending, candidate one's scan order; a placement
-    # moves only the chosen machine's pair, as PapPriorityState.order does
-    by_pi = [(0.0, j) for j in range(m)]
+    # no utilization reaches an infinite threshold, so omega[j] is pi[j] and
+    # the state's order is (pi, id), candidate one's scan order
+    state = PapPriorityState(omega=[0.0] * len(machines), threshold=math.inf)
 
     def choose(ledger: CapacityLedger, i: int) -> int:
         # both candidates are admissible, so they exist or fail together
         j2 = walk.choose(ledger, i)
         if j2 < 0:
             return j2
-        j1 = ledger.first_admissible(i, map(itemgetter(1), by_pi))
+        j1 = ledger.first_admissible(i, map(itemgetter(1), state.order))
         pi = ledger.pi
         after = ledger.pi_after(i, j1)
         if j1 != j2:
@@ -245,7 +245,7 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
                 j1, after = j2, after2
         # the returned machine is always placed: its pair moves now, to the
         # utilization CapacityLedger.add is about to give it
-        _refile(by_pi, (pi[j1], j1), (after, j1))
+        state.after_placement(j1, after)
         return j1
 
     return _greedy(scenario, choose)
@@ -269,11 +269,9 @@ def first_fit_place(scenario: Scenario) -> PlacementOutcome:
         if i != live:
             live, start = i, 0
         j = ledger.first_admissible(i, range(start, m))
-        if j < 0:
-            ledger.pairs += m
-            return j
-        start = j
-        ledger.pairs += j + 1
+        if j >= 0:
+            start = j
+            ledger.pairs += j + 1
         return j
 
     return _greedy(scenario, choose)

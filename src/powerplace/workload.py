@@ -77,16 +77,33 @@ def _pair(name: str, value) -> tuple:
     return lo, hi
 
 
-def _check_weights(value) -> None:
-    if not isinstance(value, AffinityWeights):
-        raise WorkloadError(f"'weights' must be an AffinityWeights, got {value!r}")
+def _check_settings(
+    seed, weights, alpha, pi_threshold, user_affinity_density, anti_affinity_fraction
+) -> None:
+    """The settings GeneratorConfig and load_trace share, checked alike.
 
-
-def _check_affinity_draw(user_density: float, anti_fraction: float) -> None:
-    if not (0.0 <= user_density <= 1.0):
+    Written so that NaN fails every range check.
+    """
+    _check_integer("seed", seed)
+    for name, value in (
+        ("user_affinity_density", user_affinity_density),
+        ("anti_affinity_fraction", anti_affinity_fraction),
+        ("alpha", alpha),
+        ("pi_threshold", pi_threshold),
+    ):
+        _check_real(name, value)
+    if not isinstance(weights, AffinityWeights):
+        raise WorkloadError(f"'weights' must be an AffinityWeights, got {weights!r}")
+    if seed < 0:
+        raise WorkloadError(f"'seed' must be >= 0, got {seed}")
+    if not (0.0 <= user_affinity_density <= 1.0):
         raise WorkloadError("user_affinity_density must be in [0, 1]")
-    if not (0.0 <= anti_fraction < 1.0):
+    if not (0.0 <= anti_affinity_fraction < 1.0):
         raise WorkloadError("anti_affinity_fraction must be in [0, 1)")
+    if not (0 <= alpha < math.inf):
+        raise WorkloadError("alpha must be finite and >= 0")
+    if not (0.0 < pi_threshold <= 1.0):
+        raise WorkloadError("pi_threshold must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -135,13 +152,10 @@ class GeneratorConfig:
         for name, value in (
             ("machine_count", self.machine_count),
             ("application_count", self.application_count),
-            ("seed", self.seed),
             ("instance_range low", lo),
             ("instance_range high", hi),
         ):
             _check_integer(name, value)
-        for name in ("user_affinity_density", "anti_affinity_fraction", "alpha", "pi_threshold"):
-            _check_real(name, getattr(self, name))
         pairs = {"power_idle_range": self.power_idle_range, "power_max_range": self.power_max_range}
         for kind in ("capacity_ranges", "demand_ranges"):
             ranges = getattr(self, kind)
@@ -152,11 +166,10 @@ class GeneratorConfig:
             rlo, rhi = _pair(name, pair)
             _check_real(f"{name} low", rlo)
             _check_real(f"{name} high", rhi)
-        _check_weights(self.weights)
+        _check_settings(self.seed, self.weights, self.alpha, self.pi_threshold,
+                        self.user_affinity_density, self.anti_affinity_fraction)
         if self.machine_count < 1 or self.application_count < 1:
             raise WorkloadError("machine_count and application_count must be >= 1")
-        if self.seed < 0:
-            raise WorkloadError(f"'seed' must be >= 0, got {self.seed}")
         if not (1 <= lo <= hi):
             raise WorkloadError("instance_range must satisfy 1 <= low <= high")
         # Written so that NaN fails every check.
@@ -181,11 +194,6 @@ class GeneratorConfig:
             raise WorkloadError("power ranges must satisfy 0 <= low <= high < inf")
         if mlo < ihi:
             raise WorkloadError("power_max_range low must be >= power_idle_range high")
-        _check_affinity_draw(self.user_affinity_density, self.anti_affinity_fraction)
-        if not (0 <= self.alpha < math.inf):
-            raise WorkloadError("alpha must be finite and >= 0")
-        if not (0.0 < self.pi_threshold <= 1.0):
-            raise WorkloadError("pi_threshold must be in (0, 1]")
 
 
 def anti_affinity_count(fraction: float, num_machines: int) -> int:
@@ -277,8 +285,9 @@ def _truncated_normal(rng: np.random.Generator, mean: float, std: float, lower: 
 
 
 def _parse_float(row: dict, name: str, line: int, path: Path) -> float:
+    """``row[name]``, a raw string or an already converted (finite) float, as a float."""
     raw = row.get(name)
-    if raw is None or raw.strip() == "":
+    if raw is None or (isinstance(raw, str) and raw.strip() == ""):
         raise WorkloadError(f"{path.name} line {line}: missing value for {name!r}")
     try:
         value = float(raw)
@@ -290,10 +299,7 @@ def _parse_float(row: dict, name: str, line: int, path: Path) -> float:
 
 
 def _parse_int(row: dict, name: str, line: int, path: Path) -> int:
-    return _integer(_parse_float(row, name, line, path), name, line, path)
-
-
-def _integer(value: float, name: str, line: int, path: Path) -> int:
+    value = _parse_float(row, name, line, path)
     if value != int(value):
         raise WorkloadError(f"{path.name} line {line}: {name!r} must be an integer, got {value!r}")
     return int(value)
@@ -330,28 +336,29 @@ class _Table:
     which applies Python's ``float()`` to each string, so it accepts what
     ``_parse_float`` accepts. A missing or unparsable cell is NaN there.
     Blank lines are skipped; ``lines`` holds each row's physical line as
-    int64. ``long_rows`` maps each row with more fields than the header to
-    its field count. ``raw`` keeps the raw cells of the rows with a
-    non-finite value, the only rows whose messages quote raw text; no other
-    row outlives its block as Python objects. ``row`` re-checks a row with
-    the scalar checks, which name the problem: from its raw cells when kept,
-    else from its converted cells, which ``_parse_float`` returns unchanged.
+    int64. ``raw`` keeps the cells, as read, of the rows whose messages need
+    them: a row with more fields than the header, unmodified, so its field
+    count is ``len(cells)``; a row with fewer, padded with None; and a row
+    with a non-finite value, the only rows whose messages quote raw text.
+    No other row outlives its block as Python objects. ``row`` re-checks a
+    row with the scalar checks, which name the problem: from its raw cells
+    when kept, else from its converted cells, which ``_parse_float`` returns
+    unchanged.
     """
 
     def __init__(
         self, path: Path, header: list[str], values: np.ndarray, lines: np.ndarray,
-        long_rows: dict[int, int], raw: dict[int, tuple],
+        raw: dict[int, tuple],
     ) -> None:
         self.path = path
         self.header = header
         self.values = values
         self.lines = lines
-        self.long_rows = long_rows
         self.raw = raw
         # A repeated column name reads its last column, as csv.DictReader does.
         self.index = {name: k for k, name in enumerate(header)}
         self.fits = np.ones(len(lines), dtype=bool)
-        self.fits[list(long_rows)] = False
+        self.fits[[k for k, cells in raw.items() if len(cells) > len(header)]] = False
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.index[name]]
@@ -368,23 +375,17 @@ class _Table:
         """Getter ``get(name, integer=False)`` over row k, checked as
         _parse_float / _parse_int check a cell; it raises on a bad cell."""
         line = int(self.lines[k])
-        if k in self.long_rows:
+        cells = self.raw[k] if k in self.raw else self.values[k].tolist()
+        if len(cells) > len(self.header):
             raise WorkloadError(
-                f"{self.path.name} line {line}: {self.long_rows[k]} fields, "
+                f"{self.path.name} line {line}: {len(cells)} fields, "
                 f"but the header has {len(self.header)}"
             )
-        if k in self.raw:
-            row = dict(zip(self.header, self.raw[k]))
-
-            def get(name: str, integer: bool = False):
-                return (_parse_int if integer else _parse_float)(row, name, line, self.path)
-
-            return get
-        cells = self.values[k].tolist()
+        # a short row is padded, so a repeated column's last copy reads None
+        row = dict(zip(self.header, cells))
 
         def get(name: str, integer: bool = False):
-            value = cells[self.index[name]]
-            return _integer(value, name, line, self.path) if integer else value
+            return (_parse_int if integer else _parse_float)(row, name, line, self.path)
 
         return get
 
@@ -411,7 +412,6 @@ def _read_table(path: Path, required: tuple[str, ...], optional: tuple[str, ...]
             width = len(header)
             blocks = [np.empty((0, width))]
             line_blocks = [np.empty(0, dtype=np.int64)]
-            long_rows: dict[int, int] = {}
             raw: dict[int, tuple] = {}
             done = 0  # rows in earlier blocks
             end = reader.line_num
@@ -422,7 +422,8 @@ def _read_table(path: Path, required: tuple[str, ...], optional: tuple[str, ...]
                 for row in islice(reader, _BLOCK_ROWS):
                     if row:
                         if len(row) > width:
-                            long_rows[done + len(rows)] = len(row)
+                            # kept uncut: its message counts its fields
+                            raw[done + len(rows)] = tuple(row)
                             del row[width:]
                         elif len(row) < width:
                             row.extend([None] * (width - len(row)))
@@ -435,7 +436,7 @@ def _read_table(path: Path, required: tuple[str, ...], optional: tuple[str, ...]
                     break
                 values = _convert(rows, width)
                 for k in np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
-                    raw[done + k] = rows[k]
+                    raw.setdefault(done + k, rows[k])
                 blocks.append(values)
                 line_blocks.append(np.array(lines, dtype=np.int64))
                 done += len(rows)
@@ -443,7 +444,7 @@ def _read_table(path: Path, required: tuple[str, ...], optional: tuple[str, ...]
         raise WorkloadError(f"cannot read {path}: {exc}") from exc
     except csv.Error as exc:
         raise WorkloadError(f"{path.name} line {reader.line_num}: {exc}") from None
-    return _Table(path, header, np.concatenate(blocks), np.concatenate(line_blocks), long_rows, raw)
+    return _Table(path, header, np.concatenate(blocks), np.concatenate(line_blocks), raw)
 
 
 def _require_rows(table: _Table) -> None:
@@ -554,18 +555,8 @@ def load_trace(
     columns are drawn from P_IDLE_DRAW/P_MAX_DRAW, and a missing affinity
     file's matrices as in generate_synthetic, at the given density and fraction.
     """
-    for name, value in (
-        ("user_affinity_density", user_affinity_density),
-        ("anti_affinity_fraction", anti_affinity_fraction),
-        ("alpha", alpha),
-        ("pi_threshold", pi_threshold),
-    ):
-        _check_real(name, value)
-    _check_weights(weights)
-    _check_affinity_draw(user_affinity_density, anti_affinity_fraction)
-    _check_integer("seed", seed)
-    if seed < 0:
-        raise WorkloadError(f"'seed' must be >= 0, got {seed}")
+    _check_settings(seed, weights, alpha, pi_threshold, user_affinity_density,
+                    anti_affinity_fraction)
     machines_path = Path(machines_path)
     applications_path = Path(applications_path)
     rng: Optional[np.random.Generator] = None

@@ -4,9 +4,10 @@ The replay validators re-simulate a placement applying each algorithm's
 rule the slow way (a full re-sort, a ranking of every machine, or a scan
 from machine 0 per step), and require the same trace, failure point and
 work count. pap's, aap's and cpaap's keep their own bookkeeping;
-first_fit's probes each machine through CapacityLedger.admissible, which
-counts one pair per call, while first_fit scans with first_admissible,
-which counts nothing, and adds its own count.
+first_fit's probes each machine through ``admissible``, which counts one
+pair per call in ``ledger.pairs``, while first_fit scans with
+CapacityLedger.first_admissible, which counts nothing, and adds its own
+count.
 The exact solver's replay searches depth first with one call per machine
 and instance, and must agree with the solver's whole-row enumeration on
 nodes, the exhausted flag, the optimum and, within float noise, its cost.
@@ -89,6 +90,15 @@ def traced_peak(fn):
 
 def final_matrix(values) -> AffinityMatrix:
     return AffinityMatrix(values=np.asarray(values, dtype=float))
+
+
+def admissible(ledger: CapacityLedger, i, j) -> bool:
+    """Application i may take one more instance on machine j.
+
+    Counts one pair in ``ledger.pairs``, which the ledger itself never does.
+    """
+    ledger.pairs += 1
+    return ledger.first_admissible(i, (j,)) >= 0
 
 
 class Replay:
@@ -184,15 +194,15 @@ def replay_pap(scn, affinity, outcome):
 def replay_first_fit(scn, outcome):
     """Re-run first_fit probing from machine 0 for every instance.
 
-    Each probe goes through ``CapacityLedger.admissible``, which counts it,
-    so the re-run's count is every probe of the plain scan: the machines up
-    to the chosen one, and all M on the failing step. first_fit must make
-    the same choices, stop at the same instance and report that count.
+    Each probe goes through ``admissible``, which counts it, so the re-run's
+    count is every probe of the plain scan: the machines up to the chosen
+    one, and all M on the failing step. first_fit must make the same
+    choices, stop at the same instance and report that count.
     """
     ledger = CapacityLedger(scn)
     steps = expected_steps(scn)
     for s, (i, k) in enumerate(steps):
-        j = next((c for c in range(scn.num_machines) if ledger.admissible(i, c)), None)
+        j = next((c for c in range(scn.num_machines) if admissible(ledger, i, c)), None)
         if j is None:
             assert outcome.failed_at == (i, k), f"first_fit failed at {outcome.failed_at}, not {(i, k)}"
             assert len(outcome.trace) == s
@@ -309,7 +319,7 @@ def replay_oracle(scn, affinity, result, budget=DEFAULT_NODE_BUDGET):
         assign(i, j + 1, left)
         saved = list(ledger.remaining[j]), ledger.used_cpu[j], ledger.pi[j]
         placed = 0
-        while placed < left and ledger.admissible(i, j):
+        while placed < left and admissible(ledger, i, j):
             ledger.add(i, j)
             counts[i][j] += 1
             payoff += f[i][j]

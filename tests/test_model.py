@@ -21,7 +21,7 @@ from powerplace.oracle import optimal_place
 from powerplace.placement import first_fit_place
 from powerplace.affinity import build_final_affinity
 
-from support import app, machine, scenario, traced_peak
+from support import admissible, app, machine, scenario, traced_peak
 from powerplace.workload import GeneratorConfig, generate_synthetic
 
 
@@ -185,7 +185,7 @@ class TestRemainingCapacity:
         ledger.add(0, 0)
         assert ledger.remaining[0] == [0, 0, 50, 0]
         assert ledger.pi[0] == 1.0
-        assert not ledger.admissible(0, 0)
+        assert not admissible(ledger, 0, 0)
 
     def test_float_residue_clamped_and_utilization_snapped(self):
         # 0.3 - 0.1 - 0.1 - 0.1 is -2.8e-17 and 3 * 0.1 / 0.3 overshoots 1
@@ -203,7 +203,7 @@ class TestRemainingCapacity:
         prev = list(ledger.remaining[0])
         for _ in range(12):
             i = int(rng.integers(0, 4))
-            assert ledger.admissible(i, 0)
+            assert admissible(ledger, i, 0)
             ledger.add(i, 0)
             cur = list(ledger.remaining[0])
             assert all(c <= p for c, p in zip(cur, prev))
@@ -213,21 +213,21 @@ class TestRemainingCapacity:
 class TestFits:
     def test_exact_fit_boundary(self):
         ledger = ledger_for([machine(0, 4, 50, 25, 8)], [app(0, 4, 50, 25, 8)])
-        assert ledger.admissible(0, 0)
+        assert admissible(ledger, 0, 0)
 
     def test_single_component_violation(self):
         ledger = ledger_for([machine(0, 3, 100, 100, 16)], [app(0, 4, 50, 25, 8)])
-        assert not ledger.admissible(0, 0)
+        assert not admissible(ledger, 0, 0)
 
     def test_zero_demand(self):
         # cpu must be positive on both sides; the other components may be 0
         ledger = ledger_for([machine(0, 8, 0, 0, 0)], [app(0, 4, 0, 0, 0)])
-        assert ledger.admissible(0, 0)
+        assert admissible(ledger, 0, 0)
 
     def test_anti_affinity_blocks_and_every_probe_counts(self):
         ledger = ledger_for([machine(0), machine(1)], [app(0)], anti=[[1, 0]])
-        assert not ledger.admissible(0, 0)
-        assert ledger.admissible(0, 1)
+        assert not admissible(ledger, 0, 0)
+        assert admissible(ledger, 0, 1)
         assert ledger.pairs == 2
 
     def test_first_admissible_follows_the_given_order_not_the_ids(self):
@@ -290,10 +290,10 @@ class TestFits:
         combined = tuple(a + b for a, b in zip(d, d2))
         apps = [app(0, *d), app(1, *d2), app(2, *combined)]
         ledger = ledger_for([machine(0, *r)], apps)
-        if ledger.admissible(0, 0):
+        if admissible(ledger, 0, 0):
             ledger.add(0, 0)
-            if ledger.admissible(1, 0):
-                assert ledger_for([machine(0, *r)], apps).admissible(2, 0)
+            if admissible(ledger, 1, 0):
+                assert admissible(ledger_for([machine(0, *r)], apps), 2, 0)
 
 
 class TestValidateAllocation:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,17 @@ class TestPap:
         assert state.omega[0] == 2.0
         state.after_placement(0, 1.0)
         assert state.omega[0] == 4.0
+
+    def test_infinite_threshold_tracks_utilization_and_never_escalates(self):
+        # cpaap's candidate one: no utilization reaches the threshold, so
+        # omega is the utilization, full machines included
+        state = PapPriorityState(omega=[0.0, 0.0], threshold=math.inf)
+        for pi in (0.3, 0.6, 0.9, 1.0, 1.0):
+            state.after_placement(0, pi)
+            assert state.omega[0] == pi
+        assert state.after_placement(1, 0.5) == 0
+        assert state.omega == [1.0, 0.5]
+        assert state.order == [(0.5, 1), (1.0, 0)]
 
     def test_shared_threshold_alternates_evenly(self):
         # below the shared threshold omega tracks utilization, so two
@@ -360,6 +373,7 @@ class TestSharedContracts:
         out = ALGOS[name](scn, build_final_affinity(scn))
         assert out.failed_at == (0, 0)
         assert out.trace == ()
+        assert out.pairs_examined == 3  # M: the failing step tries every machine
         counts = out.allocation.counts
         assert counts.dtype == np.int64
         assert counts.shape == (2, 3)

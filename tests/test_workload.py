@@ -339,8 +339,12 @@ class TestLoadTrace:
             ("alpha", "3", "'alpha' must be a real number"),
             ("alpha", True, "'alpha' must be a real number"),
             ("pi_threshold", None, "'pi_threshold' must be a real number"),
+            ("alpha", -1.0, "alpha must be finite and >= 0"),
+            ("alpha", nan, "alpha must be finite and >= 0"),
+            ("pi_threshold", 1.5, "pi_threshold must be in \\(0, 1\\]"),
         ],
-        ids=["weights-tuple", "alpha-string", "alpha-bool", "pi_threshold-none"],
+        ids=["weights-tuple", "alpha-string", "alpha-bool", "pi_threshold-none", "alpha-negative",
+             "alpha-nan", "pi_threshold-above-1"],
     )
     def test_scenario_setting_checked(self, tmp_path, keyword, value, message):
         m, a, f = self.write(tmp_path)
@@ -415,6 +419,18 @@ class TestLoadTrace:
         files[which] = files[which].replace(old, new, 1)
         m, a, f = self.write(tmp_path, files["machines"], files["apps"], files["affinity"])
         with pytest.raises(WorkloadError, match=where):
+            load_trace(m, a, f)
+
+    def test_repeated_column_reads_its_last_copy(self, tmp_path):
+        header = APPS_CSV.splitlines()[0] + ",cpu_req\n"
+        full = header + "0,99.0,50.0,25.0,8.0,2,4.0\n1,99.0,20.0,10.0,4.0,1,2.0\n"
+        m, a, f = self.write(tmp_path, apps=full)
+        assert [app.demand.cpu for app in load_trace(m, a, f).applications] == [4.0, 2.0]
+        # a short row lacks the last copy, though the first holds a number
+        short = header + "0,99.0,50.0,25.0,8.0,2,4.0\n1,2.0,20.0,10.0,4.0,1\n"
+        m, a, f = self.write(tmp_path, apps=short)
+        with pytest.raises(WorkloadError,
+                           match="applications.csv line 3: missing value for 'cpu_req'"):
             load_trace(m, a, f)
 
     def test_duplicate_pair_rejected_with_both_lines(self, tmp_path):
