@@ -21,9 +21,10 @@ point. No comparison a strategy or the exact solver makes can change, so
 their decisions and work counts must stay the same, and the reduced cost
 must scale exactly.
 
-A scenario written by save_trace reads back equal through load_trace. The
-trace reader's column masks reject exactly the affinity rows the row-by-row
-checks reject, and report the first of them in file order.
+A scenario written by save_trace reads back equal through load_trace. An
+affinity.csv reads as a row-by-row reader with the scalar checks reads it,
+whether numpy's C parser takes it whole or the row checks stream it: the
+same matrices, or the same first error in file order.
 """
 
 import csv
@@ -314,35 +315,34 @@ def test_trace_round_trip(config, power, load_seed):
 
 
 def affinity_row_by_row(path, n, m):
-    """(user, anti) read one row at a time with the scalar checks, as the
-    reader did before it went columnar, plus the extra-field and
-    duplicate-pair errors."""
+    """(user, anti) read one row at a time with the scalar checks, under the
+    file's own header, plus the extra-field and duplicate-pair errors."""
     user, anti = np.zeros((n, m), dtype=np.int64), np.zeros((n, m), dtype=np.int64)
     seen = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        header = next(reader)
         start = reader.line_num + 1
         for row in reader:
             line, start = start, reader.line_num + 1
             if not row:
                 continue
-            if len(row) > len(AFFINITY_FIELDS):
+            if len(row) > len(header):
                 raise WorkloadError(
                     f"{path.name} line {line}: {len(row)} fields, "
-                    f"but the header has {len(AFFINITY_FIELDS)}"
+                    f"but the header has {len(header)}"
                 )
-            cells = dict(zip(AFFINITY_FIELDS, row))
+            # a repeated column reads its last copy, missing from a short row
+            cells = dict(zip(header, row + [None] * (len(header) - len(row))))
             get = lambda name, integer=False, cells=cells, line=line: _parse_int(cells, name, line, path)
-            _check_pair(get, line, path, n, m)
-            i, j = get("app_id"), get("machine_id")
+            i, j, u, a = _check_pair(get, line, path, n, m)
             if (i, j) in seen:
                 raise WorkloadError(
                     f"{path.name} line {line}: duplicate pair ({i}, {j}), "
                     f"first given on line {seen[i, j]}"
                 )
             seen[i, j] = line
-            user[i, j], anti[i, j] = get("user_affinity"), get("anti_affinity")
+            user[i, j], anti[i, j] = u, a
     return user, anti
 
 
@@ -350,20 +350,80 @@ CELLS = st.one_of(
     st.sampled_from(["0", "1"]),
     st.integers(-1, 4).map(str),
     st.sampled_from(["2", "nan", "inf", "-inf", "", " ", "x", "1.0", "0.5", "1_0", "-0", " 1 ",
-                     "1e400", "0x1", "\uff11"]),
+                     "1e400", "0x1", "\uff11", "1.", "+1", "1e-400", "\t1", "\u0661", "1d0",
+                     "nan(1)"]),
 )
+# Quoted cells, blank and whitespace-only lines, a byte order mark, line ends
+# other than LF and headers that are no plain AFFINITY_FIELDS each send the
+# file past numpy's C parser to the row checks.
+FIELDS = st.one_of(
+    st.permutations(AFFINITY_FIELDS),
+    st.permutations(AFFINITY_FIELDS),
+    st.tuples(st.permutations(AFFINITY_FIELDS), st.sampled_from(AFFINITY_FIELDS)).map(
+        lambda t: [*t[0], t[1]]),
+)
+
+
+# Spellings of 0 and 1 that both numpy's C parser and float() read.
+ZERO = st.sampled_from(["0", "-0", "0.", "1e-400"])
+ONE = st.sampled_from(["1", "1.", "+1", "\t1", "1.0"])
+BINARY_PAIR = st.one_of(st.tuples(ZERO, ZERO), st.tuples(ONE, ZERO), st.tuples(ZERO, ONE))
+
+
+@st.composite
+def affinity_files(draw):
+    """(n, m, text) of an affinity.csv for N applications and M machines.
+
+    Half the files give distinct binary pairs in range, with at most one
+    fault: a repeated pair, every row a field short or long, a fractional
+    id, or one field drawn from CELLS. The others draw every field from
+    CELLS, some of them quoted. Blank lines, line ends, a byte order mark
+    and the header are drawn on their own.
+    """
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    header = draw(FIELDS)
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                              unique=True, min_size=1, max_size=10))
+        rows = []
+        for i, j in pairs:
+            u, a = draw(BINARY_PAIR)
+            values = {"app_id": str(i), "machine_id": str(j), "user_affinity": u,
+                      "anti_affinity": a}
+            rows.append([values[name] for name in header])
+        fault = draw(st.sampled_from([None, None, "repeat", "width", "fraction", "cell"]))
+        k = draw(st.integers(0, len(rows) - 1))
+        if fault == "repeat":
+            rows.append(rows[k])
+        elif fault == "width":
+            cut = draw(st.booleans())
+            rows = [row[:-1] if cut else [*row, "0"] for row in rows]
+        elif fault == "fraction":
+            column = header.index(draw(st.sampled_from(["app_id", "machine_id"])))
+            rows[k][column] += ".5"
+        elif fault == "cell":
+            rows[k][draw(st.integers(0, len(header) - 1))] = draw(CELLS)
+        lines = [",".join(row) for row in rows]
+    else:
+        cell = CELLS
+        if draw(st.booleans()):
+            cell = st.one_of(CELLS, CELLS.map(lambda c: f'"{c}"'))
+        row = st.one_of(st.lists(cell, min_size=len(header), max_size=len(header)),
+                        st.lists(cell, max_size=6)).map(",".join)
+        lines = draw(st.lists(row, max_size=12))
+    if draw(st.integers(0, 2)) == 0:
+        blank = st.sampled_from(["", " ", " \t"])
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(blank))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return n, m, bom + "".join(line + end for line in [",".join(header), *lines])
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    n=st.integers(1, 4),
-    m=st.integers(1, 4),
-    rows=st.lists(
-        st.one_of(st.lists(CELLS, min_size=4, max_size=4), st.lists(CELLS, max_size=6)),
-        max_size=12,
-    ),
-)
-def test_affinity_masks_match_row_by_row_checks(n, m, rows):
+@given(file=affinity_files())
+def test_affinity_masks_match_row_by_row_checks(file):
+    n, m, text = file
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         machines, apps, affinity = (tmp / name for name in
@@ -372,8 +432,7 @@ def test_affinity_masks_match_row_by_row_checks(n, m, rows):
                             + "".join(f"{j},8,100,100,16,90,210\n" for j in range(m)))
         apps.write_text("app_id,cpu_req,io_req,nw_req,mem_req,instances\n"
                         + "".join(f"{i},1,10,10,1,1\n" for i in range(n)))
-        affinity.write_text(",".join(AFFINITY_FIELDS) + "\n"
-                            + "".join(",".join(row) + "\n" for row in rows))
+        affinity.write_bytes(text.encode("utf-8"))
         try:
             expected = affinity_row_by_row(affinity, n, m)
         except WorkloadError as exc:
