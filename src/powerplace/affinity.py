@@ -10,6 +10,7 @@ with the binary user preference matrix: F = (U + S) / 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,8 @@ class AffinityMatrix:
     """N x M final affinity scores in [0, 1], held read-only as float64.
 
     Compared and hashed by identity: the matrix is an array, which has no
-    single truth value.
+    single truth value. ``ranked`` is built on first use and kept as long
+    as the matrix, so every strategy run on one matrix shares it.
     """
 
     values: np.ndarray
@@ -51,6 +53,19 @@ class AffinityMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.values.shape
+
+    @cached_property
+    def ranked(self) -> np.ndarray:
+        """Each row's machine ids by decreasing affinity, read-only and C-contiguous.
+
+        The ids take the narrowest unsigned type that holds M - 1 (uint8 up
+        to 256 machines), so the ranking keeps N x M bytes or twice that,
+        where argsort's own int64 result is eight times that.
+        """
+        ranked = np.ascontiguousarray(self.values.argsort(axis=1)[:, ::-1],
+                                      dtype=np.min_scalar_type(self.values.shape[1] - 1))
+        ranked.setflags(write=False)
+        return ranked
 
 
 def require_final(scenario: Scenario, affinity: AffinityMatrix) -> None:

@@ -9,9 +9,9 @@ own machine order:
   pap        (priority parameter, id), kept sorted; the parameter tracks
              utilization below a threshold, then escalates (1, then
              doubling) so hot machines drop out of rotation
-  aap        decreasing final affinity, from one argsort per call; the
-             rest of the first machine's run of equal affinity may still
-             win on (utilization, id)
+  aap        decreasing final affinity, from the matrix's ranking, built
+             once per matrix; the rest of the first machine's run of equal
+             affinity may still win on (utilization, id)
   cpaap      the cheaper by objective delta of aap's machine and the first
              in pap's order under a threshold no utilization reaches, which
              is (utilization, id) order
@@ -69,7 +69,7 @@ class PlacementOutcome:
     pairs_examined: int
 
 
-@dataclass
+@dataclass(slots=True)
 class PapPriorityState:
     """Per-machine priority parameters for the power-aware strategy.
 
@@ -87,7 +87,7 @@ class PapPriorityState:
     order: list[tuple[float, int]] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.order = sorted((w, j) for j, w in enumerate(self.omega))
+        self.order = sorted(zip(self.omega, range(len(self.omega))))
 
     def after_placement(self, j: int, pi: float) -> int:
         """Move j's parameter on after a placement; returns j's old position in ``order``."""
@@ -162,24 +162,25 @@ def pap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
 class _AffinityWalk:
     """aap's choice rule: the admissible machine of least (-fi[j], pi[j], j).
 
-    The matrix is argsorted once, read reversed through a view, so no
-    negated copy is made. An application's instances are placed one after
-    another, so only its rows are live: ``fi`` (affinity) and ``order``
-    (argsorted), memoryviews that yield Python numbers for only the
-    machines a walk reaches; a strided row is not copied. ``choose`` hands
-    ``iter(order)`` to ``first_admissible``, whose machine fixes the best
-    affinity. That scan stops just past the machine it returns, so the same
-    iterator goes on through the rest of the run of equal affinity, where
-    an admissible machine can still win on (pi, id). A step that finds a
-    machine ranks every machine, so it counts M pairs, however few the walk
-    reaches; ``_greedy`` counts a failing step.
+    The ranking is the matrix's own ``AffinityMatrix.ranked``, built on
+    its first walk and shared by every later one. An application's
+    instances are placed one after another, so only its rows are live:
+    ``fi`` (affinity) and ``order`` (ranked machine ids), memoryviews that
+    yield Python numbers for only the machines a walk reaches; a strided
+    affinity row is not copied. ``choose`` hands ``iter(order)`` to
+    ``first_admissible``, whose machine fixes the best affinity. That scan
+    stops just past the machine it returns, so the same iterator goes on
+    through the rest of the run of equal affinity, where an admissible
+    machine can still win on (pi, id). A step that finds a machine ranks
+    every machine, so it counts M pairs, however few the walk reaches;
+    ``_greedy`` counts a failing step.
     """
 
     __slots__ = ("values", "ranked", "live", "fi", "order")
 
     def __init__(self, affinity: AffinityMatrix):
         self.values = affinity.values
-        self.ranked = self.values.argsort(axis=1)[:, ::-1]
+        self.ranked = affinity.ranked
         self.live = -1
 
     def choose(self, ledger: CapacityLedger, i: int) -> int:

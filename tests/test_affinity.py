@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from powerplace import AffinityWeights, ModelError
 from powerplace import affinity
 from powerplace.affinity import AffinityMatrix, build_final_affinity
+from powerplace.placement import aap_place, cpaap_place
 from powerplace.workload import GeneratorConfig, generate_synthetic
 
 from support import WEIGHTS, app, machine, scenario, traced_peak
@@ -190,6 +191,32 @@ class TestAffinityMatrixType:
             values = AffinityMatrix(other).values
             assert values.dtype == np.float64 and not values.flags.writeable
             assert not np.shares_memory(values, np.asarray(other))
+
+
+class TestRanking:
+    """``ranked``: each row's machine ids by decreasing affinity, built once per matrix."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (4, 256), (3, 257)])
+    def test_rows_rank_every_machine_in_a_narrow_read_only_array(self, shape):
+        # values in quarters, so every row has runs of equal affinity
+        values = np.random.default_rng(2).integers(0, 5, shape) / 4
+        f = AffinityMatrix(values)
+        ranked = f.ranked
+        assert f.ranked is ranked
+        assert not ranked.flags.writeable and ranked.flags.c_contiguous
+        assert ranked.dtype == np.min_scalar_type(shape[1] - 1)
+        for i, row in enumerate(ranked):
+            assert sorted(row.tolist()) == list(range(shape[1]))
+            assert np.all(np.diff(f.values[i, row]) <= 0)
+
+    def test_aap_and_cpaap_share_the_ranking_the_first_call_built(self):
+        scn = generate_synthetic(GeneratorConfig(30, 20, seed=3, anti_affinity_fraction=0.3))
+        f = build_final_affinity(scn)
+        assert "ranked" not in vars(f)
+        aap_place(scn, f)
+        built = vars(f)["ranked"]
+        cpaap_place(scn, f)
+        assert f.ranked is built
 
 
 def one_shot(scn):

@@ -243,6 +243,27 @@ class TestAffinityLayouts:
             assert np.array_equal(out.allocation.counts, ref.allocation.counts), name
 
 
+class TestRankingWidth:
+    """The shared ranking holds machine ids as uint8 up to 256 machines, uint16 above."""
+
+    @pytest.mark.parametrize("m, dtype", [(256, np.uint8), (257, np.uint16)])
+    @pytest.mark.parametrize(
+        "place, replay", [(aap_place, replay_aap), (cpaap_place, replay_cpaap)],
+        ids=["aap", "cpaap"],
+    )
+    def test_the_widest_id_ranks_first(self, m, dtype, place, replay):
+        # only the last machine has a user preference, so every row ranks
+        # the widest id first; the other identical machines tie behind it
+        user = np.zeros((3, m), dtype=int)
+        user[:, -1] = 1
+        scn = scenario([machine(j) for j in range(m)], [app(i, instances=3) for i in range(3)], user=user)
+        f = build_final_affinity(scn)
+        out = place(scn, f)
+        assert f.ranked.dtype == dtype
+        assert np.all(f.ranked[:, 0] == m - 1)
+        replay(scn, f, out)
+
+
 class TestCpaap:
     def worked_example(self, alpha):
         # filler app is anti-affined to machine 1, pinning pi = 0.5 onto

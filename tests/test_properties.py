@@ -3,12 +3,14 @@
 pap's kept machine order must make the same choices, stop at the same
 instance and count the same probes as re-sorting every machine per step.
 aap's and cpaap's ordered scans must match ranking all M machines per
-step, failing step and work count included. first_fit's resumed scan must
-match probing from machine 0 for every instance, with the skipped
-machines counted as the probes that scan makes. The exact solver's
-whole-row enumeration must match a depth-first search with one call per
-machine and instance at every node budget, and its cost must be the one
-recomputed from the optimum's counts, bit for bit.
+step, failing step and work count included, and must give the same
+outcome on a matrix whose ranking another strategy already built as on a
+fresh one. first_fit's resumed scan must match probing from machine 0
+for every instance, with the skipped machines counted as the probes that
+scan makes. The exact solver's whole-row enumeration must match a
+depth-first search with one call per machine and instance at every node
+budget, and its cost must be the one recomputed from the optimum's
+counts, bit for bit.
 
 Every strategy's outcome must be sound: a complete allocation passes
 validate_allocation, a partial one breaks no anti-affinity or capacity
@@ -37,7 +39,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerplace.affinity import build_final_affinity
+from powerplace.affinity import AffinityMatrix, build_final_affinity
 from powerplace.costs import total_cost
 from powerplace.model import validate_allocation
 from powerplace.oracle import DEFAULT_NODE_BUDGET, optimal_place
@@ -126,6 +128,21 @@ def test_cpaap_scans_match_ranking_every_step(config):
     scenario = generate_synthetic(config)
     affinity = build_final_affinity(scenario)
     replay_cpaap(scenario, affinity, cpaap_place(scenario, affinity))
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=RANKED_CONFIGS)
+def test_aap_and_cpaap_on_a_shared_matrix_match_a_fresh_one(config):
+    scenario = generate_synthetic(config)
+    shared = build_final_affinity(scenario)
+    # cpaap builds the shared ranking, aap reuses it
+    for place in (cpaap_place, aap_place):
+        out = place(scenario, shared)
+        ref = place(scenario, AffinityMatrix(shared.values))
+        assert out.trace == ref.trace
+        assert np.array_equal(out.allocation.counts, ref.allocation.counts)
+        assert out.failed_at == ref.failed_at
+        assert out.pairs_examined == ref.pairs_examined
 
 
 # Capacities a few demands deep, so machines fill within one application's
