@@ -91,8 +91,8 @@ def build_final_affinity(scenario: Scenario) -> AffinityMatrix:
     the one-shot formula on its rows, and every cell is bit-identical to it.
     """
     user = scenario.user_affinity
-    caps = np.array([m.capacity.as_tuple() for m in scenario.machines])  # (M, 4)
-    reqs = np.array([a.demand.as_tuple() for a in scenario.applications])  # (N, 4)
+    caps = scenario.capacities  # (M, 4)
+    reqs = scenario.demands  # (N, 4)
     betas = np.array(scenario.weights.as_tuple())
     # a zero capacity divides by 1: a zero demand then has zero headroom,
     # and a positive demand exceeds the capacity, which zeroes the cell

@@ -65,15 +65,20 @@ def delta_cost(machine: Machine, pi_old: float, pi_new: float, affinity: float, 
     return span * (pi_new * pi_new * pi_new - pi_old * pi_old * pi_old) - alpha * affinity
 
 
+def _ordered_sum(terms: np.ndarray) -> float:
+    """``terms[0] + terms[1] + ...`` added left to right, where ``sum`` pairs them; 0.0 when empty."""
+    return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
+
+
 def utilizations(scenario: Scenario, allocation: AllocationMatrix) -> np.ndarray:
     """Fraction of each machine's CPU capacity consumed, capped at 1.
 
-    The cap absorbs float overshoot from saturating a machine exactly; a
-    real overshoot only comes from a capacity-violating allocation.
+    Each machine adds its placed cells' cpu in cell order. The cap absorbs
+    float overshoot from saturating a machine exactly; a real overshoot only
+    comes from a capacity-violating allocation.
     """
-    cpu_req = np.array([a.demand.cpu for a in scenario.applications])
-    cpu_cap = np.array([m.capacity.cpu for m in scenario.machines])
-    return np.minimum((allocation.counts.T.astype(float) @ cpu_req) / cpu_cap, 1.0)
+    cpu = scenario.demands[allocation.cells // scenario.num_machines, 0] * allocation.cell_counts
+    return np.minimum(allocation.machine_sums(cpu) / scenario.capacities[:, 0], 1.0)
 
 
 def total_cost(
@@ -88,8 +93,9 @@ def total_cost(
     total  = power - alpha * payoff
     reduced drops the constant idle sum from the total.
 
-    Per-machine terms are accumulated in machine-id order so repeated runs
-    are bit-identical.
+    Only the placed cells are read. Every sum runs in one fixed order, so
+    repeated runs are bit-identical: payoff adds the cells in cell order,
+    and the power terms add the machines in machine-id order.
     """
     return _cost_and_utilizations(scenario, allocation, affinity)[0]
 
@@ -102,16 +108,12 @@ def _cost_and_utilizations(
     """``total_cost`` and the utilizations it was computed from, for ``metrics``."""
     require_final(scenario, affinity)
     shape = (scenario.num_applications, scenario.num_machines)
-    if allocation.counts.shape != shape:
-        raise ModelError(f"allocation shape {allocation.counts.shape} does not match scenario {shape}")
+    if allocation.shape != shape:
+        raise ModelError(f"allocation shape {allocation.shape} does not match scenario {shape}")
     pis = utilizations(scenario, allocation)
-    idle_sum = 0.0
-    dynamic = 0.0
-    for j, mach in enumerate(scenario.machines):
-        pi = float(pis[j])
-        idle_sum += mach.p_idle
-        dynamic += (mach.p_max - mach.p_idle) * pi * pi * pi
-    payoff = float((affinity.values * allocation.counts).sum())
+    idle_sum = _ordered_sum(scenario.idles)
+    dynamic = _ordered_sum(scenario.spans * pis * pis * pis)
+    payoff = _ordered_sum(affinity.values.ravel()[allocation.cells] * allocation.cell_counts)
     power = idle_sum + dynamic
     total = power - scenario.alpha * payoff
     reduced = dynamic - scenario.alpha * payoff
@@ -129,14 +131,16 @@ def metrics(
     Satisfaction ratio: placed instances landing on user-affine machines
     over the total instances requested (not placed), so partial allocations
     score low rather than failing. Utilization is capped at 1 per machine
-    (see ``utilizations``), which only matters for capacity-violating input.
+    (see ``utilizations``), which only matters for capacity-violating input;
+    its average adds the machines in machine-id order.
     """
     breakdown, pis = _cost_and_utilizations(scenario, allocation, affinity)
     report = validate_allocation(scenario, allocation)
     requested = scenario.total_instances
-    on_affine = float((scenario.user_affinity * allocation.counts).sum())
+    counts = allocation.cell_counts
+    on_affine = float(counts[scenario.user_affinity.ravel()[allocation.cells] == 1].sum())
     rho = on_affine / requested
-    avg_util = float(pis.sum()) / scenario.num_machines
+    avg_util = _ordered_sum(pis) / scenario.num_machines
     if breakdown.total == 0.0:
         psi = float("nan")
     else:

@@ -64,7 +64,7 @@ class RunResult:
 def _oracle_as_outcome(scenario: Scenario, affinity: AffinityMatrix, budget: int) -> PlacementOutcome:
     """Adapt the exhaustive solver to the placement outcome contract.
 
-    The trace is synthesized from the optimal counts (application-major,
+    The trace is synthesized from the optimum's cells (application-major,
     machine ascending); pairs_examined carries the search node count. A
     search cut short by its node budget has no claim to the optimum and
     raises HarnessError.
@@ -75,11 +75,10 @@ def _oracle_as_outcome(scenario: Scenario, affinity: AffinityMatrix, budget: int
     feasible = result.optimal is not None
     n, m = scenario.num_applications, scenario.num_machines
     allocation = result.optimal if feasible else AllocationMatrix.zeros(n, m)
-    trace = tuple(
-        (i, k, j)
-        for i, row in enumerate(allocation.counts)
-        for k, j in enumerate(np.repeat(np.arange(m), row).tolist())
-    )
+    apps, machines = np.divmod(np.repeat(allocation.cells, allocation.cell_counts), m)
+    # an instance's index counts the instances of its application before it
+    ks = np.arange(apps.size) - np.searchsorted(apps, apps)
+    trace = tuple(zip(apps.tolist(), ks.tolist(), machines.tolist()))
     return PlacementOutcome(
         allocation=allocation,
         feasible=feasible,

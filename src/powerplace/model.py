@@ -123,6 +123,8 @@ class Application:
         object.__setattr__(self, "instances", instances)
         if self.instances < 1:
             raise ModelError(f"application {self.id}: instances must be >= 1")
+        if self.instances >= 2**63:  # Scenario.instances is int64
+            raise ModelError(f"application {self.id}: instances must be < 2**63")
         if self.demand.cpu <= 0:
             raise ModelError(f"application {self.id}: cpu demand must be > 0")
 
@@ -174,6 +176,19 @@ class Scenario:
     # anti_affinity as one bytes row per application, built once here and
     # shared by every CapacityLedger: anti_rows[i][j] is 0 or 1
     anti_rows: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
+    # The numbers of the machines and applications, read from here and never
+    # rebuilt: read-only float64 columns capacities (M, 4) and demands (N, 4)
+    # in RESOURCE_NAMES order, spans p_max - p_idle and idles p_idle (M,),
+    # int64 instances (N,); and, for the per-step loops of every
+    # CapacityLedger, each machine's capacity and each application's demand
+    # as a tuple, shared, not copied
+    capacities: np.ndarray = field(init=False, repr=False, compare=False)
+    demands: np.ndarray = field(init=False, repr=False, compare=False)
+    spans: np.ndarray = field(init=False, repr=False, compare=False)
+    idles: np.ndarray = field(init=False, repr=False, compare=False)
+    instances: np.ndarray = field(init=False, repr=False, compare=False)
+    capacity_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    demand_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         machines = tuple(self.machines)
@@ -208,6 +223,20 @@ class Scenario:
         object.__setattr__(self, "user_affinity", user)
         object.__setattr__(self, "anti_affinity", anti)
         object.__setattr__(self, "anti_rows", tuple(map(bytes, anti.astype(np.uint8))))
+        caps = tuple(m.capacity.as_tuple() for m in machines)
+        reqs = tuple(a.demand.as_tuple() for a in applications)
+        object.__setattr__(self, "capacity_rows", caps)
+        object.__setattr__(self, "demand_rows", reqs)
+        for name, rows, kind in (
+            ("capacities", caps, float),
+            ("demands", reqs, float),
+            ("spans", [m.p_max - m.p_idle for m in machines], float),
+            ("idles", [m.p_idle for m in machines], float),
+            ("instances", [a.instances for a in applications], np.int64),
+        ):
+            col = np.array(rows, dtype=kind)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
 
     @property
     def num_machines(self) -> int:
@@ -222,19 +251,21 @@ class Scenario:
         return sum(a.instances for a in self.applications)
 
 
-@dataclass(eq=False)
 class AllocationMatrix:
-    """Instance counts per (application, machine) cell.
+    """Instance counts per (application, machine) cell, held as the placed cells.
 
-    The one mutable structure in the model; placement algorithms own their
-    copy for the duration of a run. Compared and hashed by identity, like
-    ``Scenario``.
+    ``cells`` are the flat ids ``i * M + j`` of the cells holding an
+    instance, ascending (row-major order), and ``cell_counts`` their counts,
+    both read-only int64; ``shape`` is (N, M). The dense matrix ``counts`` is
+    built on first read and is read-only too. The constructor takes a dense
+    matrix and checks it; ``from_cells`` takes one flat id per placed
+    instance. Compared and hashed by identity, like ``Scenario``.
     """
 
-    counts: np.ndarray
+    __slots__ = ("shape", "cells", "cell_counts", "_counts")
 
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
+    def __init__(self, counts) -> None:
+        counts = np.asarray(counts)
         if counts.ndim != 2:
             raise ModelError("allocation counts must be a 2-D matrix")
         if not np.issubdtype(counts.dtype, np.integer):
@@ -244,11 +275,60 @@ class AllocationMatrix:
         counts = counts.astype(np.int64, copy=False)
         if (counts < 0).any():
             raise ModelError("allocation counts must be >= 0")
-        self.counts = counts
+        cells = np.flatnonzero(counts)
+        self._hold(counts.shape, cells, counts.ravel()[cells])
+
+    def _hold(self, shape: tuple[int, int], cells: np.ndarray, cell_counts: np.ndarray) -> None:
+        cells.setflags(write=False)
+        cell_counts.setflags(write=False)
+        self.shape, self.cells, self.cell_counts, self._counts = shape, cells, cell_counts, None
+
+    @classmethod
+    def from_cells(cls, shape: tuple[int, int], ids) -> "AllocationMatrix":
+        """The allocation holding one instance per flat id ``i * M + j`` of ``ids``, in any order.
+
+        The ids are sorted with one id past every cell appended, which ends
+        the last run of equal ids: np.unique's work at half its fixed cost,
+        which shows on a 4 x 4 scenario.
+        """
+        ids = np.array([*ids, shape[0] * shape[1]], dtype=np.int64)
+        ids.sort()
+        ends = (ids[1:] != ids[:-1]).nonzero()[0] + 1  # one past each run of equal ids
+        counts = ends.copy()
+        counts[1:] -= ends[:-1]
+        allocation = cls.__new__(cls)
+        allocation._hold(shape, ids[ends - 1], counts)
+        return allocation
 
     @classmethod
     def zeros(cls, num_applications: int, num_machines: int) -> "AllocationMatrix":
-        return cls(np.zeros((num_applications, num_machines), dtype=np.int64))
+        return cls.from_cells((num_applications, num_machines), ())
+
+    def __repr__(self) -> str:
+        return f"AllocationMatrix(counts={self.counts!r})"
+
+    @property
+    def counts(self) -> np.ndarray:
+        if self._counts is None:
+            counts = np.zeros(self.shape, dtype=np.int64)
+            counts.put(self.cells, self.cell_counts)
+            counts.setflags(write=False)
+            self._counts = counts
+        return self._counts
+
+    def machine_sums(self, weights: np.ndarray) -> np.ndarray:
+        """Per-machine sums of per-cell ``weights``, each machine adding its cells in cell order.
+
+        ``weights`` (K,) gives (M,) sums and (K, R) gives (M, R).
+        ``np.bincount`` adds one weight at a time in input order, so no
+        BLAS kernel or SIMD width decides the result.
+        """
+        m = self.shape[1]
+        if weights.ndim == 1:
+            return np.bincount(self.cells % m, weights, minlength=m)
+        r = weights.shape[1]
+        slots = ((self.cells % m)[:, None] * r + np.arange(r)).ravel()
+        return np.bincount(slots, weights.ravel(), minlength=m * r).reshape(m, r)
 
 
 @dataclass(frozen=True)
@@ -289,24 +369,24 @@ class CapacityLedger:
     is machine j's leftover (cpu, io, nw, mem); a subtraction that lands
     below zero by no more than CAPACITY_SLACK of the capacity is float
     residue and is clamped to 0. ``pi[j]`` is the cpu utilization, snapped
-    to 1.0 when it overshoots by no more than CAPACITY_SLACK. ``anti`` is
-    the scenario's ``anti_rows``, shared, not copied. ``first_admissible``
-    holds the one admissibility test and counts nothing. ``pairs`` is the
-    greedy strategies' work count: they add to it themselves, and the ledger
-    never changes it.
+    to 1.0 when it overshoots by no more than CAPACITY_SLACK. ``anti``,
+    ``caps`` and ``demands`` are the scenario's ``anti_rows``,
+    ``capacity_rows`` and ``demand_rows``, shared, not copied.
+    ``first_admissible`` holds the one admissibility test and counts
+    nothing. ``pairs`` is the greedy strategies' work count: they add to it
+    themselves, and the ledger never changes it.
     """
 
     __slots__ = ("caps", "remaining", "cpu_cap", "used_cpu", "pi", "anti", "demands", "pairs")
 
     def __init__(self, scenario: Scenario):
-        machines = scenario.machines
-        self.caps = [mach.capacity.as_tuple() for mach in machines]
-        self.remaining = [list(cap) for cap in self.caps]
-        self.cpu_cap = [mach.capacity.cpu for mach in machines]
-        self.used_cpu = [0.0] * len(machines)
-        self.pi = [0.0] * len(machines)
+        self.caps = caps = scenario.capacity_rows
+        self.remaining = list(map(list, caps))
+        self.cpu_cap = [cap[0] for cap in caps]
+        self.used_cpu = [0.0] * len(caps)
+        self.pi = [0.0] * len(caps)
         self.anti = scenario.anti_rows
-        self.demands = [app.demand.as_tuple() for app in scenario.applications]
+        self.demands = scenario.demand_rows
         self.pairs = 0
 
     def first_admissible(self, i: int, machines: Iterable[int]) -> int:
@@ -352,22 +432,31 @@ def validate_allocation(scenario: Scenario, allocation: AllocationMatrix) -> Val
     Violations are reported, not raised; only a dimension mismatch is a
     structural error. Capacity sums tolerate CAPACITY_SLACK relative float
     jitter so that repeated-subtraction and product-form accounting agree.
+    Only the placed cells are read: the witnesses are the first violating
+    cell and the first over-capacity (machine, resource) in row-major
+    order, and the first short or over-placed application.
     """
-    counts = allocation.counts
     n, m = scenario.num_applications, scenario.num_machines
-    if counts.shape != (n, m):
-        raise ModelError(f"allocation shape {counts.shape} does not match scenario ({n}, {m})")
+    if allocation.shape != (n, m):
+        raise ModelError(f"allocation shape {allocation.shape} does not match scenario ({n}, {m})")
+    cells, counts = allocation.cells, allocation.cell_counts
 
-    hits = np.argwhere((scenario.anti_affinity == 1) & (counts > 0))
+    hits = scenario.anti_affinity.ravel()[cells].nonzero()[0]
     if hits.size:
-        i, j = (int(v) for v in hits[0])
-        anti = ConstraintResult(False, (i, j), f"app {i} has {int(counts[i, j])} instance(s) on forbidden machine {j}")
+        k = int(hits[0])
+        i, j = divmod(int(cells[k]), m)
+        anti = ConstraintResult(False, (i, j), f"app {i} has {int(counts[k])} instance(s) on forbidden machine {j}")
     else:
         anti = ConstraintResult(True)
 
-    placed = counts.sum(axis=1)
-    wanted = np.array([a.instances for a in scenario.applications], dtype=np.int64)
-    short = np.nonzero(placed != wanted)[0]
+    # running int64 totals, read where each application's cells end: a
+    # difference of them is exact
+    running = np.zeros(cells.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=running[1:])
+    totals = running[np.searchsorted(cells, np.arange(0, (n + 1) * m, m))]
+    placed = totals[1:] - totals[:-1]
+    wanted = scenario.instances
+    short = (placed != wanted).nonzero()[0]
     if short.size:
         i = int(short[0])
         completeness = ConstraintResult(
@@ -376,13 +465,12 @@ def validate_allocation(scenario: Scenario, allocation: AllocationMatrix) -> Val
     else:
         completeness = ConstraintResult(True)
 
-    caps = np.array([mach.capacity.as_tuple() for mach in scenario.machines])
-    reqs = np.array([app.demand.as_tuple() for app in scenario.applications])
-    usage = counts.T.astype(float) @ reqs  # (M, 4)
+    caps = scenario.capacities
+    usage = allocation.machine_sums(scenario.demands[cells // m] * counts[:, None])  # (M, 4)
     limit = caps * (1.0 + CAPACITY_SLACK) + 1e-12
-    over = np.argwhere(usage > limit)
-    if over.size:
-        j, c = (int(v) for v in over[0])
+    machines, resources = (usage > limit).nonzero()
+    if machines.size:
+        j, c = int(machines[0]), int(resources[0])
         capacity = ConstraintResult(
             False,
             (-1, j),

@@ -89,10 +89,10 @@ class _Search:
 
     def __init__(self, scenario: Scenario, affinity: AffinityMatrix, budget: int):
         self.ledger = CapacityLedger(scenario)
-        self.spans = [mach.p_max - mach.p_idle for mach in scenario.machines]
+        self.spans = scenario.spans.tolist()
         self.f = affinity.values.tolist()
         self.alpha = scenario.alpha
-        self.instances = [app.instances for app in scenario.applications]
+        self.instances = scenario.instances.tolist()
         self.last = scenario.num_applications - 1
         self.budget = budget
         self.nodes = 0
@@ -103,7 +103,7 @@ class _Search:
 
     def roots(self) -> list[_MachineState]:
         """Every machine empty: no cpu used, no payoff, a cost term of 0."""
-        return [_MachineState(tuple(cap), 0.0, 0.0, 0.0) for cap in self.ledger.caps]
+        return [_MachineState(cap, 0.0, 0.0, 0.0) for cap in self.ledger.caps]
 
     def ladder(self, state: _MachineState, i: int, j: int) -> list[_MachineState]:
         """Build ``state.ladder`` for application i on machine j through the ledger."""

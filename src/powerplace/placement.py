@@ -32,8 +32,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
-import numpy as np
-
 from .affinity import AffinityMatrix, require_final
 from .costs import delta_cost
 from .model import (
@@ -116,11 +114,11 @@ def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) ->
     of application i, or -1 when none is admissible, which ends the run.
     It finds the machine with ``ledger.first_admissible`` and, when it
     finds one, adds its work, as ``PlacementOutcome`` counts it, to
-    ``ledger.pairs``. The failing step's M pairs are added here.
+    ``ledger.pairs``. The failing step's M pairs are added here. The
+    allocation's cells are built from the trace once, at the end.
     """
     ledger = CapacityLedger(scenario)
     m = scenario.num_machines
-    counts = np.zeros((scenario.num_applications, m), dtype=np.int64)
     trace: list[PlacementEvent] = []
     failed_at = None
     order = sort_applications(scenario.applications)
@@ -131,10 +129,10 @@ def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) ->
             failed_at = (i, k)
             break
         ledger.add(i, j)
-        counts[i, j] += 1
         trace.append((i, k, j))
     return PlacementOutcome(
-        allocation=AllocationMatrix(counts),
+        allocation=AllocationMatrix.from_cells(
+            (scenario.num_applications, m), [i * m + j for i, _, j in trace]),
         feasible=failed_at is None,
         failed_at=failed_at,
         trace=tuple(trace),

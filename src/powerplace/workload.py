@@ -588,7 +588,8 @@ def load_trace(
             raise WorkloadError(f"{applications_path.name} line {line}: cpu_req must be > 0")
         if count < 1:
             raise WorkloadError(f"{applications_path.name} line {line}: instances must be >= 1")
-        applications.append(Application(id=aid, demand=demand, instances=count))
+        with _row_rules(applications_path, line):
+            applications.append(Application(id=aid, demand=demand, instances=count))
         app_lines.append(line)
     if not applications:
         raise WorkloadError(f"{applications_path.name}: no data rows")

@@ -13,6 +13,10 @@ and instance, and must agree with the solver's whole-row enumeration on
 nodes, the exhausted flag, the optimum and, within float noise, its cost.
 The brute-force optimum enumerates labeled instances (not count vectors)
 and computes the objective with plain Python arithmetic.
+The dense scorers are validate_allocation, total_cost and metrics as they
+were before scoring read only the placed cells: passes over the whole
+N x M count matrix, with matmuls for the per-machine sums. They are the
+reference for the cell path's verdicts, witnesses and values.
 """
 
 from __future__ import annotations
@@ -31,8 +35,16 @@ from powerplace import (
     Scenario,
     delta_cost,
 )
-from powerplace.affinity import AffinityMatrix
-from powerplace.model import CapacityLedger
+from powerplace.affinity import AffinityMatrix, require_final
+from powerplace.costs import CostBreakdown, MetricsReport
+from powerplace.model import (
+    CAPACITY_SLACK,
+    RESOURCE_NAMES,
+    CapacityLedger,
+    ConstraintResult,
+    ModelError,
+    ValidationReport,
+)
 from powerplace.oracle import DEFAULT_NODE_BUDGET
 
 WEIGHTS = AffinityWeights(0.4, 0.2, 0.2, 0.2)
@@ -436,3 +448,87 @@ def brute_force_optimal(scn, affinity):
         if best_cost is None or key < (best_cost, tuple(v for row in best_counts for v in row)):
             best_counts, best_cost = counts, cost
     return best_counts, best_cost
+
+
+def dense_validate_allocation(scenario, allocation) -> ValidationReport:
+    """validate_allocation over the dense count matrix, as it was before the cell path."""
+    counts = allocation.counts
+    n, m = scenario.num_applications, scenario.num_machines
+    if counts.shape != (n, m):
+        raise ModelError(f"allocation shape {counts.shape} does not match scenario ({n}, {m})")
+
+    hits = np.argwhere((scenario.anti_affinity == 1) & (counts > 0))
+    if hits.size:
+        i, j = (int(v) for v in hits[0])
+        anti = ConstraintResult(False, (i, j), f"app {i} has {int(counts[i, j])} instance(s) on forbidden machine {j}")
+    else:
+        anti = ConstraintResult(True)
+
+    placed = counts.sum(axis=1)
+    wanted = np.array([a.instances for a in scenario.applications], dtype=np.int64)
+    short = np.nonzero(placed != wanted)[0]
+    if short.size:
+        i = int(short[0])
+        completeness = ConstraintResult(
+            False, (i, -1), f"app {i} placed {int(placed[i])} of {int(wanted[i])} instances"
+        )
+    else:
+        completeness = ConstraintResult(True)
+
+    caps = np.array([mach.capacity.as_tuple() for mach in scenario.machines])
+    reqs = np.array([app.demand.as_tuple() for app in scenario.applications])
+    usage = counts.T.astype(float) @ reqs  # (M, 4)
+    limit = caps * (1.0 + CAPACITY_SLACK) + 1e-12
+    over = np.argwhere(usage > limit)
+    if over.size:
+        j, c = (int(v) for v in over[0])
+        capacity = ConstraintResult(
+            False,
+            (-1, j),
+            f"machine {j} over {RESOURCE_NAMES[c]}: used {usage[j, c]!r} > cap {caps[j, c]!r}",
+        )
+    else:
+        capacity = ConstraintResult(True)
+
+    return ValidationReport(anti_affinity=anti, completeness=completeness, capacity=capacity)
+
+
+def dense_cost_and_utilizations(scenario, allocation, affinity):
+    """total_cost and utilizations over the dense count matrix, as they were before the cell path."""
+    require_final(scenario, affinity)
+    shape = (scenario.num_applications, scenario.num_machines)
+    if allocation.counts.shape != shape:
+        raise ModelError(f"allocation shape {allocation.counts.shape} does not match scenario {shape}")
+    cpu_req = np.array([a.demand.cpu for a in scenario.applications])
+    cpu_cap = np.array([m.capacity.cpu for m in scenario.machines])
+    pis = np.minimum((allocation.counts.T.astype(float) @ cpu_req) / cpu_cap, 1.0)
+    idle_sum = 0.0
+    dynamic = 0.0
+    for j, mach in enumerate(scenario.machines):
+        pi = float(pis[j])
+        idle_sum += mach.p_idle
+        dynamic += (mach.p_max - mach.p_idle) * pi * pi * pi
+    payoff = float((affinity.values * allocation.counts).sum())
+    power = idle_sum + dynamic
+    total = power - scenario.alpha * payoff
+    reduced = dynamic - scenario.alpha * payoff
+    return CostBreakdown(total=total, reduced=reduced, power=power, payoff=payoff), pis
+
+
+def dense_metrics(scenario, allocation, affinity) -> MetricsReport:
+    """metrics over the dense count matrix, as it was before the cell path."""
+    breakdown, pis = dense_cost_and_utilizations(scenario, allocation, affinity)
+    report = dense_validate_allocation(scenario, allocation)
+    on_affine = float((scenario.user_affinity * allocation.counts).sum())
+    psi = float("nan") if breakdown.total == 0.0 else breakdown.payoff / breakdown.total
+    return MetricsReport(
+        total_cost=breakdown.total,
+        reduced_cost=breakdown.reduced,
+        power_cost=breakdown.power,
+        affinity_payoff=breakdown.payoff,
+        satisfaction_ratio=on_affine / scenario.total_instances,
+        avg_utilization=float(pis.sum()) / scenario.num_machines,
+        payoff_ratio=psi,
+        psi_well_defined=breakdown.total > 0.0,
+        feasible=report.feasible_complete,
+    )

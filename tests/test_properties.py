@@ -23,6 +23,10 @@ point. No comparison a strategy or the exact solver makes can change, so
 their decisions and work counts must stay the same, and the reduced cost
 must scale exactly.
 
+Scoring from the placed cells must agree with the dense N x M passes it
+replaced on any allocation, broken or not: the same verdict, witness and
+detail text for every constraint, and every metric within 1e-12.
+
 A scenario written by save_trace reads back equal through load_trace. An
 affinity.csv reads as a row-by-row reader with the scalar checks reads it,
 whether numpy's C parser takes it whole or the row checks stream it: the
@@ -30,18 +34,27 @@ same matrices, or the same first error in file order.
 """
 
 import csv
+import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerplace.affinity import AffinityMatrix, build_final_affinity
-from powerplace.costs import total_cost
-from powerplace.model import validate_allocation
+from powerplace.costs import metrics, total_cost
+from powerplace.model import (
+    AffinityWeights,
+    AllocationMatrix,
+    Application,
+    Machine,
+    ResourceVector,
+    Scenario,
+    validate_allocation,
+)
 from powerplace.oracle import DEFAULT_NODE_BUDGET, optimal_place
 from powerplace.placement import aap_place, cpaap_place, first_fit_place, pap_place
 from powerplace.workload import (
@@ -58,6 +71,8 @@ from powerplace.workload import (
 )
 
 from support import (
+    dense_metrics,
+    dense_validate_allocation,
     fresh_oracle_cost,
     replay_aap,
     replay_cpaap,
@@ -167,6 +182,76 @@ TIGHT_MACHINES = ResourceRanges(cpu=(8, 12), io=(100, 150), nw=(100, 150), mem=(
 def test_first_fit_resumed_scan_matches_scan_from_zero(config):
     scenario = generate_synthetic(config)
     replay_first_fit(scenario, first_fit_place(scenario))
+
+
+def quarters(lo: int, hi: int):
+    return st.integers(lo, hi).map(lambda q: q / 4)
+
+
+@st.composite
+def scored_allocations(draw):
+    """A scenario, stored affinity values and any allocation on them, as plain lists.
+
+    Capacities and demands are multiples of 1/4 and counts are at most 4, so
+    every usage sum is exact whatever order adds it, and the over-capacity
+    text, which prints a usage, cannot differ in a last bit. Idle draws of
+    at least 100 per machine against an alpha of at most 1 keep the total
+    cost well above 0, so the payoff ratio is compared on a sound scale.
+    """
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def rows(strategy, length, width):
+        return draw(st.lists(st.lists(strategy, min_size=width, max_size=width),
+                             min_size=length, max_size=length))
+
+    caps = rows(quarters(0, 48), m, 4)
+    for cap in caps:
+        cap[0] = max(cap[0], 0.25)
+    power = [(idle, idle + extra) for idle, extra in rows(quarters(400, 800), m, 2)]
+    demands = rows(quarters(0, 12), n, 4)
+    for demand in demands:
+        demand[0] = max(demand[0], 0.25)
+    instances = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    # 0 plain, 1 user-affine, 2 anti-affine
+    marks = rows(st.integers(0, 2), n, m)
+    values = rows(st.floats(0.0, 1.0), n, m)
+    counts = rows(st.integers(0, 4), n, m)
+    return caps, power, demands, instances, marks, values, draw(st.floats(0.0, 1.0)), counts
+
+
+def build_scored(case):
+    caps, power, demands, instances, marks, values, alpha, counts = case
+    scenario = Scenario(
+        machines=tuple(Machine(j, ResourceVector(*cap), *pw) for j, (cap, pw) in enumerate(zip(caps, power))),
+        applications=tuple(Application(i, ResourceVector(*d), k)
+                           for i, (d, k) in enumerate(zip(demands, instances))),
+        user_affinity=np.array(marks) == 1,
+        anti_affinity=np.array(marks) == 2,
+        weights=AffinityWeights(0.25, 0.25, 0.25, 0.25),
+        alpha=alpha,
+    )
+    return scenario, AllocationMatrix(np.array(counts, dtype=np.int64)), AffinityMatrix(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scored_allocations())
+# nothing placed: every application short
+@example(case=([[4.0, 8.0, 8.0, 8.0]], [(100.0, 200.0)], [[1.0, 1.0, 1.0, 1.0], [2.0, 0.0, 0.0, 0.0]], [2, 1],
+               [[1], [0]], [[0.3], [0.7]], 0.5, [[0], [0]]))
+# an anti-affine cell, an over-placed and a short application, both machines over cpu
+@example(case=([[4.0, 8.0, 8.0, 8.0], [2.0, 1.0, 8.0, 8.0]], [(100.0, 200.0), (150.0, 150.0)],
+               [[1.0, 0.5, 0.0, 0.0], [1.5, 0.25, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]], [2, 1, 4],
+               [[1, 2], [0, 1], [0, 0]], [[0.1, 0.9], [0.5, 0.2], [1.0, 0.0]], 1.0,
+               [[1, 1], [3, 0], [0, 3]]))
+def test_cell_scoring_matches_dense_passes(case):
+    scenario, allocation, affinity = build_scored(case)
+    assert validate_allocation(scenario, allocation) == dense_validate_allocation(scenario, allocation)
+    got, want = metrics(scenario, allocation, affinity), dense_metrics(scenario, allocation, affinity)
+    for name, value in vars(want).items():
+        if isinstance(value, float):
+            assert math.isclose(getattr(got, name), value, rel_tol=1e-12, abs_tol=0.0), name
+        else:
+            assert getattr(got, name) == value, name
 
 
 # Room for a few instances of each application, so a machine's room is
