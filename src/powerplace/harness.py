@@ -4,7 +4,8 @@ A sweep varies one scenario parameter (machine count, application count,
 anti-affinity fraction, or alpha) over a list of points, runs each chosen
 algorithm on ``repetitions`` seeded scenarios per point, and collects one
 result row per run. Row seeds repeat across points so comparisons along
-the sweep axis are paired.
+the sweep axis are paired. Points that differ only in alpha share each
+seed's scenario, affinity and ranking, generated once.
 """
 
 from __future__ import annotations
@@ -235,28 +236,57 @@ class ResultsTable:
         return out
 
 
+def _seed_rows(
+    group: list[tuple[float, GeneratorConfig]], seed: int, algorithms: tuple[str, ...]
+) -> list[ResultRow]:
+    """One seed's rows for points that differ only in alpha, on one shared scenario.
+
+    The scenario and its affinity are dropped on return, so a sweep holds
+    one seed's at a time.
+    """
+    try:
+        shared = generate_synthetic(replace(group[0][1], seed=seed))
+        affinity = build_final_affinity(shared)
+    except Exception as exc:  # noqa: BLE001 - raised again on each row below
+        shared, failure = None, exc
+    rows = []
+    for value, point in group:
+        scenario = shared
+        if shared is not None and point.alpha != shared.alpha:
+            scenario = replace(shared, alpha=point.alpha)
+        for algorithm in algorithms:
+            try:
+                if scenario is None:
+                    raise failure
+                report = run_scenario(scenario, algorithm, affinity).report
+                rows.append(ResultRow.from_report(value, algorithm, seed, report))
+            except Exception as exc:  # noqa: BLE001 - sweep must survive one bad run
+                error = f"{type(exc).__name__}: {exc}"
+                rows.append(ResultRow(float(value), algorithm, seed, error=error))
+    return rows
+
+
 def run_sweep(spec: SweepSpec) -> ResultsTable:
     """Execute the full points x algorithms x repetitions grid.
 
+    Neither a drawn scenario nor its final affinity depends on alpha, so
+    points whose configs differ only in alpha share each seed's scenario,
+    affinity and ranking: each point runs on a copy of the scenario with
+    its own alpha. Runtime is still measured around the placement call,
+    so the ranking build is charged to the first aap or cpaap row run on
+    the shared matrix.
+
     A failure in one run is recorded on its row (NaN metrics plus the
-    error text) and the sweep continues.
+    error text) and the sweep continues; a failure to generate a seed's
+    scenario or affinity is recorded on every row of that seed.
     """
-    rows: list[ResultRow] = []
+    groups: dict[GeneratorConfig, list[tuple[float, GeneratorConfig]]] = {}
     for value, point in zip(spec.values, spec.points):
+        groups.setdefault(replace(point, alpha=0.0), []).append((value, point))
+    rows: list[ResultRow] = []
+    for group in groups.values():
         for rep in range(spec.repetitions):
-            seed = point.seed + rep
-            scenario = None
-            affinity = None
-            for algorithm in spec.algorithms:
-                try:
-                    if scenario is None:
-                        scenario = generate_synthetic(replace(point, seed=seed))
-                        affinity = build_final_affinity(scenario)
-                    report = run_scenario(scenario, algorithm, affinity).report
-                    rows.append(ResultRow.from_report(value, algorithm, seed, report))
-                except Exception as exc:  # noqa: BLE001 - sweep must survive one bad run
-                    error = f"{type(exc).__name__}: {exc}"
-                    rows.append(ResultRow(float(value), algorithm, seed, error=error))
+            rows.extend(_seed_rows(group, group[0][1].seed + rep, spec.algorithms))
     rows.sort(key=lambda r: (r.sweep_point, r.algorithm, r.seed))
     config = {
         "kind": spec.kind,

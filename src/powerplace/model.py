@@ -130,10 +130,11 @@ class Application:
 
 
 def _binary_matrix(name: str, mat: np.ndarray) -> np.ndarray:
-    """A read-only int64 copy of ``mat``; ModelError unless every cell is 0 or 1.
+    """``mat`` as a read-only int64 matrix; ModelError unless every cell is 0 or 1.
 
     Cells are checked before the cast, so a fraction or a NaN is rejected
-    rather than truncated.
+    rather than truncated. A read-only int64 matrix, such as another
+    scenario's, is kept as it is; anything else is copied.
     """
     if mat.dtype.kind not in "biuf":
         try:
@@ -143,6 +144,8 @@ def _binary_matrix(name: str, mat: np.ndarray) -> np.ndarray:
     # a NaN fails the range test: min() and max() are NaN
     if not (mat.min() >= 0 and mat.max() <= 1):
         raise ModelError(f"{name} must be binary")
+    if mat.dtype == np.int64 and not mat.flags.writeable:
+        return mat
     ints = mat.astype(np.int64)
     if mat.dtype.kind == "f" and not np.array_equal(ints, mat):
         raise ModelError(f"{name} must be binary")
@@ -474,7 +477,8 @@ def validate_allocation(scenario: Scenario, allocation: AllocationMatrix) -> Val
         capacity = ConstraintResult(
             False,
             (-1, j),
-            f"machine {j} over {RESOURCE_NAMES[c]}: used {usage[j, c]!r} > cap {caps[j, c]!r}",
+            f"machine {j} over {RESOURCE_NAMES[c]}: "
+            f"used {float(usage[j, c])!r} > cap {float(caps[j, c])!r}",
         )
     else:
         capacity = ConstraintResult(True)

@@ -485,7 +485,8 @@ def dense_validate_allocation(scenario, allocation) -> ValidationReport:
         capacity = ConstraintResult(
             False,
             (-1, j),
-            f"machine {j} over {RESOURCE_NAMES[c]}: used {usage[j, c]!r} > cap {caps[j, c]!r}",
+            f"machine {j} over {RESOURCE_NAMES[c]}: "
+            f"used {float(usage[j, c])!r} > cap {float(caps[j, c])!r}",
         )
     else:
         capacity = ConstraintResult(True)

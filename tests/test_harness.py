@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -180,6 +181,88 @@ class TestRunSweep:
         assert "boom" in errors[0].error
         assert len(good) == 2
         assert all(math.isnan(r.total_cost) for r in errors)
+
+
+def _without_runtime(rows):
+    # compared as text: a NaN metric equals itself only by identity
+    return [repr(replace(r, runtime_ms=None)) for r in rows]
+
+
+def _one_point_sweeps(kind, values, base, algorithms, reps):
+    rows = []
+    for value in values:
+        rows.extend(run_sweep(SweepSpec(kind, (value,), base, algorithms, repetitions=reps)).rows)
+    return sorted(rows, key=lambda r: (r.sweep_point, r.algorithm, r.seed))
+
+
+def _counting(monkeypatch, name):
+    import powerplace.harness as harness
+
+    real = getattr(harness, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, wrapper)
+    return calls
+
+
+class TestSharedAlphaScenarios:
+    """Points that differ only in alpha share each seed's scenario and affinity."""
+
+    @pytest.mark.parametrize(
+        "base, algorithms",
+        [
+            (BASE, ("pap", "aap", "cpaap", "first_fit")),
+            (GeneratorConfig(4, 2, seed=5, instance_range=(1, 4)), ("cpaap", "oracle")),
+        ],
+    )
+    def test_rows_equal_one_point_sweeps(self, base, algorithms):
+        values = (0.5, 4.0, 16.0, 70.0)
+        shared = run_sweep(SweepSpec("alpha", values, base, algorithms, repetitions=3)).rows
+        alone = _one_point_sweeps("alpha", values, base, algorithms, 3)
+        assert _without_runtime(shared) == _without_runtime(alone)
+        assert all(r.error is None for r in shared)
+        # alpha reaches the rows: the points' costs differ
+        assert len({r.total_cost for r in shared if r.algorithm == "cpaap"}) > 3
+
+    @pytest.mark.parametrize(
+        "kind, values, calls_per_rep",
+        [("alpha", (0.5, 4.0, 16.0), 1), ("machines", (4, 6, 9), 3),
+         ("anti_affinity", (0.0, 0.2, 0.4), 3)],
+    )
+    def test_generates_once_per_seed_and_distinct_config(self, monkeypatch, kind, values, calls_per_rep):
+        generated = _counting(monkeypatch, "generate_synthetic")
+        built = _counting(monkeypatch, "build_final_affinity")
+        table = run_sweep(SweepSpec(kind, values, BASE, ("pap", "aap"), repetitions=4))
+        assert len(table.rows) == len(values) * 2 * 4
+        assert len(generated) == len(built) == calls_per_rep * 4
+        assert sorted(config.seed for (config,) in generated) == sorted(
+            BASE.seed + rep for rep in range(4) for _ in range(calls_per_rep)
+        )
+
+    def test_generation_failure_is_recorded_on_every_point_of_its_seed(self, monkeypatch):
+        import powerplace.harness as harness
+
+        real = harness.generate_synthetic
+
+        def failing(config):
+            if config.seed == BASE.seed + 1:
+                raise RuntimeError(f"cannot draw seed {config.seed}")
+            return real(config)
+
+        monkeypatch.setattr(harness, "generate_synthetic", failing)
+        values, algorithms = (0.5, 4.0, 16.0), ("pap", "cpaap")
+        table = run_sweep(SweepSpec("alpha", values, BASE, algorithms, repetitions=3))
+        bad = [r for r in table.rows if r.seed == BASE.seed + 1]
+        assert len(bad) == len(values) * len(algorithms)
+        assert {r.error for r in bad} == {f"RuntimeError: cannot draw seed {BASE.seed + 1}"}
+        assert all(math.isnan(r.total_cost) and not r.feasible for r in bad)
+        assert all(r.error is None for r in table.rows if r.seed != BASE.seed + 1)
+        alone = _one_point_sweeps("alpha", values, BASE, algorithms, 3)
+        assert _without_runtime(table.rows) == _without_runtime(alone)
 
 
 class TestEmitResults:

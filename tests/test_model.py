@@ -153,6 +153,20 @@ class TestTypes:
             assert (a == a) is True and (a == b) is False and (a != b) is True, name
             assert hash(a) == hash(a) and len({a, b}) == 2, name
 
+    def test_copy_with_new_alpha_shares_the_affinity_matrices(self):
+        scn = generate_synthetic(GeneratorConfig(3, 2, seed=1))
+        copy = replace(scn, alpha=2.0)
+        assert copy.user_affinity is scn.user_affinity and copy.anti_affinity is scn.anti_affinity
+        # a writable matrix is copied, so the caller cannot change the scenario
+        user = np.zeros((1, 1), dtype=np.int64)
+        held = scenario([machine(0)], [app(0)], user=user).user_affinity
+        assert held is not user and not held.flags.writeable
+        # a read-only matrix is still checked
+        bad = np.full((1, 1), 2, dtype=np.int64)
+        bad.setflags(write=False)
+        with pytest.raises(ModelError, match="user_affinity must be binary"):
+            scenario([machine(0)], [app(0)], user=bad)
+
 
 def ledger_for(machines, apps, anti=None):
     return CapacityLedger(scenario(machines, apps, anti=anti))
@@ -325,6 +339,12 @@ class TestValidateAllocation:
         assert not report.capacity.ok
         assert report.capacity.witness == (-1, 0)
         assert "cpu" in report.capacity.detail
+
+    def test_capacity_detail_prints_plain_floats(self):
+        # numpy 2 would print np.float64(5.5) for a numpy scalar's repr
+        scn = scenario([machine(0, cpu=4)], [app(0, cpu=5.5)])
+        report = validate_allocation(scn, alloc([[1]]))
+        assert report.capacity.detail == "machine 0 over cpu: used 5.5 > cap 4.0"
 
     def test_oracle_output_is_feasible_complete(self):
         scn = self.two_by_two()
