@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -129,6 +129,14 @@ class Application:
             raise ModelError(f"application {self.id}: cpu demand must be > 0")
 
 
+def sort_applications(applications: Sequence[Application]) -> list[Application]:
+    """Applications in decreasing demand order (cpu, io, nw, mem), id tiebreak."""
+    return sorted(
+        applications,
+        key=lambda a: (-a.demand.cpu, -a.demand.io, -a.demand.nw, -a.demand.mem, a.id),
+    )
+
+
 def _binary_matrix(name: str, mat: np.ndarray) -> np.ndarray:
     """``mat`` as a read-only int64 matrix; ModelError unless every cell is 0 or 1.
 
@@ -165,6 +173,12 @@ class Scenario:
     A cell may not be both user-affine and anti-affine: both matrices are
     user-supplied and must not contradict each other.
 
+    It also builds, once, what the greedy strategies read on every run:
+    ``placement_order``, the applications in ``sort_applications`` order,
+    and ``demand_floor``, below which in any one resource a machine admits
+    no instance of any application. ``dataclasses.replace`` builds both
+    anew.
+
     Compared and hashed by identity: the matrices are arrays, which have no
     single truth value.
     """
@@ -192,6 +206,11 @@ class Scenario:
     instances: np.ndarray = field(init=False, repr=False, compare=False)
     capacity_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     demand_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    # For the greedy strategies (see above), read on every run: demand_floor,
+    # a (cpu, io, nw, mem) tuple like each of demand_rows, and
+    # placement_order, (application id, instances) pairs
+    demand_floor: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    placement_order: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         machines = tuple(self.machines)
@@ -240,6 +259,9 @@ class Scenario:
             col = np.array(rows, dtype=kind)
             col.setflags(write=False)
             object.__setattr__(self, name, col)
+        object.__setattr__(self, "demand_floor", tuple(self.demands.min(axis=0).tolist()))
+        order = tuple([(a.id, a.instances) for a in sort_applications(applications)])
+        object.__setattr__(self, "placement_order", order)
 
     @property
     def num_machines(self) -> int:
@@ -377,7 +399,11 @@ class CapacityLedger:
     ``capacity_rows`` and ``demand_rows``, shared, not copied.
     ``first_admissible`` holds the one admissibility test and counts
     nothing. ``pairs`` is the greedy strategies' work count: they add to it
-    themselves, and the ledger never changes it.
+    themselves, and the ledger never changes it. Since ``remaining`` only
+    shrinks, a machine whose ``remaining`` falls below the scenario's
+    ``demand_floor`` in some resource fails that test for good; the greedy
+    skeleton reads ``remaining`` after each placement to find such
+    machines.
     """
 
     __slots__ = ("caps", "remaining", "cpu_cap", "used_cpu", "pi", "anti", "demands", "pairs")

@@ -1,10 +1,11 @@
 """Greedy placement algorithms.
 
-Four single-pass strategies share one skeleton, ``_greedy``: sort
-applications by decreasing demand, then place instances one at a time.
-Each step takes a machine that ``CapacityLedger.first_admissible`` accepts
-(not anti-affine, and every resource fits), the first in the strategy's
-own machine order:
+Four single-pass strategies share one skeleton, ``_greedy``: take the
+applications in decreasing demand order, the scenario's
+``placement_order``, and place their instances one at a time. Each step
+takes a machine that ``CapacityLedger.first_admissible`` accepts (not
+anti-affine, and every resource fits), the first in the strategy's own
+machine order:
 
   pap        (priority parameter, id), kept sorted; the parameter tracks
              utilization below a threshold, then escalates (1, then
@@ -19,6 +20,11 @@ own machine order:
              rejects the rest of its application's, so each scan resumes
              at the machine the last one took
 
+A machine left with less than the scenario's ``demand_floor`` in some
+resource is spent: it admits no instance again. pap, cpaap's first
+candidate and first_fit retire it from their orders; their choices and
+work counts are those of scans that keep it. aap's walk keeps it.
+
 All are deterministic: every tie falls back to machine id. Infeasibility
 is an outcome, not an exception; the partial allocation and trace are
 returned for diagnosis. ``PlacementOutcome`` defines the work count.
@@ -29,16 +35,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .affinity import AffinityMatrix, require_final
 from .costs import delta_cost
 from .model import (
     AllocationMatrix,
-    Application,
     CapacityLedger,
     Scenario,
+    sort_applications,  # the greedy order's rule, re-exported from its home in model
 )
 
 PlacementEvent = tuple[int, int, int]  # (application id, instance index, machine id)
@@ -54,10 +61,12 @@ class PlacementOutcome:
     solver's outcome (``harness.run_scenario`` with "oracle") has no such
     point: an infeasible scenario gives ``failed_at`` None, an empty trace
     and an all-zero allocation. ``pairs_examined`` counts (candidate
-    machine, instance) pairs: the probes of pap and first_fit (the machines
-    first_fit's resumed scan skips count as the rejected probes they are, so
-    placing on j counts j + 1), M per step of aap and cpaap, which rank
-    every machine, and M on the failing step of every strategy.
+    machine, instance) pairs: the probes of pap and first_fit as scans that
+    keep every machine would make them (the spent machines they retired
+    count as the rejected probes they would be, and so do the machines
+    first_fit's resumed scan skips, so placing on j counts j + 1), M per
+    step of aap and cpaap, which rank every machine, and M on the failing
+    step of every strategy.
     """
 
     allocation: AllocationMatrix
@@ -77,59 +86,84 @@ class PapPriorityState:
     placement. ``order`` keeps every (omega[j], j) ascending, pap's scan
     order; an update moves only j's pair, so omega need not be monotone.
     Under an infinite threshold omega[j] is always j's utilization, and
-    ``order`` is (utilization, id) order.
+    ``order`` is (utilization, id) order. A retired machine's pair moves
+    from ``order`` to ``retired``, also ascending: nothing is placed on it
+    again, so its pair is frozen.
     """
 
     omega: list[float]
     threshold: float
     order: list[tuple[float, int]] = field(init=False)
+    retired: list[tuple[float, int]] = field(init=False)
 
     def __post_init__(self) -> None:
         self.order = sorted(zip(self.omega, range(len(self.omega))))
+        self.retired = []
 
     def after_placement(self, j: int, pi: float) -> int:
-        """Move j's parameter on after a placement; returns j's old position in ``order``."""
+        """Move j's parameter on after a placement; returns j's old position.
+
+        The position is in the order of every pair, retired ones included.
+        """
         w = self.omega[j]
         self.omega[j] = new = pi if w < self.threshold else 1.0 if w < 1.0 else 2.0 * w
         order = self.order
-        k = bisect_left(order, (w, j))
+        key = (w, j)
+        k = bisect_left(order, key)
         del order[k]
         insort(order, (new, j))
-        return k
+        return k + bisect_left(self.retired, key) if self.retired else k
+
+    def retire(self, j: int) -> None:
+        """Move j's pair from ``order`` to ``retired``; j takes no further placement."""
+        key = (self.omega[j], j)
+        del self.order[bisect_left(self.order, key)]
+        insort(self.retired, key)
 
 
-def sort_applications(applications: Sequence[Application]) -> list[Application]:
-    """Applications in decreasing demand order (cpu, io, nw, mem), id tiebreak."""
-    return sorted(
-        applications,
-        key=lambda a: (-a.demand.cpu, -a.demand.io, -a.demand.nw, -a.demand.mem, a.id),
-    )
-
-
-def _greedy(scenario: Scenario, choose: Callable[[CapacityLedger, int], int]) -> PlacementOutcome:
+def _greedy(
+    scenario: Scenario,
+    choose: Callable[[CapacityLedger, int], int],
+    retire: Optional[Callable[[int], None]] = None,
+) -> PlacementOutcome:
     """The pass every strategy shares; ``choose`` is its choice rule.
 
-    Applications go in ``sort_applications`` order, instances one at a
-    time. ``choose(ledger, i)`` returns the machine for the next instance
-    of application i, or -1 when none is admissible, which ends the run.
-    It finds the machine with ``ledger.first_admissible`` and, when it
-    finds one, adds its work, as ``PlacementOutcome`` counts it, to
+    Applications go in the scenario's ``placement_order``, instances one
+    at a time. ``choose(ledger, i)`` returns the machine for the next
+    instance of application i, or -1 when none is admissible, which ends
+    the run. It finds the machine with ``ledger.first_admissible`` and,
+    when it finds one, adds its work, as ``PlacementOutcome`` counts it, to
     ``ledger.pairs``. The failing step's M pairs are added here. The
     allocation's cells are built from the trace once, at the end.
+
+    A machine is spent once, in some resource, what it has left is below
+    the scenario's ``demand_floor``: it admits no instance again, since
+    remaining capacity only shrinks. ``retire(j)``, when given, is called
+    once for each machine j that a placement leaves spent, so the rule can
+    stop scanning it.
     """
     ledger = CapacityLedger(scenario)
     m = scenario.num_machines
+    add, remaining = ledger.add, ledger.remaining
+    f0, f1, f2, f3 = scenario.demand_floor
     trace: list[PlacementEvent] = []
+    place = trace.append
     failed_at = None
-    order = sort_applications(scenario.applications)
-    for i, k in ((app.id, k) for app in order for k in range(app.instances)):
-        j = choose(ledger, i)
-        if j < 0:
-            ledger.pairs += m
-            failed_at = (i, k)
+    for i, count in scenario.placement_order:
+        for k in range(count):
+            j = choose(ledger, i)
+            if j < 0:
+                ledger.pairs += m
+                failed_at = (i, k)
+                break
+            add(i, j)
+            place((i, k, j))
+            if retire is not None:
+                r0, r1, r2, r3 = remaining[j]
+                if r0 < f0 or r1 < f1 or r2 < f2 or r3 < f3:
+                    retire(j)
+        if failed_at is not None:
             break
-        ledger.add(i, j)
-        trace.append((i, k, j))
     return PlacementOutcome(
         allocation=AllocationMatrix.from_cells(
             (scenario.num_applications, m), [i * m + j for i, _, j in trace]),
@@ -154,7 +188,7 @@ def pap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcome:
             ledger.pairs += state.after_placement(j, ledger.pi_after(i, j)) + 1
         return j
 
-    return _greedy(scenario, choose)
+    return _greedy(scenario, choose, state.retire)
 
 
 class _AffinityWalk:
@@ -247,7 +281,7 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
         state.after_placement(j1, after)
         return j1
 
-    return _greedy(scenario, choose)
+    return _greedy(scenario, choose, state.retire)
 
 
 def first_fit_place(scenario: Scenario) -> PlacementOutcome:
@@ -256,21 +290,27 @@ def first_fit_place(scenario: Scenario) -> PlacementOutcome:
     An application's instances are placed one after another and remaining
     capacity only shrinks, so a machine that rejected one instance rejects
     every later instance of that application. The scan for the next one
-    resumes at the machine the last one took; the machines it skips are
-    counted as the rejected probes they are, so a step placing on j adds
-    j + 1 to ``pairs_examined`` and a failing step adds M.
+    resumes at the machine the last one took, in ``alive``, the ids of the
+    machines not yet retired, ascending. The machines it skips, retired or
+    not, are counted as the rejected probes they are, so a step placing on
+    j adds j + 1 to ``pairs_examined`` and a failing step adds M.
     """
-    m = scenario.num_machines
+    alive = list(range(scenario.num_machines))
     live, start = -1, 0
 
     def choose(ledger: CapacityLedger, i: int) -> int:
         nonlocal live, start
         if i != live:
             live, start = i, 0
-        j = ledger.first_admissible(i, range(start, m))
+        j = ledger.first_admissible(i, islice(alive, start, None))
         if j >= 0:
-            start = j
+            start = alive.index(j, start)
             ledger.pairs += j + 1
         return j
 
-    return _greedy(scenario, choose)
+    def retire(j: int) -> None:
+        # j was just placed, so it is alive[start]; the next scan resumes
+        # at the machine after it
+        del alive[start]
+
+    return _greedy(scenario, choose, retire)

@@ -13,6 +13,9 @@ and instance, and must agree with the solver's whole-row enumeration on
 nodes, the exhausted flag, the optimum and, within float noise, its cost.
 The brute-force optimum enumerates labeled instances (not count vectors)
 and computes the objective with plain Python arithmetic.
+``spent_machines`` and ``probe_log`` show which machines a run retired
+and which machines it really probed, where ``pairs_examined`` counts the
+probes of scans that retire nothing.
 The dense scorers are validate_allocation, total_cost and metrics as they
 were before scoring read only the placed cells: passes over the whole
 N x M count matrix, with matmuls for the per-machine sums. They are the
@@ -21,8 +24,10 @@ reference for the cell path's verdicts, witnesses and values.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import operator
 import tracemalloc
 
 import numpy as np
@@ -284,6 +289,42 @@ def replay_cpaap(scn, affinity, outcome):
         return j1 if step_cost(j1) <= step_cost(j2) else j2
 
     _replay_ranked(scn, outcome, "cpaap", pick)
+
+
+def spent_machines(scn, outcome):
+    """Machines the trace leaves below the scenario's demand floor in some resource.
+
+    A machine is spent only by a placement on it, so these are the
+    machines the run retired.
+    """
+    ledger = CapacityLedger(scn)
+    for i, _, j in outcome.trace:
+        ledger.add(i, j)
+    return [j for j, r in enumerate(ledger.remaining) if any(map(operator.lt, r, scn.demand_floor))]
+
+
+@contextlib.contextmanager
+def probe_log():
+    """Every machine ``CapacityLedger.first_admissible`` probes while open, in order.
+
+    The probes are drawn one at a time from the caller's iterator, so an
+    iterator handed on still resumes just past the machine returned.
+    """
+    seen = []
+    real = CapacityLedger.first_admissible
+
+    def logged(self, i, machines):
+        def tap():
+            for j in machines:
+                seen.append(j)
+                yield j
+        return real(self, i, tap())
+
+    CapacityLedger.first_admissible = logged
+    try:
+        yield seen
+    finally:
+        CapacityLedger.first_admissible = real
 
 
 class _ReplayBudgetHit(Exception):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from powerplace import (
     total_cost,
     validate_allocation,
 )
+from powerplace import placement
 from powerplace.affinity import AffinityMatrix, build_final_affinity
 from powerplace.placement import PapPriorityState
 from powerplace.workload import GeneratorConfig, ResourceRanges, generate_synthetic
@@ -24,10 +26,13 @@ from support import (
     check_trace_shape,
     final_matrix,
     machine,
+    probe_log,
     replay_aap,
     replay_cpaap,
+    replay_first_fit,
     replay_pap,
     scenario,
+    spent_machines,
 )
 
 ALGOS = {
@@ -421,3 +426,131 @@ class TestSharedContracts:
         pap_place(scn, f)
         cpaap_place(scn, f)
         assert np.array_equal(scn.anti_affinity, before)
+
+
+@pytest.fixture
+def retired(monkeypatch):
+    """The machines the next runs retire, in order, as _greedy's retire hook sees them."""
+    calls = []
+    real = placement._greedy
+
+    def spy(scenario, choose, retire=None):
+        def logged(j):
+            calls.append(j)
+            retire(j)
+        return real(scenario, choose, retire and logged)
+
+    monkeypatch.setattr(placement, "_greedy", spy)
+    return calls
+
+
+SCANNING = ["pap", "cpaap", "first_fit"]
+
+
+class TestSpentMachines:
+    """A machine left below the least demand in some resource leaves the scans."""
+
+    @staticmethod
+    def one_spent_machine():
+        # app 0 may only use machine 0 and leaves it 1 mem, under the floor
+        # of 2; its 1000 cpu keeps it at the front of pap's (omega, id) order
+        machines = [machine(0, cpu=1000, mem=4), machine(1, mem=16), machine(2, mem=16)]
+        apps = [app(0, cpu=1, mem=3), app(1, cpu=0.5, mem=2, instances=3)]
+        return scenario(machines, apps, anti=[[0, 1, 1], [0, 0, 0]])
+
+    @pytest.mark.parametrize("name", SCANNING)
+    def test_a_machine_exactly_at_the_floor_keeps_taking_instances(self, name, retired):
+        # the first instance leaves mem 2, the floor, so the second still fits;
+        # the second leaves 0 and spends the machine
+        scn = scenario([machine(0, mem=4)], [app(0, cpu=1, mem=2, instances=2)])
+        out = ALGOS[name](scn, build_final_affinity(scn))
+        assert out.feasible and out.trace == ((0, 0, 0), (0, 1, 0))
+        assert retired == [0] == spent_machines(scn, out)
+
+    @pytest.mark.parametrize("name", ["pap", "first_fit"])
+    def test_a_machine_below_the_floor_is_never_probed_again(self, name, retired):
+        scn = self.one_spent_machine()
+        f = build_final_affinity(scn)
+        with probe_log() as probes:
+            out = ALGOS[name](scn, f)
+        assert out.feasible and out.trace[0] == (0, 0, 0)
+        assert retired == [0] == spent_machines(scn, out)
+        # machine 0 is probed once, for the placement that spent it
+        assert probes.count(0) == 1 and probes[0] == 0
+        if name == "pap":
+            replay_pap(scn, f, out)
+        else:
+            replay_first_fit(scn, out)
+
+    def test_cpaap_retires_the_spent_machine_and_still_places(self, retired):
+        scn = self.one_spent_machine()
+        f = build_final_affinity(scn)
+        out = cpaap_place(scn, f)
+        assert retired == [0] == spent_machines(scn, out)
+        replay_cpaap(scn, f, out)
+
+    @pytest.mark.parametrize("name", SCANNING)
+    def test_a_resource_whose_floor_is_zero_never_retires_a_machine(self, name, retired):
+        # no application asks for io, nw or mem, so none left is not spent
+        scn = scenario([machine(0, io=0, nw=0, mem=0)], [app(0, cpu=1, instances=3)])
+        out = ALGOS[name](scn, build_final_affinity(scn))
+        assert out.feasible and out.trace == ((0, 0, 0), (0, 1, 0), (0, 2, 0))
+        assert retired == [] == spent_machines(scn, out)
+
+    def test_a_retired_pap_machine_ahead_of_the_chosen_one_counts_as_a_probe(self):
+        scn = self.one_spent_machine()
+        f = build_final_affinity(scn)
+        with probe_log() as probes:
+            out = pap_place(scn, f)
+        # app 1's last instance: machine 0, retired at omega 0.001, is ahead
+        # of machine 1 at 0.05; only machine 1 is probed, and both count
+        assert out.trace[-1] == (1, 2, 1)
+        assert probes == [0, 1, 2, 1]
+        assert out.pairs_examined == 1 + 1 + 1 + 2
+        replay_pap(scn, f, out)
+
+    def test_retired_pairs_are_counted_in_the_full_order(self):
+        state = PapPriorityState(omega=[0.0] * 3, threshold=0.5)
+        state.after_placement(0, 0.1)
+        state.retire(0)
+        assert state.order == [(0.0, 1), (0.0, 2)] and state.retired == [(0.1, 0)]
+        assert state.after_placement(2, 0.2) == 1  # (0.0, 2) follows (0.0, 1)
+        assert state.after_placement(1, 0.3) == 0
+        # (0.2, 2) leads the live pairs but follows the retired (0.1, 0)
+        assert state.after_placement(2, 0.4) == 1
+
+    def test_scenario_keeps_the_floor_and_the_order_through_replace(self):
+        scn = generate_synthetic(GeneratorConfig(6, 9, seed=4, instance_range=(1, 5)))
+        for s in (scn, replace(scn, alpha=70.0)):
+            floor = [min(a.demand.as_tuple()[c] for a in s.applications) for c in range(4)]
+            assert s.demand_floor == tuple(floor)
+            assert all(type(v) is float for v in s.demand_floor)
+            assert s.placement_order == tuple(
+                (a.id, a.instances) for a in sort_applications(s.applications))
+
+
+class TestProbeCounts:
+    """Exact probes on one seeded fleet-shaped scenario, next to unchanged work counts.
+
+    ``pairs_examined`` counts every machine a scan that never drops one
+    would probe; the probes are what the scans really draw. A scan that
+    never retires a machine probes 7,380 (pap), 5,259 (cpaap) and 8,231
+    (first_fit) times here; aap's walk retires nothing.
+    """
+
+    PINNED = {  # name: (probes, pairs_examined)
+        "pap": (3_139, 7_380),
+        "aap": (1_682, 48_400),
+        "cpaap": (3_592, 48_400),
+        "first_fit": (3_950, 22_322),
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_probes_and_pairs_are_pinned(self, name):
+        scn = generate_synthetic(GeneratorConfig(
+            100, 160, seed=7, instance_range=(2, 4), anti_affinity_fraction=0.5))
+        f = build_final_affinity(scn)
+        with probe_log() as probes:
+            out = ALGOS[name](scn, f)
+        assert out.feasible
+        assert (len(probes), out.pairs_examined) == self.PINNED[name]

@@ -7,7 +7,10 @@ step, failing step and work count included, and must give the same
 outcome on a matrix whose ranking another strategy already built as on a
 fresh one. first_fit's resumed scan must match probing from machine 0
 for every instance, with the skipped machines counted as the probes that
-scan makes. The exact solver's whole-row enumeration must match a
+scan makes. A capacity range that runs out of io or mem well before cpu
+draws scenarios where pap, cpaap and first_fit retire machines on those
+resources; each of the three tags the draws that retired one
+(``--hypothesis-show-statistics`` reports the share). The exact solver's whole-row enumeration must match a
 depth-first search with one call per machine and instance at every node
 budget, and its cost must be the one recomputed from the optimum's
 counts, bit for bit.
@@ -41,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from powerplace.affinity import AffinityMatrix, build_final_affinity
@@ -81,6 +84,7 @@ from support import (
     replay_oracle,
     replay_pap,
     scenarios_equal,
+    spent_machines,
 )
 
 FACTORS = st.sampled_from([0.25, 2.0, 8.0])
@@ -90,6 +94,15 @@ ALPHAS = st.one_of(st.just(0.0), st.floats(1e-3, 70.0))
 
 # Every machine the same, so omega ties often and falls to the machine id.
 IDENTICAL_MACHINES = ResourceRanges(cpu=(16, 16), io=(200, 200), nw=(200, 200), mem=(32, 32))
+# cpu and nw to spare: machines run out of io or mem first, and the scans
+# retire them on those resources alone.
+IO_MEM_BOUND = ResourceRanges(cpu=(48, 96), io=(60, 200), nw=(1000, 2000), mem=(12, 32))
+
+
+def note_retired(scenario, outcome):
+    """Tag the draw when the run retired a machine; ``--hypothesis-show-statistics`` gives the share."""
+    if spent_machines(scenario, outcome):
+        event("retired a machine")
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,7 +113,7 @@ IDENTICAL_MACHINES = ResourceRanges(cpu=(16, 16), io=(200, 200), nw=(200, 200), 
         application_count=st.integers(1, 10),
         seed=st.integers(0, 2**32 - 1),
         instance_range=st.tuples(st.integers(1, 2), st.integers(2, 6)),
-        capacity_ranges=st.sampled_from([DEFAULT_CAPACITY_RANGES, IDENTICAL_MACHINES]),
+        capacity_ranges=st.sampled_from([DEFAULT_CAPACITY_RANGES, IDENTICAL_MACHINES, IO_MEM_BOUND]),
         anti_affinity_fraction=st.floats(0.0, 0.9),
         pi_threshold=st.floats(0.05, 1.0),
     ),
@@ -108,7 +121,9 @@ IDENTICAL_MACHINES = ResourceRanges(cpu=(16, 16), io=(200, 200), nw=(200, 200), 
 def test_pap_order_matches_resort_every_step(config):
     scenario = generate_synthetic(config)
     affinity = build_final_affinity(scenario)
-    replay_pap(scenario, affinity, pap_place(scenario, affinity))
+    outcome = pap_place(scenario, affinity)
+    replay_pap(scenario, affinity, outcome)
+    note_retired(scenario, outcome)
 
 
 # More machines than numpy's small-array insertion sort covers, so the
@@ -120,7 +135,7 @@ RANKED_CONFIGS = st.builds(
     application_count=st.integers(1, 10),
     seed=st.integers(0, 2**32 - 1),
     instance_range=st.tuples(st.integers(1, 2), st.integers(2, 6)),
-    capacity_ranges=st.sampled_from([DEFAULT_CAPACITY_RANGES, IDENTICAL_MACHINES]),
+    capacity_ranges=st.sampled_from([DEFAULT_CAPACITY_RANGES, IDENTICAL_MACHINES, IO_MEM_BOUND]),
     power_idle_range=st.sampled_from([(80.0, 150.0), (100.0, 100.0)]),
     power_max_range=st.sampled_from([(200.0, 400.0), (300.0, 300.0)]),
     user_affinity_density=st.floats(0.0, 1.0),
@@ -142,7 +157,9 @@ def test_aap_scan_matches_ranking_every_step(config):
 def test_cpaap_scans_match_ranking_every_step(config):
     scenario = generate_synthetic(config)
     affinity = build_final_affinity(scenario)
-    replay_cpaap(scenario, affinity, cpaap_place(scenario, affinity))
+    outcome = cpaap_place(scenario, affinity)
+    replay_cpaap(scenario, affinity, outcome)
+    note_retired(scenario, outcome)
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,14 +191,16 @@ TIGHT_MACHINES = ResourceRanges(cpu=(8, 12), io=(100, 150), nw=(100, 150), mem=(
         seed=st.integers(0, 2**32 - 1),
         instance_range=st.tuples(st.integers(1, 3), st.integers(3, 8)),
         capacity_ranges=st.sampled_from(
-            [DEFAULT_CAPACITY_RANGES, IDENTICAL_MACHINES, TIGHT_MACHINES]
+            [DEFAULT_CAPACITY_RANGES, IDENTICAL_MACHINES, TIGHT_MACHINES, IO_MEM_BOUND]
         ),
         anti_affinity_fraction=st.floats(0.0, 0.95),
     ),
 )
 def test_first_fit_resumed_scan_matches_scan_from_zero(config):
     scenario = generate_synthetic(config)
-    replay_first_fit(scenario, first_fit_place(scenario))
+    outcome = first_fit_place(scenario)
+    replay_first_fit(scenario, outcome)
+    note_retired(scenario, outcome)
 
 
 def quarters(lo: int, hi: int):
