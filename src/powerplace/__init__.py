@@ -32,6 +32,7 @@ from .model import (
     ResourceVector,
     Scenario,
     ValidationReport,
+    sort_applications,
     validate_allocation,
 )
 from .oracle import OracleResult, optimal_place
@@ -42,7 +43,6 @@ from .placement import (
     cpaap_place,
     first_fit_place,
     pap_place,
-    sort_applications,
 )
 from .workload import (
     GeneratorConfig,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -157,6 +158,9 @@ class SweepSpec:
         unknown = set(algorithms) - set(ALGORITHM_NAMES)
         if unknown:
             raise HarnessError(f"unknown algorithms: {sorted(unknown)}")
+        # bool is an Integral, but True is no count
+        if isinstance(self.repetitions, bool) or not isinstance(self.repetitions, numbers.Integral):
+            raise HarnessError(f"'repetitions' must be an integer, got {self.repetitions!r}")
         if self.repetitions < 1:
             raise HarnessError("repetitions must be >= 1")
         points = []
@@ -175,6 +179,7 @@ class SweepSpec:
                 )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "algorithms", algorithms)
+        object.__setattr__(self, "repetitions", int(self.repetitions))
         object.__setattr__(self, "points", tuple(points))
 
 

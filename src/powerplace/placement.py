@@ -41,12 +41,7 @@ from typing import Callable, Optional
 
 from .affinity import AffinityMatrix, require_final
 from .costs import delta_cost
-from .model import (
-    AllocationMatrix,
-    CapacityLedger,
-    Scenario,
-    sort_applications,  # the greedy order's rule, re-exported from its home in model
-)
+from .model import AllocationMatrix, CapacityLedger, Scenario
 
 PlacementEvent = tuple[int, int, int]  # (application id, instance index, machine id)
 

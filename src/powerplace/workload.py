@@ -38,6 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    RESOURCE_NAMES,
     AffinityWeights,
     Application,
     Machine,
@@ -171,10 +172,17 @@ class GeneratorConfig:
             if not isinstance(ranges, ResourceRanges):
                 raise WorkloadError(f"'{kind}' must be a ResourceRanges, got {ranges!r}")
             pairs.update({f"{kind}.{name}": pair for name, pair in ranges.as_dict().items()})
-        for name, pair in pairs.items():
-            rlo, rhi = _pair(name, pair)
+        for name, pair in list(pairs.items()):
+            rlo, rhi = pairs[name] = _pair(name, pair)
             _check_real(f"{name} low", rlo)
             _check_real(f"{name} high", rhi)
+        # Hold every pair as a tuple: a config given lists must still hash.
+        object.__setattr__(self, "instance_range", (lo, hi))
+        for name in ("power_idle_range", "power_max_range"):
+            object.__setattr__(self, name, pairs[name])
+        for kind in ("capacity_ranges", "demand_ranges"):
+            object.__setattr__(self, kind, ResourceRanges(
+                *(pairs[f"{kind}.{name}"] for name in RESOURCE_NAMES)))
         _check_settings(self.seed, self.weights, self.alpha, self.pi_threshold,
                         self.user_affinity_density, self.anti_affinity_fraction)
         if self.machine_count < 1 or self.application_count < 1:
@@ -238,38 +246,23 @@ def generate_synthetic(config: GeneratorConfig) -> Scenario:
     rng = np.random.default_rng(config.seed)
     m, n = config.machine_count, config.application_count
 
-    caps = {name: rng.uniform(lo, hi, m) for name, (lo, hi) in config.capacity_ranges.as_dict().items()}
-    p_idle = rng.uniform(*config.power_idle_range, m)
-    p_max = rng.uniform(*config.power_max_range, m)
-    reqs = {name: rng.uniform(lo, hi, n) for name, (lo, hi) in config.demand_ranges.as_dict().items()}
+    machine_columns = [rng.uniform(lo, hi, m) for lo, hi in (
+        *config.capacity_ranges.as_dict().values(), config.power_idle_range, config.power_max_range)]
+    demand_columns = [rng.uniform(lo, hi, n) for lo, hi in config.demand_ranges.as_dict().values()]
     lo, hi = config.instance_range
-    instances = rng.integers(lo, hi + 1, n)
+    instances = rng.integers(lo, hi + 1, n).tolist()
     user, anti = _draw_affinity(
         rng, n, m, config.anti_affinity_fraction, config.user_affinity_density
     )
 
+    # tolist() gives each row as Python floats: cpu, io, nw, mem[, p_idle, p_max]
     machines = tuple(
-        Machine(
-            id=j,
-            capacity=ResourceVector(
-                float(caps["cpu"][j]), float(caps["io"][j]),
-                float(caps["nw"][j]), float(caps["mem"][j]),
-            ),
-            p_idle=float(p_idle[j]),
-            p_max=float(p_max[j]),
-        )
-        for j in range(m)
+        Machine(id=j, capacity=ResourceVector(*row[:4]), p_idle=row[4], p_max=row[5])
+        for j, row in enumerate(np.column_stack(machine_columns).tolist())
     )
     applications = tuple(
-        Application(
-            id=i,
-            demand=ResourceVector(
-                float(reqs["cpu"][i]), float(reqs["io"][i]),
-                float(reqs["nw"][i]), float(reqs["mem"][i]),
-            ),
-            instances=int(instances[i]),
-        )
-        for i in range(n)
+        Application(id=i, demand=ResourceVector(*row), instances=count)
+        for i, (row, count) in enumerate(zip(np.column_stack(demand_columns).tolist(), instances))
     )
     return Scenario(
         machines=machines,
@@ -391,25 +384,57 @@ def _row_rules(path: Path, line: int):
         raise WorkloadError(f"{path.name} line {line}: {exc}") from exc
 
 
-def _check_ids(kind: str, ids: list[int], lines: list[int], path: Path) -> None:
-    """Row ids must be exactly 0..n-1; name the first repeat, else the first gap."""
-    n = len(ids)
-    first_line: dict[int, int] = {}
-    for i, line in zip(ids, lines):
-        if i in first_line:
+def _read_rows(path: Path, kind: str, records, build) -> list:
+    """The values of a machines.csv or applications.csv, one per row, in id order.
+
+    Each record's id is read, then ``build(id, get, line)`` makes its value
+    under _row_rules, then a repeated id is rejected, so the first bad row in
+    file order is the one reported. Ids must be exactly 0..n-1: after the
+    last row, a gap is reported with the first missing id.
+    """
+    id_name = "machine_id" if kind == "machine" else "app_id"
+    rows: dict[int, tuple[int, object]] = {}  # id -> (line, value), in file order
+    for line, get in records:
+        i = get(id_name, True)
+        with _row_rules(path, line):
+            value = build(i, get, line)
+        if i in rows:
             raise WorkloadError(
                 f"{path.name} line {line}: duplicate {kind} id {i}, "
-                f"first given on line {first_line[i]}"
+                f"first given on line {rows[i][0]}"
             )
-        first_line[i] = line
-    missing = next((i for i in range(n) if i not in first_line), None)
+        rows[i] = line, value
+    n = len(rows)
+    if not n:
+        raise WorkloadError(f"{path.name}: no data rows")
+    missing = next((i for i in range(n) if i not in rows), None)
     if missing is not None:
         # n distinct ids with one of 0..n-1 missing: some row's id is outside it
-        line, i = next((line, i) for i, line in first_line.items() if not 0 <= i < n)
+        i, line = next((i, line) for i, (line, _) in rows.items() if not 0 <= i < n)
         raise WorkloadError(
             f"{path.name} line {line}: {kind} id {i} is out of range: {kind} ids must be "
             f"exactly 0..{n - 1}, and {missing} is missing"
         )
+    return [rows[i][1] for i in range(n)]
+
+
+def _capacity(get) -> ResourceVector:
+    """One machines.csv row's capacity; raises ModelError on a broken rule."""
+    cap = ResourceVector(get("cpu_cap"), get("io_cap"), get("nw_cap"), get("mem_cap"))
+    if cap.cpu <= 0:
+        raise ModelError("cpu_cap must be > 0")
+    return cap
+
+
+def _application(i: int, get, line: int) -> Application:
+    """One applications.csv row; raises ModelError on a broken rule."""
+    demand = ResourceVector(get("cpu_req"), get("io_req"), get("nw_req"), get("mem_req"))
+    count = get("instances", True)
+    if demand.cpu <= 0:
+        raise ModelError("cpu_req must be > 0")
+    if count < 1:
+        raise ModelError("instances must be >= 1")
+    return Application(id=i, demand=demand, instances=count)
 
 
 def _check_pair(get, line: int, path: Path, n: int, m: int) -> tuple[int, int, int, int]:
@@ -526,83 +551,52 @@ def load_trace(
     columns are drawn from P_IDLE_DRAW/P_MAX_DRAW, and a missing affinity
     file's matrices as in generate_synthetic, at the given density and fraction.
     A bad file raises WorkloadError naming its first problem in file order,
-    with the file and its physical line.
+    with the file and its physical line: each row's id, and its power values
+    when the file gives both power columns, are checked where the row is
+    read. A machines.csv without a power column draws the missing values
+    machine by machine in id order after its last row, and only then checks
+    each machine's power rules.
     """
     _check_settings(seed, weights, alpha, pi_threshold, user_affinity_density,
                     anti_affinity_fraction)
     machines_path = Path(machines_path)
     applications_path = Path(applications_path)
-    rng: Optional[np.random.Generator] = None
-
-    def get_rng() -> np.random.Generator:
-        nonlocal rng
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        return rng
+    rng = np.random.default_rng(seed)
 
     records = _records(machines_path, MACHINE_FIELDS, MACHINE_POWER_FIELDS)
     header = next(records)
-    power = tuple(name for name in MACHINE_POWER_FIELDS if name in header)
-    machine_rows = []
-    for line, get in records:
-        mid = get("machine_id", True)
-        with _row_rules(machines_path, line):
-            cap = ResourceVector(get("cpu_cap"), get("io_cap"), get("nw_cap"), get("mem_cap"))
-        if cap.cpu <= 0:
-            raise WorkloadError(f"{machines_path.name} line {line}: cpu_cap must be > 0")
-        p_idle = get("p_idle") if "p_idle" in power else None
-        p_max = get("p_max") if "p_max" in power else None
-        machine_rows.append((mid, cap, p_idle, p_max, line))
-    if not machine_rows:
-        raise WorkloadError(f"{machines_path.name}: no data rows")
-    _check_ids("machine", [r[0] for r in machine_rows], [r[4] for r in machine_rows],
-               machines_path)
-    machine_rows.sort(key=lambda r: r[0])
-
-    machines = []
-    for mid, cap, p_idle, p_max, line in machine_rows:
-        if p_idle is None:
-            p_idle = _truncated_normal(get_rng(), *P_IDLE_DRAW, 0.0)
-            if p_max is not None:
-                for _ in range(1000):
-                    if p_idle <= p_max:
-                        break
-                    p_idle = _truncated_normal(get_rng(), *P_IDLE_DRAW, 0.0)
-        if p_max is None:
-            p_max = _truncated_normal(get_rng(), *P_MAX_DRAW, p_idle)
-        if p_max < p_idle:
-            raise WorkloadError(f"{machines_path.name} line {line}: p_max < p_idle")
-        with _row_rules(machines_path, line):
-            machines.append(Machine(id=mid, capacity=cap, p_idle=p_idle, p_max=p_max))
+    if all(name in header for name in MACHINE_POWER_FIELDS):
+        machines = _read_rows(machines_path, "machine", records, lambda i, get, line: Machine(
+            i, _capacity(get), get("p_idle"), get("p_max")))
+    else:
+        rows = _read_rows(machines_path, "machine", records, lambda i, get, line: (
+            line, _capacity(get), *(get(name) if name in header else None
+                                    for name in MACHINE_POWER_FIELDS)))
+        machines = []
+        for mid, (line, cap, p_idle, p_max) in enumerate(rows):
+            if p_idle is None:
+                p_idle = _truncated_normal(rng, *P_IDLE_DRAW, 0.0)
+                if p_max is not None:
+                    for _ in range(1000):
+                        if p_idle <= p_max:
+                            break
+                        p_idle = _truncated_normal(rng, *P_IDLE_DRAW, 0.0)
+            if p_max is None:
+                p_max = _truncated_normal(rng, *P_MAX_DRAW, p_idle)
+            if p_max < p_idle:
+                raise WorkloadError(f"{machines_path.name} line {line}: p_max < p_idle")
+            with _row_rules(machines_path, line):
+                machines.append(Machine(id=mid, capacity=cap, p_idle=p_idle, p_max=p_max))
 
     records = _records(applications_path, APPLICATION_FIELDS)
     next(records)  # the header
-    applications = []
-    app_lines = []
-    for line, get in records:
-        aid = get("app_id", True)
-        with _row_rules(applications_path, line):
-            demand = ResourceVector(get("cpu_req"), get("io_req"), get("nw_req"), get("mem_req"))
-        count = get("instances", True)
-        if demand.cpu <= 0:
-            raise WorkloadError(f"{applications_path.name} line {line}: cpu_req must be > 0")
-        if count < 1:
-            raise WorkloadError(f"{applications_path.name} line {line}: instances must be >= 1")
-        with _row_rules(applications_path, line):
-            applications.append(Application(id=aid, demand=demand, instances=count))
-        app_lines.append(line)
-    if not applications:
-        raise WorkloadError(f"{applications_path.name}: no data rows")
-    _check_ids("application", [a.id for a in applications], app_lines, applications_path)
-    applications.sort(key=lambda a: a.id)
+    applications = _read_rows(applications_path, "application", records, _application)
 
     n, m = len(applications), len(machines)
     if affinity_path is not None:
         user, anti = _read_affinity(Path(affinity_path), n, m)
     else:
-        user, anti = _draw_affinity(
-            get_rng(), n, m, anti_affinity_fraction, user_affinity_density
-        )
+        user, anti = _draw_affinity(rng, n, m, anti_affinity_fraction, user_affinity_density)
 
     return Scenario(
         machines=tuple(machines),

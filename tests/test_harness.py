@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from powerplace import total_cost
@@ -17,7 +18,7 @@ from powerplace.harness import (
     run_scenario,
     run_sweep,
 )
-from powerplace.workload import GeneratorConfig, generate_synthetic
+from powerplace.workload import GeneratorConfig, ResourceRanges, generate_synthetic
 
 from support import app, final_matrix, machine, scenario
 
@@ -109,6 +110,22 @@ class TestSweepSpec:
         # int() would turn both points into the same count
         with pytest.raises(HarnessError, match="whole numbers"):
             SweepSpec(kind, (4.2, 4.9), BASE, ("pap",))
+
+    @pytest.mark.parametrize(
+        "repetitions, message",
+        [(2.5, "'repetitions' must be an integer, got 2.5"),
+         ("2", "'repetitions' must be an integer, got '2'"),
+         (True, "'repetitions' must be an integer, got True"),
+         (0, "repetitions must be >= 1")],
+        ids=["float", "str", "bool", "zero"],
+    )
+    def test_rejects_bad_repetitions(self, repetitions, message):
+        with pytest.raises(HarnessError, match=message):
+            SweepSpec("alpha", (1.0,), BASE, ("pap",), repetitions=repetitions)
+
+    def test_numpy_integer_repetitions_held_as_int(self):
+        spec = SweepSpec("alpha", (1.0,), BASE, ("pap",), repetitions=np.int64(2))
+        assert type(spec.repetitions) is int and spec.repetitions == 2
 
     def test_decreasing_values_allowed(self):
         SweepSpec("machines", (20, 10, 5), BASE, ("pap",))
@@ -242,6 +259,20 @@ class TestSharedAlphaScenarios:
         assert sorted(config.seed for (config,) in generated) == sorted(
             BASE.seed + rep for rep in range(4) for _ in range(calls_per_rep)
         )
+
+    def test_list_pairs_sweep_as_tuples(self):
+        lists = GeneratorConfig(
+            6, 5, seed=100, instance_range=[1, 3],
+            capacity_ranges=ResourceRanges([8, 64], [100, 1000], [100, 1000], [16, 256]),
+            demand_ranges=ResourceRanges([1, 8], [10, 100], [10, 100], [1, 16]),
+            power_idle_range=[80.0, 150.0], power_max_range=[200.0, 400.0],
+        )
+        tuples = GeneratorConfig(6, 5, seed=100, instance_range=(1, 3))
+        assert lists == tuples and hash(lists) == hash(tuples)
+        values, algorithms = (0.5, 4.0, 16.0), ("pap", "cpaap")
+        rows = [run_sweep(SweepSpec("alpha", values, base, algorithms, repetitions=2)).rows
+                for base in (lists, tuples)]
+        assert _without_runtime(rows[0]) == _without_runtime(rows[1])
 
     def test_generation_failure_is_recorded_on_every_point_of_its_seed(self, monkeypatch):
         import powerplace.harness as harness

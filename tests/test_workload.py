@@ -251,6 +251,17 @@ class TestLoadTrace:
         for mach in s1.machines:
             assert mach.p_max >= mach.p_idle > 0
 
+    @pytest.mark.parametrize("columns", [5, 6], ids=["no-power", "p_idle-only"])
+    def test_backfill_draws_in_id_order(self, tmp_path, columns):
+        # the missing power values are drawn machine by machine in id order,
+        # whatever order the rows come in
+        header, *rows = (",".join(line.split(",")[:columns]) + "\n"
+                         for line in MACHINES_CSV.splitlines())
+        m, a, f = self.write(tmp_path, machines=header + "".join(reversed(rows)))
+        reversed_rows = load_trace(m, a, f, seed=7)
+        m, a, f = self.write(tmp_path, machines=header + "".join(rows))
+        assert scenarios_equal(reversed_rows, load_trace(m, a, f, seed=7))
+
     def test_missing_affinity_file_generates_matrices(self, tmp_path):
         m, a, _ = self.write(tmp_path, affinity=None)
         draw = {"anti_affinity_fraction": 0.5, "user_affinity_density": 0.5}
@@ -460,10 +471,24 @@ class TestLoadTrace:
              "applications.csv line 2: instances must be >= 1"),
             ("apps", ["0,4.0,50.0,25.0,8.0,2.5", "1,-2.0,20.0,10.0,4.0,1"],
              "applications.csv line 2: 'instances' must be an integer"),
+            # a repeated id, and each power rule of a row that gives both power
+            # values, is reported at its own row, before a later row's problem
+            ("machines", ["0,16.0,200.0,200.0,32.0,100.0,250.0", "0,8.0,100.0,100.0,16.0,90.0,210.0",
+                          "1,x,100.0,100.0,16.0,90.0,210.0"],
+             "machines.csv line 3: duplicate machine id 0, first given on line 2"),
+            ("apps", ["0,4.0,50.0,25.0,8.0,2", "0,2.0,20.0,10.0,4.0,1", "1,x,20.0,10.0,4.0,1"],
+             "applications.csv line 3: duplicate application id 0, first given on line 2"),
+            ("machines", ["0,8,100,100,16,300,200", "1,x,100,100,16,90,210"],
+             "machines.csv line 2: machine 0: need 0 <= p_idle <= p_max"),
+            # file order, not id order
+            ("machines", ["1,8,100,100,16,-5,210", "0,16,200,200,32,-5,250"],
+             "machines.csv line 2: machine 1: need 0 <= p_idle <= p_max"),
         ],
         ids=["affinity-clash-first", "affinity-binary-first", "affinity-duplicate-first",
              "affinity-range-before-duplicate", "machines-model-rule-first",
-             "machines-parse-first", "apps-count-first", "apps-parse-first"],
+             "machines-parse-first", "apps-count-first", "apps-parse-first",
+             "machines-repeat-first", "apps-repeat-first", "machines-power-first",
+             "machines-power-file-order"],
     )
     def test_first_failing_row_reported(self, tmp_path, which, rows, where):
         header = {"machines": MACHINES_CSV, "apps": APPS_CSV, "affinity": AFFINITY_CSV}
