@@ -32,7 +32,6 @@ from .model import (
     ResourceVector,
     Scenario,
     ValidationReport,
-    sort_applications,
     validate_allocation,
 )
 from .oracle import OracleResult, optimal_place
@@ -90,7 +89,6 @@ __all__ = [
     "run_scenario",
     "run_sweep",
     "save_trace",
-    "sort_applications",
     "total_cost",
     "validate_allocation",
 ]

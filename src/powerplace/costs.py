@@ -14,13 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .affinity import AffinityMatrix, require_final
-from .model import (
-    AllocationMatrix,
-    Machine,
-    ModelError,
-    Scenario,
-    validate_allocation,
-)
+from .model import AllocationMatrix, Machine, Scenario, _checked_shape, validate_allocation
 
 
 class CostBreakdown(NamedTuple):
@@ -107,9 +101,7 @@ def _cost_and_utilizations(
 ) -> tuple[CostBreakdown, np.ndarray]:
     """``total_cost`` and the utilizations it was computed from, for ``metrics``."""
     require_final(scenario, affinity)
-    shape = (scenario.num_applications, scenario.num_machines)
-    if allocation.shape != shape:
-        raise ModelError(f"allocation shape {allocation.shape} does not match scenario {shape}")
+    _checked_shape(scenario, allocation)
     pis = utilizations(scenario, allocation)
     idle_sum = _ordered_sum(scenario.idles)
     dynamic = _ordered_sum(scenario.spans * pis * pis * pis)

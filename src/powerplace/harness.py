@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 
 from .affinity import AffinityMatrix, build_final_affinity
 from .costs import MetricsReport, metrics
-from .model import AllocationMatrix, Scenario
+from .model import AllocationMatrix, Scenario, _integer
 from .oracle import DEFAULT_NODE_BUDGET, optimal_place
 from .placement import (
     PlacementOutcome,
@@ -158,10 +157,8 @@ class SweepSpec:
         unknown = set(algorithms) - set(ALGORITHM_NAMES)
         if unknown:
             raise HarnessError(f"unknown algorithms: {sorted(unknown)}")
-        # bool is an Integral, but True is no count
-        if isinstance(self.repetitions, bool) or not isinstance(self.repetitions, numbers.Integral):
-            raise HarnessError(f"'repetitions' must be an integer, got {self.repetitions!r}")
-        if self.repetitions < 1:
+        repetitions = _integer("'repetitions'", self.repetitions, HarnessError)
+        if repetitions < 1:
             raise HarnessError("repetitions must be >= 1")
         points = []
         for value in values:
@@ -179,7 +176,7 @@ class SweepSpec:
                 )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "algorithms", algorithms)
-        object.__setattr__(self, "repetitions", int(self.repetitions))
+        object.__setattr__(self, "repetitions", repetitions)
         object.__setattr__(self, "points", tuple(points))
 
 

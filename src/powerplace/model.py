@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -28,12 +28,27 @@ class ModelError(ValueError):
     """Malformed model input: bad dimensions, negative or non-finite quantities, id gaps."""
 
 
-def _integer(name: str, value) -> int:
-    # True is an Integral but no id or count; 0.0 passes the id check but fails as an index.
-    # A numpy integer is stored as int, so traces and failure points hold Python ints
+def _integer(name: str, value, error: type[ValueError] = ModelError) -> int:
+    """``value`` as a Python int, or ``error`` naming ``name``.
+
+    True is an Integral but no id or count; 0.0 passes the id check but
+    fails as an index. A numpy integer is returned as int, so traces,
+    failure points and results files hold Python ints.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ModelError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value, error: type[ValueError] = ModelError) -> float:
+    """``value`` as a Python float, or ``error`` naming ``name``; True is no number.
+
+    A numpy scalar is returned as float, so a float32 setting cannot make
+    the scoring arithmetic run in float32.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -42,7 +57,7 @@ class ResourceVector:
 
     Serves both as a machine capacity and as a per-instance application
     demand. Components: cpu (cores), io (I/O bandwidth), nw (network
-    bandwidth), mem (memory).
+    bandwidth), mem (memory), all finite and >= 0, and cpu > 0.
     """
 
     cpu: float
@@ -55,6 +70,10 @@ class ResourceVector:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ModelError(f"resource component {name!r} must be finite and >= 0")
+        # a machine with no cpu has no utilization, and an instance that uses
+        # none never changes one, which degenerates the heuristics' priorities
+        if self.cpu <= 0:
+            raise ModelError("resource component 'cpu' must be > 0")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.cpu, self.io, self.nw, self.mem)
@@ -74,9 +93,11 @@ class AffinityWeights:
     beta4: float
 
     def __post_init__(self) -> None:
-        for b in self.as_tuple():
+        for name in ("beta1", "beta2", "beta3", "beta4"):
+            b = _real(f"'{name}'", getattr(self, name))
             if not (math.isfinite(b) and b >= 0):
                 raise ModelError("affinity weights must be finite and >= 0")
+            object.__setattr__(self, name, b)
         total = self.beta1 + self.beta2 + self.beta3 + self.beta4
         if abs(total - 1.0) > 1e-9:
             raise ModelError(f"affinity weights must sum to 1, got {total!r}")
@@ -100,18 +121,11 @@ class Machine:
             raise ModelError(f"machine {self.id}: p_idle and p_max must be finite")
         if self.p_idle < 0 or self.p_max < self.p_idle:
             raise ModelError(f"machine {self.id}: need 0 <= p_idle <= p_max")
-        if self.capacity.cpu <= 0:
-            raise ModelError(f"machine {self.id}: cpu capacity must be > 0")
 
 
 @dataclass(frozen=True)
 class Application:
-    """An application request: per-instance demand and an instance count.
-
-    Zero-CPU demands are rejected: an instance that consumes no CPU would
-    never change machine utilization, which degenerates the priority logic
-    of the placement heuristics.
-    """
+    """An application request: per-instance demand and an instance count."""
 
     id: int
     demand: ResourceVector
@@ -125,16 +139,25 @@ class Application:
             raise ModelError(f"application {self.id}: instances must be >= 1")
         if self.instances >= 2**63:  # Scenario.instances is int64
             raise ModelError(f"application {self.id}: instances must be < 2**63")
-        if self.demand.cpu <= 0:
-            raise ModelError(f"application {self.id}: cpu demand must be > 0")
 
 
-def sort_applications(applications: Sequence[Application]) -> list[Application]:
-    """Applications in decreasing demand order (cpu, io, nw, mem), id tiebreak."""
-    return sorted(
-        applications,
-        key=lambda a: (-a.demand.cpu, -a.demand.io, -a.demand.nw, -a.demand.mem, a.id),
-    )
+def _settings(
+    weights, alpha, pi_threshold, error: type[ValueError] = ModelError
+) -> tuple[float, float]:
+    """A scenario's ``alpha`` and ``pi_threshold`` as Python floats, once
+    ``weights`` is an AffinityWeights and both are in range; else ``error``.
+
+    Written so that NaN fails every range check.
+    """
+    if not isinstance(weights, AffinityWeights):
+        raise error(f"'weights' must be an AffinityWeights, got {weights!r}")
+    alpha = _real("'alpha'", alpha, error)
+    pi_threshold = _real("'pi_threshold'", pi_threshold, error)
+    if not (0 <= alpha < math.inf):
+        raise error("alpha must be finite and >= 0")
+    if not (0.0 < pi_threshold <= 1.0):
+        raise error("pi_threshold must be in (0, 1]")
+    return alpha, pi_threshold
 
 
 def _binary_matrix(name: str, mat: np.ndarray) -> np.ndarray:
@@ -173,11 +196,12 @@ class Scenario:
     A cell may not be both user-affine and anti-affine: both matrices are
     user-supplied and must not contradict each other.
 
-    It also builds, once, what the greedy strategies read on every run:
-    ``placement_order``, the applications in ``sort_applications`` order,
-    and ``demand_floor``, below which in any one resource a machine admits
-    no instance of any application. ``dataclasses.replace`` builds both
-    anew.
+    ``alpha`` and ``pi_threshold`` are held as Python floats. It also
+    builds, once, what the greedy strategies read on every run:
+    ``placement_order``, the applications by decreasing demand (cpu, then
+    io, nw and mem; ties in id order), and ``demand_floor``, below which in
+    any one resource a machine admits no instance of any application.
+    ``dataclasses.replace`` builds both anew.
 
     Compared and hashed by identity: the matrices are arrays, which have no
     single truth value.
@@ -236,10 +260,9 @@ class Scenario:
             raise ModelError(
                 f"user affinity and anti-affinity both set for app {i}, machine {j}"
             )
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ModelError("alpha must be finite and >= 0")
-        if not (0.0 < self.pi_threshold <= 1.0):
-            raise ModelError("pi_threshold must be in (0, 1]")
+        alpha, pi_threshold = _settings(self.weights, self.alpha, self.pi_threshold)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "pi_threshold", pi_threshold)
         object.__setattr__(self, "machines", machines)
         object.__setattr__(self, "applications", applications)
         object.__setattr__(self, "user_affinity", user)
@@ -260,8 +283,10 @@ class Scenario:
             col.setflags(write=False)
             object.__setattr__(self, name, col)
         object.__setattr__(self, "demand_floor", tuple(self.demands.min(axis=0).tolist()))
-        order = tuple([(a.id, a.instances) for a in sort_applications(applications)])
-        object.__setattr__(self, "placement_order", order)
+        # lexsort's last key leads and its sort is stable, so ties keep id order
+        order = np.lexsort(-self.demands.T[::-1])
+        pairs = tuple(zip(order.tolist(), self.instances[order].tolist()))
+        object.__setattr__(self, "placement_order", pairs)
 
     @property
     def num_machines(self) -> int:
@@ -273,7 +298,7 @@ class Scenario:
 
     @property
     def total_instances(self) -> int:
-        return sum(a.instances for a in self.applications)
+        return sum(self.instances.tolist())  # exact: an int64 sum can wrap
 
 
 class AllocationMatrix:
@@ -455,6 +480,14 @@ class CapacityLedger:
         self.pi[j] = 1.0 if 1.0 < pi <= 1.0 + CAPACITY_SLACK else pi
 
 
+def _checked_shape(scenario: Scenario, allocation: AllocationMatrix) -> tuple[int, int]:
+    """The scenario's (N, M); ModelError unless the allocation has that shape."""
+    shape = (scenario.num_applications, scenario.num_machines)
+    if allocation.shape != shape:
+        raise ModelError(f"allocation shape {allocation.shape} does not match scenario {shape}")
+    return shape
+
+
 def validate_allocation(scenario: Scenario, allocation: AllocationMatrix) -> ValidationReport:
     """Check an allocation against the three placement constraints.
 
@@ -465,9 +498,7 @@ def validate_allocation(scenario: Scenario, allocation: AllocationMatrix) -> Val
     cell and the first over-capacity (machine, resource) in row-major
     order, and the first short or over-placed application.
     """
-    n, m = scenario.num_applications, scenario.num_machines
-    if allocation.shape != (n, m):
-        raise ModelError(f"allocation shape {allocation.shape} does not match scenario ({n}, {m})")
+    n, m = _checked_shape(scenario, allocation)
     cells, counts = allocation.cells, allocation.cell_counts
 
     hits = scenario.anti_affinity.ravel()[cells].nonzero()[0]

@@ -27,7 +27,6 @@ from __future__ import annotations
 import codecs
 import csv
 import math
-import numbers
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -45,6 +44,9 @@ from .model import (
     ModelError,
     ResourceVector,
     Scenario,
+    _integer,
+    _real,
+    _settings,
 )
 
 MACHINE_FIELDS = ("machine_id", "cpu_cap", "io_cap", "nw_cap", "mem_cap")
@@ -68,17 +70,6 @@ class WorkloadError(ValueError):
     """Invalid generator configuration or malformed trace file."""
 
 
-def _check_integer(name: str, value) -> None:
-    # bool is an Integral, but True is no count
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise WorkloadError(f"'{name}' must be an integer, got {value!r}")
-
-
-def _check_real(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise WorkloadError(f"'{name}' must be a real number, got {value!r}")
-
-
 def _pair(name: str, value) -> tuple:
     try:
         lo, hi = value
@@ -89,31 +80,24 @@ def _pair(name: str, value) -> tuple:
 
 def _check_settings(
     seed, weights, alpha, pi_threshold, user_affinity_density, anti_affinity_fraction
-) -> None:
+) -> tuple[int, float, float, float, float]:
     """The settings GeneratorConfig and load_trace share, checked alike.
 
-    Written so that NaN fails every range check.
+    Returns (seed, alpha, pi_threshold, user_affinity_density,
+    anti_affinity_fraction) as Python numbers. Written so that NaN fails
+    every range check.
     """
-    _check_integer("seed", seed)
-    for name, value in (
-        ("user_affinity_density", user_affinity_density),
-        ("anti_affinity_fraction", anti_affinity_fraction),
-        ("alpha", alpha),
-        ("pi_threshold", pi_threshold),
-    ):
-        _check_real(name, value)
-    if not isinstance(weights, AffinityWeights):
-        raise WorkloadError(f"'weights' must be an AffinityWeights, got {weights!r}")
+    seed = _integer("'seed'", seed, WorkloadError)
+    density = _real("'user_affinity_density'", user_affinity_density, WorkloadError)
+    fraction = _real("'anti_affinity_fraction'", anti_affinity_fraction, WorkloadError)
+    alpha, pi_threshold = _settings(weights, alpha, pi_threshold, WorkloadError)
     if seed < 0:
         raise WorkloadError(f"'seed' must be >= 0, got {seed}")
-    if not (0.0 <= user_affinity_density <= 1.0):
+    if not (0.0 <= density <= 1.0):
         raise WorkloadError("user_affinity_density must be in [0, 1]")
-    if not (0.0 <= anti_affinity_fraction < 1.0):
+    if not (0.0 <= fraction < 1.0):
         raise WorkloadError("anti_affinity_fraction must be in [0, 1)")
-    if not (0 <= alpha < math.inf):
-        raise WorkloadError("alpha must be finite and >= 0")
-    if not (0.0 < pi_threshold <= 1.0):
-        raise WorkloadError("pi_threshold must be in (0, 1]")
+    return seed, alpha, pi_threshold, density, fraction
 
 
 @dataclass(frozen=True)
@@ -158,14 +142,14 @@ class GeneratorConfig:
     pi_threshold: float = DEFAULT_PI_THRESHOLD
 
     def __post_init__(self) -> None:
+        # Every number is held as the int or float its check returns, and
+        # every pair as a tuple: a config given lists must still hash, and one
+        # given numpy scalars must still write a JSON results file.
         lo, hi = _pair("instance_range", self.instance_range)
-        for name, value in (
-            ("machine_count", self.machine_count),
-            ("application_count", self.application_count),
-            ("instance_range low", lo),
-            ("instance_range high", hi),
-        ):
-            _check_integer(name, value)
+        held = {name: _integer(f"'{name}'", getattr(self, name), WorkloadError)
+                for name in ("machine_count", "application_count")}
+        lo, hi = held["instance_range"] = (_integer("'instance_range low'", lo, WorkloadError),
+                                           _integer("'instance_range high'", hi, WorkloadError))
         pairs = {"power_idle_range": self.power_idle_range, "power_max_range": self.power_max_range}
         for kind in ("capacity_ranges", "demand_ranges"):
             ranges = getattr(self, kind)
@@ -173,18 +157,19 @@ class GeneratorConfig:
                 raise WorkloadError(f"'{kind}' must be a ResourceRanges, got {ranges!r}")
             pairs.update({f"{kind}.{name}": pair for name, pair in ranges.as_dict().items()})
         for name, pair in list(pairs.items()):
-            rlo, rhi = pairs[name] = _pair(name, pair)
-            _check_real(f"{name} low", rlo)
-            _check_real(f"{name} high", rhi)
-        # Hold every pair as a tuple: a config given lists must still hash.
-        object.__setattr__(self, "instance_range", (lo, hi))
+            rlo, rhi = _pair(name, pair)
+            pairs[name] = (_real(f"'{name} low'", rlo, WorkloadError),
+                           _real(f"'{name} high'", rhi, WorkloadError))
         for name in ("power_idle_range", "power_max_range"):
-            object.__setattr__(self, name, pairs[name])
+            held[name] = pairs[name]
         for kind in ("capacity_ranges", "demand_ranges"):
-            object.__setattr__(self, kind, ResourceRanges(
-                *(pairs[f"{kind}.{name}"] for name in RESOURCE_NAMES)))
-        _check_settings(self.seed, self.weights, self.alpha, self.pi_threshold,
-                        self.user_affinity_density, self.anti_affinity_fraction)
+            held[kind] = ResourceRanges(*(pairs[f"{kind}.{name}"] for name in RESOURCE_NAMES))
+        settings = _check_settings(self.seed, self.weights, self.alpha, self.pi_threshold,
+                                   self.user_affinity_density, self.anti_affinity_fraction)
+        names = ("seed", "alpha", "pi_threshold", "user_affinity_density", "anti_affinity_fraction")
+        held.update(zip(names, settings))
+        for name, value in held.items():
+            object.__setattr__(self, name, value)
         if self.machine_count < 1 or self.application_count < 1:
             raise WorkloadError("machine_count and application_count must be >= 1")
         if not (1 <= lo <= hi):
@@ -418,25 +403,6 @@ def _read_rows(path: Path, kind: str, records, build) -> list:
     return [rows[i][1] for i in range(n)]
 
 
-def _capacity(get) -> ResourceVector:
-    """One machines.csv row's capacity; raises ModelError on a broken rule."""
-    cap = ResourceVector(get("cpu_cap"), get("io_cap"), get("nw_cap"), get("mem_cap"))
-    if cap.cpu <= 0:
-        raise ModelError("cpu_cap must be > 0")
-    return cap
-
-
-def _application(i: int, get, line: int) -> Application:
-    """One applications.csv row; raises ModelError on a broken rule."""
-    demand = ResourceVector(get("cpu_req"), get("io_req"), get("nw_req"), get("mem_req"))
-    count = get("instances", True)
-    if demand.cpu <= 0:
-        raise ModelError("cpu_req must be > 0")
-    if count < 1:
-        raise ModelError("instances must be >= 1")
-    return Application(id=i, demand=demand, instances=count)
-
-
 def _check_pair(get, line: int, path: Path, n: int, m: int) -> tuple[int, int, int, int]:
     """The checks of one affinity.csv row, in order; raises on the first that fails.
 
@@ -551,14 +517,17 @@ def load_trace(
     columns are drawn from P_IDLE_DRAW/P_MAX_DRAW, and a missing affinity
     file's matrices as in generate_synthetic, at the given density and fraction.
     A bad file raises WorkloadError naming its first problem in file order,
-    with the file and its physical line: each row's id, and its power values
-    when the file gives both power columns, are checked where the row is
-    read. A machines.csv without a power column draws the missing values
-    machine by machine in id order after its last row, and only then checks
-    each machine's power rules.
+    with the file and its physical line: each row is built where it is read
+    into the model's records, whose own rules it must meet (cpu > 0 is
+    ResourceVector's, for capacities and demands alike), and its id is
+    checked there too. A machines.csv without a power column draws the
+    missing values machine by machine in id order after its last row, and
+    only then builds each machine, with its power rules. The settings are
+    checked before any file is read, weights, alpha and pi_threshold by
+    the rule Scenario applies, and are used as Python numbers.
     """
-    _check_settings(seed, weights, alpha, pi_threshold, user_affinity_density,
-                    anti_affinity_fraction)
+    seed, alpha, pi_threshold, user_affinity_density, anti_affinity_fraction = _check_settings(
+        seed, weights, alpha, pi_threshold, user_affinity_density, anti_affinity_fraction)
     machines_path = Path(machines_path)
     applications_path = Path(applications_path)
     rng = np.random.default_rng(seed)
@@ -567,11 +536,11 @@ def load_trace(
     header = next(records)
     if all(name in header for name in MACHINE_POWER_FIELDS):
         machines = _read_rows(machines_path, "machine", records, lambda i, get, line: Machine(
-            i, _capacity(get), get("p_idle"), get("p_max")))
+            i, ResourceVector(*map(get, MACHINE_FIELDS[1:])), get("p_idle"), get("p_max")))
     else:
         rows = _read_rows(machines_path, "machine", records, lambda i, get, line: (
-            line, _capacity(get), *(get(name) if name in header else None
-                                    for name in MACHINE_POWER_FIELDS)))
+            line, ResourceVector(*map(get, MACHINE_FIELDS[1:])),
+            *(get(name) if name in header else None for name in MACHINE_POWER_FIELDS)))
         machines = []
         for mid, (line, cap, p_idle, p_max) in enumerate(rows):
             if p_idle is None:
@@ -583,14 +552,13 @@ def load_trace(
                         p_idle = _truncated_normal(rng, *P_IDLE_DRAW, 0.0)
             if p_max is None:
                 p_max = _truncated_normal(rng, *P_MAX_DRAW, p_idle)
-            if p_max < p_idle:
-                raise WorkloadError(f"{machines_path.name} line {line}: p_max < p_idle")
             with _row_rules(machines_path, line):
                 machines.append(Machine(id=mid, capacity=cap, p_idle=p_idle, p_max=p_max))
 
     records = _records(applications_path, APPLICATION_FIELDS)
     next(records)  # the header
-    applications = _read_rows(applications_path, "application", records, _application)
+    applications = _read_rows(applications_path, "application", records, lambda i, get, line: (
+        Application(i, ResourceVector(*map(get, APPLICATION_FIELDS[1:5])), get("instances", True))))
 
     n, m = len(applications), len(machines)
     if affinity_path is not None:

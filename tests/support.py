@@ -161,13 +161,18 @@ def check_trace_shape(scn, outcome):
         assert len(outcome.trace) == scn.total_instances
 
 
-def expected_steps(scn):
-    """(application id, instance index) in the order every strategy places them."""
-    apps = sorted(
-        scn.applications,
+def sort_applications(applications):
+    """Applications in decreasing demand order (cpu, io, nw, mem), id tiebreak:
+    the reference for ``Scenario.placement_order``."""
+    return sorted(
+        applications,
         key=lambda a: (-a.demand.cpu, -a.demand.io, -a.demand.nw, -a.demand.mem, a.id),
     )
-    return [(a.id, k) for a in apps for k in range(a.instances)]
+
+
+def expected_steps(scn):
+    """(application id, instance index) in the order every strategy places them."""
+    return [(a.id, k) for a in sort_applications(scn.applications) for k in range(a.instances)]
 
 
 def replay_pap(scn, affinity, outcome):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,6 +166,17 @@ class TestMetrics:
         assert rep.total_cost < 0
         assert rep.payoff_ratio < 0
         assert not rep.psi_well_defined
+
+    def test_a_numpy_alpha_scores_as_the_python_float(self):
+        scn = generate_synthetic(GeneratorConfig(25, 20, seed=0))
+        f = build_final_affinity(scn)
+        allocation = run_scenario(scn, "cpaap", f).outcome.allocation
+        plain = metrics(replace(scn, alpha=4.0), allocation, f)
+        for alpha in (np.float32(4.0), np.float64(4.0), np.int64(4)):
+            report = metrics(replace(scn, alpha=alpha), allocation, f)
+            assert report == plain
+            assert all(type(getattr(report, name)) is float for name in (
+                "total_cost", "reduced_cost", "power_cost", "affinity_payoff", "payoff_ratio"))
 
     def test_utilizations_computed_once_and_costs_unchanged(self, monkeypatch):
         scn = generate_synthetic(GeneratorConfig(9, 7, seed=2))

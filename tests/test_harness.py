@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from powerplace import total_cost
+from powerplace import AffinityWeights, total_cost
 from powerplace.affinity import build_final_affinity
 from powerplace.oracle import optimal_place
 from powerplace.harness import (
@@ -351,6 +351,26 @@ class TestEmitResults:
         assert doc["aggregates"][0]["psi"] is None
         csv_row = emit_results(table, tmp_path / "out.csv", "csv").read_text().splitlines()[1]
         assert csv_row.split(",")[4] == "nan"
+
+    def test_numpy_scalar_config_writes_the_plain_config_json(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        numpy_base = GeneratorConfig(
+            np.int64(6), 5, seed=np.uint32(4), instance_range=(np.int32(1), 3),
+            alpha=np.float32(2.0), weights=AffinityWeights(*np.float32([0.25] * 4)))
+        plain_base = GeneratorConfig(6, 5, seed=4, instance_range=(1, 3), alpha=2.0,
+                                     weights=AffinityWeights(0.25, 0.25, 0.25, 0.25))
+        docs = []
+        for base in (numpy_base, plain_base):
+            table = run_sweep(SweepSpec("anti_affinity", (0.1, 0.3), base, ("pap", "cpaap")))
+            path = emit_results(table, tmp_path / "out.json", "json")
+            doc = json.loads(path.read_text(), parse_constant=reject)
+            for row in doc["rows"]:
+                del row["runtime_ms"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert len(docs[0]["rows"]) == 4 and all(row["error"] is None for row in docs[0]["rows"])
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(HarnessError):

@@ -73,6 +73,10 @@ class TestTypes:
         assert out.allocation.counts.tolist() == [[2, 0]]
         assert {type(v) for event in out.trace for v in event} == {int}
 
+    def test_total_instances_is_exact_past_int64(self):
+        scn = scenario([machine(0)], [app(0, instances=2**62), app(1, instances=2**62)])
+        assert scn.total_instances == 2**63 and type(scn.total_instances) is int
+
     def test_scenario_rejects_user_anti_overlap(self):
         with pytest.raises(ModelError, match="both set"):
             scenario([machine(0)], [app(0)], user=[[1]], anti=[[1]])

@@ -12,7 +12,6 @@ from powerplace import (
     first_fit_place,
     optimal_place,
     pap_place,
-    sort_applications,
     total_cost,
     validate_allocation,
 )
@@ -32,6 +31,7 @@ from support import (
     replay_first_fit,
     replay_pap,
     scenario,
+    sort_applications,
     spent_machines,
 )
 
@@ -55,6 +55,18 @@ class TestSortApplications:
     def test_identical_demands_keep_id_order(self):
         apps = [app(0, cpu=4, io=7, nw=3, mem=2), app(1, cpu=4, io=7, nw=3, mem=2)]
         assert [a.id for a in sort_applications(apps)] == [0, 1]
+
+    def test_scenario_order_matches_the_reference_under_heavy_ties(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            n = int(rng.integers(1, 13))
+            # two values per resource, so most keys tie with another application's
+            rows = rng.integers(1, 3, (n, 4)).astype(float).tolist()
+            apps = [app(i, *row, instances=int(c))
+                    for i, (row, c) in enumerate(zip(rows, rng.integers(1, 4, n)))]
+            scn = scenario([machine(0)], apps)
+            assert scn.placement_order == tuple(
+                (a.id, a.instances) for a in sort_applications(apps))
 
 
 class TestPap:

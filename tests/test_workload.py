@@ -1,12 +1,13 @@
 import hashlib
 import tracemalloc
 import warnings
+from dataclasses import replace
 from math import inf, nan
 
 import numpy as np
 import pytest
 
-from powerplace import AffinityWeights, workload
+from powerplace import AffinityWeights, ModelError, workload
 from powerplace.workload import (
     AFFINITY_FIELDS,
     GeneratorConfig,
@@ -313,6 +314,14 @@ class TestLoadTrace:
         with pytest.raises(WorkloadError, match=where):
             load_trace(m, a, f)
 
+    def test_drawn_p_idle_above_a_given_p_max_breaks_the_machine_rule(self, tmp_path):
+        # every p_idle draw is at least 0.115, above this p_max
+        machines = "machine_id,cpu_cap,io_cap,nw_cap,mem_cap,p_max\n0,16.0,200.0,200.0,32.0,0.001\n"
+        m, a, f = self.write(tmp_path, machines=machines)
+        with pytest.raises(WorkloadError) as err:
+            load_trace(m, a, seed=3)
+        assert str(err.value) == "machines.csv line 2: machine 0: need 0 <= p_idle <= p_max"
+
     def test_backfill_fractions_checked(self, tmp_path):
         m, a, _ = self.write(tmp_path, affinity=None)
         with pytest.raises(WorkloadError, match="anti_affinity_fraction"):
@@ -323,7 +332,7 @@ class TestLoadTrace:
     def test_zero_cpu_requirement_rejected(self, tmp_path):
         bad = APPS_CSV.replace("1,2.0,", "1,0.0,")
         m, a, f = self.write(tmp_path, apps=bad)
-        with pytest.raises(WorkloadError, match="cpu_req"):
+        with pytest.raises(WorkloadError, match="applications.csv line 3: resource component 'cpu' must be > 0"):
             load_trace(m, a, f)
 
     def test_id_gaps_rejected(self, tmp_path):
@@ -402,7 +411,7 @@ class TestLoadTrace:
     def test_applications_line_counts_blank_lines(self, tmp_path):
         bad = APPS_CSV.replace("\n1,2.0,", "\n\n1,0.0,")
         m, a, f = self.write(tmp_path, apps=bad)
-        with pytest.raises(WorkloadError, match="applications.csv line 4: cpu_req must be > 0"):
+        with pytest.raises(WorkloadError, match="applications.csv line 4: resource component 'cpu' must be > 0"):
             load_trace(m, a, f)
 
     def test_blank_lines_are_skipped(self, tmp_path):
@@ -468,7 +477,7 @@ class TestLoadTrace:
             ("machines", ["0,16.0,200.0,200.0,32.0,inf,250.0", "1,0,100.0,100.0,16.0,90.0,210.0"],
              "machines.csv line 2: 'p_idle' must be finite"),
             ("apps", ["0,4.0,50.0,25.0,8.0,0", "1,2.0,20.0,10.0,4.0,1.5"],
-             "applications.csv line 2: instances must be >= 1"),
+             "applications.csv line 2: application 0: instances must be >= 1"),
             ("apps", ["0,4.0,50.0,25.0,8.0,2.5", "1,-2.0,20.0,10.0,4.0,1"],
              "applications.csv line 2: 'instances' must be an integer"),
             # a repeated id, and each power rule of a row that gives both power
@@ -745,3 +754,34 @@ class TestSaveTrace:
         assert paths["affinity"].read_bytes() == self.one_shot_affinity_csv(scn)
         loaded = load_trace(paths["machines"], paths["applications"], paths["affinity"])
         assert scenarios_equal(scn, loaded)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("alpha", True, "'alpha' must be a real number, got True"),
+        ("alpha", "4", "'alpha' must be a real number, got '4'"),
+        ("alpha", nan, "alpha must be finite and >= 0"),
+        ("alpha", -1, "alpha must be finite and >= 0"),
+        ("pi_threshold", None, "'pi_threshold' must be a real number, got None"),
+        ("pi_threshold", 0, "pi_threshold must be in (0, 1]"),
+        ("pi_threshold", 1.5, "pi_threshold must be in (0, 1]"),
+        ("weights", (0.25,) * 4,
+         "'weights' must be an AffinityWeights, got (0.25, 0.25, 0.25, 0.25)"),
+    ],
+    ids=["alpha-bool", "alpha-str", "alpha-nan", "alpha-negative", "pi-none", "pi-zero",
+         "pi-above-1", "weights-tuple"],
+)
+def test_one_settings_rule_for_scenario_config_and_trace(tmp_path, name, value, message):
+    scn = generate_synthetic(GeneratorConfig(3, 2, seed=1))
+    paths = save_trace(scn, tmp_path)
+    raised = []
+    for error, build in (
+        (ModelError, lambda: replace(scn, **{name: value})),
+        (WorkloadError, lambda: GeneratorConfig(3, 2, **{name: value})),
+        (WorkloadError, lambda: load_trace(*paths.values(), **{name: value})),
+    ):
+        with pytest.raises(error) as err:
+            build()
+        raised.append((type(err.value), str(err.value)))
+    assert raised == [(ModelError, message), (WorkloadError, message), (WorkloadError, message)]
