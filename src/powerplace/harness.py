@@ -21,7 +21,7 @@ import numpy as np
 
 from .affinity import AffinityMatrix, build_final_affinity
 from .costs import MetricsReport, metrics
-from .model import AllocationMatrix, Scenario, _integer
+from .model import AllocationMatrix, Scenario, _integer, _real
 from .oracle import DEFAULT_NODE_BUDGET, optimal_place
 from .placement import (
     PlacementOutcome,
@@ -124,6 +124,8 @@ def run_scenario(
 class SweepSpec:
     """One experiment: vary ``kind`` over ``values`` for each algorithm.
 
+    ``values`` are held as Python floats, each checked by the model's
+    real-number rule (a bool is no number); a count sweep's must be whole.
     ``points`` holds one GeneratorConfig per value: ``base`` with the
     swept field set, checked here so a bad point fails before any run.
     ``repetitions`` scenarios are generated per point, seeded
@@ -140,13 +142,13 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.kind not in SWEEP_KINDS:
             raise HarnessError(f"sweep kind must be one of {SWEEP_KINDS}")
-        values = tuple(self.values)
+        values = tuple(_real(f"{self.kind} sweep value", v, HarnessError) for v in self.values)
         if not values:
             raise HarnessError("sweep values must be nonempty")
-        if not all(math.isfinite(v) for v in values):
+        if not all(map(math.isfinite, values)):
             raise HarnessError("sweep values must be finite")
         name, cast = SWEEP_FIELDS[self.kind]
-        if cast is int and any(v != int(v) for v in values):
+        if cast is int and not all(v.is_integer() for v in values):
             raise HarnessError(f"{self.kind} sweep values must be whole numbers")
         diffs = [b - a for a, b in zip(values, values[1:])]
         if diffs and not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):

@@ -105,6 +105,24 @@ class TestSweepSpec:
         with pytest.raises(HarnessError, match="sweep values must be finite"):
             SweepSpec("alpha", values, BASE, ("pap",))
 
+    @pytest.mark.parametrize(
+        "kind, values, message",
+        [("alpha", (True,), "alpha sweep value must be a real number, got True"),
+         ("machines", (True, 3), "machines sweep value must be a real number, got True"),
+         ("applications", ("4",), "applications sweep value must be a real number, got '4'"),
+         ("anti_affinity", (0.1, None), "anti_affinity sweep value must be a real number, got None")],
+        ids=["alpha-bool", "machines-bool", "str", "none"],
+    )
+    def test_values_take_the_model_number_rule(self, kind, values, message):
+        # the same rule as GeneratorConfig's: True is no alpha and no count
+        with pytest.raises(HarnessError, match=message):
+            SweepSpec(kind, values, BASE, ("pap",))
+
+    def test_numpy_values_held_as_floats(self):
+        spec = SweepSpec("machines", (np.int64(4), np.float32(7.0)), BASE, ("pap",))
+        assert spec.values == (4.0, 7.0) and all(type(v) is float for v in spec.values)
+        assert [p.machine_count for p in spec.points] == [4, 7]
+
     @pytest.mark.parametrize("kind", ["machines", "applications"])
     def test_rejects_fractional_counts(self, kind):
         # int() would turn both points into the same count

@@ -10,6 +10,7 @@ from powerplace import (
     validate_allocation,
 )
 from powerplace.affinity import build_final_affinity
+from powerplace.oracle import _BLOCK_CELLS, DEFAULT_NODE_BUDGET
 from powerplace.workload import GeneratorConfig, generate_synthetic
 
 from support import (
@@ -18,6 +19,7 @@ from support import (
     final_matrix,
     fresh_oracle_cost,
     machine,
+    replay_oracle,
     scenario,
 )
 
@@ -150,6 +152,52 @@ class TestOptimalPlace:
         else:
             assert res.optimal.counts.tolist() == counts
             assert res.optimal_reduced_cost == fresh_oracle_cost(scn, f, counts)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GeneratorConfig(4, 2, seed=1, instance_range=(2, 3)),
+            GeneratorConfig(3, 3, seed=2, instance_range=(1, 3), anti_affinity_fraction=0.3),
+            GeneratorConfig(4, 3, seed=3, instance_range=(1, 2)),
+            GeneratorConfig(2, 3, seed=5, instance_range=(2, 3)),
+            GeneratorConfig(4, 1, seed=4, instance_range=(3, 5)),
+        ],
+        ids=["4x2", "3x3-anti", "4x3", "2x3", "4x1"],
+    )
+    def test_every_budget_matches_the_replay(self, config):
+        # a trip at any node, inside or between the last two levels' rows,
+        # ends at node budget + 1 with the best of the rows before it
+        scn = generate_synthetic(config)
+        f = build_final_affinity(scn)
+        full = optimal_place(scn, f).nodes_explored
+        for budget in range(1, full + 1):
+            res = optimal_place(scn, f, budget=budget)
+            replay_oracle(scn, f, res, budget)
+            assert type(res.nodes_explored) is int
+            if res.optimal is not None:
+                assert res.optimal_reduced_cost == fresh_oracle_cost(scn, f, res.optimal.counts)
+
+    def test_batch_in_several_blocks_matches_the_replay(self):
+        # every row of app 0 fits, and every row of app 1 fits each of them:
+        # 462 x 462 pairs, costed in blocks of `step` rows of app 0
+        spans = (60, 150, 80, 120, 90, 110)
+        caps = (40, 24, 30, 36, 28, 32)
+        scn = scenario(
+            [machine(j, cpu=c, p_idle=100, p_max=100 + s) for j, (c, s) in enumerate(zip(caps, spans))],
+            [app(0, cpu=1.0, instances=6), app(1, cpu=1.5, instances=6)],
+        )
+        f = final_matrix([[0.9, 0.5, 0.2, 0.1, 0.3, 0.0], [0.7, 0.0, 0.4, 0.6, 0.8, 0.2]])
+        step = _BLOCK_CELLS // 462
+        assert step < 462 // 2
+        first = step * (1 + 462)  # the nodes of the first block
+        # inside the first block; at its end, so that the second block's
+        # first row trips on its own node; after none and after one of that
+        # row's app 1 rows; inside the second block; exhausted
+        for budget in (4000, first, first + 1, first + 2, 68_000, DEFAULT_NODE_BUDGET):
+            res = optimal_place(scn, f, budget=budget)
+            replay_oracle(scn, f, res, budget)
+            assert res.optimal_reduced_cost == fresh_oracle_cost(scn, f, res.optimal.counts)
+        assert res.exhausted and res.nodes_explored == 462 * 463
 
     def test_dominates_heuristics(self):
         for seed in range(15):
