@@ -31,7 +31,7 @@ from .harness import (
     run_sweep,
     _config_dict,
 )
-from .model import AffinityWeights, ModelError
+from .model import AffinityWeights, ModelError, _integer, _real
 from .workload import (
     DEFAULT_ANTI_AFFINITY_FRACTION,
     DEFAULT_SEED,
@@ -139,22 +139,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _config_value(path: Path, key: str, value):
-    """``value`` checked and converted for ``key``; WorkloadError names the key."""
+    """``value`` checked and converted for ``key`` by the model's number rules.
+
+    WorkloadError names the file and the key.
+    """
     if key not in _SETTINGS:
         raise WorkloadError(f"config {path}: unknown key {key!r}; pick from {', '.join(_SETTINGS)}")
-    kind = _SETTINGS[key][0]
-    if kind is AffinityWeights:
-        if isinstance(value, list) and len(value) == 4 and all(map(_is_number, value)):
-            return AffinityWeights(*map(float, value))
-    elif _is_number(value) and (kind is float or isinstance(value, int)):
-        return kind(value)
-    expected = {int: "an integer", float: "a number", AffinityWeights: "a list of 4 numbers"}
-    raise WorkloadError(f"config {path}: {key!r} must be {expected[kind]}, got {value!r}")
+    kind, name = _SETTINGS[key][0], f"config {path}: {key!r}"
+    if kind is int:
+        return _integer(name, value, WorkloadError)
+    if kind is float:
+        return _real(name, value, WorkloadError)
+    if not (isinstance(value, list) and len(value) == 4):
+        raise WorkloadError(f"{name} must be a list of 4 numbers, got {value!r}")
+    return AffinityWeights(*(_real(f"{name} entry", v, WorkloadError) for v in value))
 
 
 def _settings(args: argparse.Namespace) -> dict:

@@ -1,10 +1,11 @@
 """Domain model: machines, applications, scenarios, allocations, and the
 constraint checks every placement must satisfy.
 
-All quantities are nonnegative reals; integer inputs stay exact. A machine
-hosts instances of applications subject to three constraints: forbidden
-(app, machine) pairs stay empty, every requested instance is placed, and
-per-machine resource capacities are never exceeded.
+All quantities are nonnegative reals held as Python floats; ids and counts
+are exact integers. A machine hosts instances of applications subject to
+three constraints: forbidden (app, machine) pairs stay empty, every
+requested instance is placed, and per-machine resource capacities are
+never exceeded.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ class ResourceVector:
 
     Serves both as a machine capacity and as a per-instance application
     demand. Components: cpu (cores), io (I/O bandwidth), nw (network
-    bandwidth), mem (memory), all finite and >= 0, and cpu > 0.
+    bandwidth), mem (memory), all finite and >= 0, and cpu > 0, each held
+    as a Python float.
     """
 
     cpu: float
@@ -68,6 +70,9 @@ class ResourceVector:
     def __post_init__(self) -> None:
         for name in RESOURCE_NAMES:
             value = getattr(self, name)
+            if type(value) is not float:  # the readers pass floats and skip the call
+                value = _real(f"resource component {name!r}", value)
+                object.__setattr__(self, name, value)
             if not (math.isfinite(value) and value >= 0):
                 raise ModelError(f"resource component {name!r} must be finite and >= 0")
         # a machine with no cpu has no utilization, and an instance that uses
@@ -108,7 +113,7 @@ class AffinityWeights:
 
 @dataclass(frozen=True)
 class Machine:
-    """A machine node: resource capacity plus idle and maximum power draw."""
+    """A machine node: resource capacity plus idle and maximum power draw, held as floats."""
 
     id: int
     capacity: ResourceVector
@@ -117,6 +122,10 @@ class Machine:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "id", _integer("machine id", self.id))
+        for name in ("p_idle", "p_max"):
+            value = getattr(self, name)
+            if type(value) is not float:
+                object.__setattr__(self, name, _real(f"machine {self.id}: {name}", value))
         if not (math.isfinite(self.p_idle) and math.isfinite(self.p_max)):
             raise ModelError(f"machine {self.id}: p_idle and p_max must be finite")
         if self.p_idle < 0 or self.p_max < self.p_idle:

@@ -145,6 +145,23 @@ class TestConfigFile:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"alpha": True}, "'alpha' must be a real number, got True"),
+            ({"machines": 6.5}, "'machines' must be an integer, got 6.5"),
+            ({"weights": [1, 0, 0, "0"]}, "'weights' entry must be a real number, got '0'"),
+            ({"weights": [1, 0]}, "'weights' must be a list of 4 numbers, got [1, 0]"),
+        ],
+        ids=["alpha-bool", "machines-float", "weights-string-entry", "weights-short"],
+    )
+    def test_numbers_take_the_model_rule(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli("run", "--machines", 4, "--apps", 3, "--config", cfg) == 1
+        assert capsys.readouterr().err == f"error: config {cfg}: {message}\n"
+
+
 class TestSweep:
     def test_sweep_writes_rows(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

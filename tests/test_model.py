@@ -134,6 +134,37 @@ class TestTypes:
         with pytest.raises(ModelError):
             build(bad)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda v: ResourceVector(v, 1, 1, 1), "resource component 'cpu' must be a real number"),
+            (lambda v: ResourceVector(1, 1, v, 1), "resource component 'nw' must be a real number"),
+            (lambda v: Machine(0, ResourceVector(1, 1, 1, 1), p_idle=v, p_max=2.0),
+             "machine 0: p_idle must be a real number"),
+            (lambda v: Machine(3, ResourceVector(1, 1, 1, 1), p_idle=0.0, p_max=v),
+             "machine 3: p_max must be a real number"),
+        ],
+        ids=["cpu", "nw", "p_idle", "p_max"],
+    )
+    @pytest.mark.parametrize("bad", ["1", True, None], ids=["str", "bool", "none"])
+    def test_resource_and_power_numbers_take_the_model_rule(self, build, message, bad):
+        with pytest.raises(ModelError, match=message):
+            build(bad)
+
+    def test_numpy_and_int_components_are_held_as_floats(self):
+        # a float32 capacity would run the ledger in float32
+        vec = ResourceVector(np.float32(10.0), 1, np.int64(2), np.float64(0.5))
+        mach = Machine(0, vec, p_idle=np.float32(100.0), p_max=200)
+        held = [*vec.as_tuple(), mach.p_idle, mach.p_max]
+        assert held == [10.0, 1.0, 2.0, 0.5, 100.0, 200.0] and {type(v) for v in held} == {float}
+        scn = scenario([mach], [app(0, cpu=np.float32(3.3), instances=2)])
+        ledger = CapacityLedger(scn)
+        ledger.add(0, 0)
+        ledger.add(0, 0)
+        cpu = float(np.float32(3.3))
+        assert ledger.remaining[0][0] == 10.0 - cpu - cpu and type(ledger.remaining[0][0]) is float
+        assert ledger.pi[0] == (cpu + cpu) / 10.0 and type(ledger.pi[0]) is float
+
     def test_allocation_rejects_negative_and_float(self):
         with pytest.raises(ModelError):
             AllocationMatrix(np.array([[-1]]))

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from powerplace import (
@@ -9,6 +11,7 @@ from powerplace import (
     total_cost,
     validate_allocation,
 )
+from powerplace import oracle
 from powerplace.affinity import build_final_affinity
 from powerplace.oracle import _BLOCK_CELLS, DEFAULT_NODE_BUDGET
 from powerplace.workload import GeneratorConfig, generate_synthetic
@@ -21,6 +24,7 @@ from support import (
     machine,
     replay_oracle,
     scenario,
+    traced_peak,
 )
 
 
@@ -164,22 +168,30 @@ class TestOptimalPlace:
         ],
         ids=["4x2", "3x3-anti", "4x3", "2x3", "4x1"],
     )
-    def test_every_budget_matches_the_replay(self, config):
-        # a trip at any node, inside or between the last two levels' rows,
-        # ends at node budget + 1 with the best of the rows before it
+    def test_every_budget_matches_the_replay(self, config, monkeypatch):
+        # a trip at any node, in a level above the batch, between batches or
+        # at any batched level, ends at node budget + 1 with the best of the
+        # rows before it; the batch takes the last level only, the last two,
+        # and then the whole search
         scn = generate_synthetic(config)
         f = build_final_affinity(scn)
-        full = optimal_place(scn, f).nodes_explored
-        for budget in range(1, full + 1):
-            res = optimal_place(scn, f, budget=budget)
-            replay_oracle(scn, f, res, budget)
-            assert type(res.nodes_explored) is int
-            if res.optimal is not None:
-                assert res.optimal_reduced_cost == fresh_oracle_cost(scn, f, res.optimal.counts)
+        n, m = scn.num_applications, scn.num_machines
+        rows = [math.comb(k + m - 1, m - 1) for k in scn.instances.tolist()]
+        for batched in sorted({1, min(2, n), n}):
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", math.prod(rows[n - batched:]))
+            assert oracle._Search(scn, f, 1).depth == n - batched
+            full = optimal_place(scn, f).nodes_explored
+            for budget in range(1, full + 1):
+                res = optimal_place(scn, f, budget=budget)
+                replay_oracle(scn, f, res, budget)
+                assert type(res.nodes_explored) is int
+                if res.optimal is not None:
+                    assert res.optimal_reduced_cost == fresh_oracle_cost(scn, f, res.optimal.counts)
 
     def test_batch_in_several_blocks_matches_the_replay(self):
         # every row of app 0 fits, and every row of app 1 fits each of them:
-        # 462 x 462 pairs, costed in blocks of `step` rows of app 0
+        # 462 x 462 leaves are more than one batch holds, so each row of app 0
+        # is a node of its own, followed by one batch of app 1's 462 rows
         spans = (60, 150, 80, 120, 90, 110)
         caps = (40, 24, 30, 36, 28, 32)
         scn = scenario(
@@ -187,17 +199,29 @@ class TestOptimalPlace:
             [app(0, cpu=1.0, instances=6), app(1, cpu=1.5, instances=6)],
         )
         f = final_matrix([[0.9, 0.5, 0.2, 0.1, 0.3, 0.0], [0.7, 0.0, 0.4, 0.6, 0.8, 0.2]])
+        assert 462 < _BLOCK_CELLS < 462 * 462
+        assert oracle._Search(scn, f, 1).depth == 1
         step = _BLOCK_CELLS // 462
-        assert step < 462 // 2
-        first = step * (1 + 462)  # the nodes of the first block
-        # inside the first block; at its end, so that the second block's
-        # first row trips on its own node; after none and after one of that
-        # row's app 1 rows; inside the second block; exhausted
+        first = step * (1 + 462)  # the first `step` rows of app 0 and their batches
+        # inside the first batch; at the end of a batch, so that the next row
+        # of app 0 trips on its own node; after none and after one of that
+        # row's app 1 rows; inside a later batch; exhausted
         for budget in (4000, first, first + 1, first + 2, 68_000, DEFAULT_NODE_BUDGET):
             res = optimal_place(scn, f, budget=budget)
             replay_oracle(scn, f, res, budget)
             assert res.optimal_reduced_cost == fresh_oracle_cost(scn, f, res.optimal.counts)
         assert res.exhausted and res.nodes_explored == 462 * 463
+
+    def test_largest_tiny_solve_keeps_a_small_working_set(self):
+        # the largest of perfbench's 200 oracle-tiny solves, all in one
+        # batch: per-machine (node, row) gathers peak near 0.26 MB, where
+        # (node, row, machine) broadcast indexing peaks near 1.5 MB
+        scn = generate_synthetic(GeneratorConfig(4, 4, seed=99, instance_range=(2, 2)))
+        f = build_final_affinity(scn)
+        optimal_place(scn, f)
+        res, peak = traced_peak(lambda: optimal_place(scn, f))
+        assert res.exhausted and res.nodes_explored == 11_105
+        assert peak <= 768 * 1024
 
     def test_dominates_heuristics(self):
         for seed in range(15):
