@@ -420,14 +420,15 @@ class ValidationReport:
 class CapacityLedger:
     """Remaining capacity, cpu used and utilization of every machine.
 
-    The one bookkeeping path for placements made one instance at a time,
-    shared by the greedy strategies and the exact solver. Placements are
-    never taken back: the exact solver memoizes the machine states it
-    builds and loads one into machine j's ``remaining[j]`` and
-    ``used_cpu[j]`` before placing more on it. ``remaining[j]``
-    is machine j's leftover (cpu, io, nw, mem); a subtraction that lands
-    below zero by no more than CAPACITY_SLACK of the capacity is float
-    residue and is clamped to 0. ``pi[j]`` is the cpu utilization, snapped
+    The bookkeeping path of the greedy strategies, which place one
+    instance at a time and never take one back. The exact solver uses
+    ``ledger_steps``, its array form, instead. ``remaining[j]`` is machine
+    j's leftover (cpu, io, nw, mem). ``add`` clamps to 0 a subtraction that
+    lands below zero by no more than CAPACITY_SLACK of the capacity, as
+    float residue; an add that ``first_admissible`` admitted never lands
+    below zero (``d <= r`` implies ``fl(r - d) >= 0``), so the clamp acts
+    only on an add the ledger did not admit, which no caller in this
+    package makes. ``pi[j]`` is the cpu utilization, snapped
     to 1.0 when it overshoots by no more than CAPACITY_SLACK. ``anti``,
     ``caps`` and ``demands`` are the scenario's ``anti_rows``,
     ``capacity_rows`` and ``demand_rows``, shared, not copied.
@@ -487,6 +488,38 @@ class CapacityLedger:
         self.used_cpu[j] = used
         pi = used / self.cpu_cap[j]
         self.pi[j] = 1.0 if 1.0 < pi <= 1.0 + CAPACITY_SLACK else pi
+
+
+def ledger_steps(
+    scenario: Scenario, states: np.ndarray, machines: np.ndarray, i: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CapacityLedger's ``first_admissible((j,))`` then ``add(i, j)``, k times, for many states at once.
+
+    ``states`` (S, 5) holds one machine state per row: remaining cpu, io,
+    nw and mem, then cpu used; ``machines`` (S,) is each row's machine.
+    Returns ``steps`` (S, k + 1, 5), each state after 0 .. k more instances
+    of application i (k its instance count); ``pi`` (S, k + 1), the
+    utilization with the ledger's snap; and ``reached`` (S, k + 1), True
+    where the state after t instances exists: t = 0, or instance t fits
+    (not anti-affine, all four resources) and so did every one before it.
+    Past ``reached`` the entries are meaningless. The steps are one
+    sequential ``np.add.accumulate`` along the instance axis, ``r + (-d)``
+    and ``used + d``, so each entry has the bits of t scalar adds. No clamp
+    is needed: ``d <= r`` implies ``fl(r - d) >= 0``.
+    """
+    d = scenario.demands[i]
+    steps = np.empty((len(states), int(scenario.instances[i]) + 1, 5))
+    steps[:, 0] = states
+    steps[:, 1:, :4] = -d
+    steps[:, 1:, 4] = d[0]
+    np.add.accumulate(steps, axis=1, out=steps)
+    fits = (steps[:, :-1, :4] >= d).all(axis=2)
+    fits &= scenario.anti_affinity[i].take(machines)[:, None] == 0
+    reached = np.ones(steps.shape[:2], dtype=bool)
+    np.logical_and.accumulate(fits, axis=1, out=reached[:, 1:])
+    pi = steps[:, :, 4] / scenario.capacities[:, 0].take(machines)[:, None]
+    pi[(pi > 1.0) & (pi <= 1.0 + CAPACITY_SLACK)] = 1.0
+    return steps, pi, reached
 
 
 def _checked_shape(scenario: Scenario, allocation: AllocationMatrix) -> tuple[int, int]:

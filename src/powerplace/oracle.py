@@ -5,19 +5,22 @@ Enumerates allocations as per-application count rows over machines
 enumeration would only multiply the space by factorials). Each level is
 one application, and each node is one whole row that fits: rows are
 listed in ascending lexicographic order. A machine's state (remaining
-capacity, cpu used, its cost term) depends only on its column of counts
-so far, so states are built once, through CapacityLedger, and memoized
-per machine. The deepest levels whose rows make at most about 64k leaves
-at full room (the last level always; on 4 machines x 4 applications x 2
+capacity, cpu used, payoff) depends only on its column of counts so far,
+so states are built once and memoized per machine. They are built as
+arrays by ``model.ledger_steps``, the capacity ledger's admit-then-add
+for many states in one call, with the bits of its scalar steps: each
+level entry builds what the next level reads for all its new states at
+once. The deepest levels whose rows make at most about 64k leaves at
+full room (the last level always; on 4 machines x 4 applications x 2
 instances, the whole search) are expanded as one array frontier: each
 machine's states below the batch's entry state get a table per level,
 the next state's id for every row (-1 past the machine's room) and, at
 the last level, the cost terms (``inf`` past it). A level's nodes are
 the frontier's rows that fit on every machine; a leaf's cost is its
 terms added in machine order. Levels above the batch recurse row by row.
-The nodes, their order and the optimum are those of a row-by-row
-search, a budget trip inside the batch included. Intended for desk-scale
-ground truth, roughly up to 8 instances on 4 machines.
+The nodes, their order and the optimum are those of a row-by-row search,
+a budget trip inside the batch included. Intended for desk-scale ground
+truth, roughly up to 8 instances on 4 machines.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import getitem
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .affinity import AffinityMatrix, require_final
-from .model import AllocationMatrix, CapacityLedger, ModelError, Scenario
+from .model import AllocationMatrix, ModelError, Scenario, _integer, ledger_steps
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -66,21 +69,18 @@ class _BudgetHit(Exception):
 class _MachineState:
     """One machine after one column of counts (applications 0..i-1).
 
-    ``term`` is the machine's share of the reduced cost,
-    ``span * pi**3 - alpha * payoff``. Filled on first use: above the
-    batch, ``ladder`` (see ``_Search.ladder``); at the batch's first level,
-    ``tables`` (see ``_Search.tables``).
+    ``values`` is (remaining cpu, io, nw, mem, cpu used, payoff), the
+    payoff being the affinity its instances earn. ``below`` is what level
+    i reads from the state, built by ``_Search.stock``: above the batch,
+    its ladder, the states after 0, 1, ... more instances of application
+    i; at the batch's first level, its tables (see ``_Search.batch``).
     """
 
-    __slots__ = ("remaining", "used_cpu", "payoff", "term", "ladder", "tables")
+    __slots__ = ("values", "below")
 
-    def __init__(self, remaining: tuple, used_cpu: float, payoff: float, term: float):
-        self.remaining = remaining
-        self.used_cpu = used_cpu
-        self.payoff = payoff
-        self.term = term
-        self.ladder: Optional[list[_MachineState]] = None
-        self.tables: Optional[list[np.ndarray]] = None
+    def __init__(self, values: list):
+        self.values = values
+        self.below: Optional[list] = None
 
 
 def _rows(k: int, lengths: tuple) -> list[tuple]:
@@ -91,15 +91,23 @@ def _rows(k: int, lengths: tuple) -> list[tuple]:
 
 
 class _Search:
-    """One exhaustive search; lives for one ``optimal_place`` call."""
+    """One exhaustive search; lives for one ``optimal_place`` call.
 
-    __slots__ = ("ledger", "spans", "f", "alpha", "instances", "last", "depth", "budget",
+    ``stock``, through ``grow``, is its one state builder. ``run`` stocks
+    the empty machines; each level entry of ``descend`` stocks, in one
+    call, every state of its ladders that has nothing built below it yet,
+    which are the next level's entry states: with their ladders above the
+    batch, and with their tables, one ``grow`` per batched level, at its
+    first level.
+    """
+
+    __slots__ = ("scenario", "spans", "f", "alpha", "instances", "last", "depth", "budget",
                  "nodes", "row_cache", "grids", "path", "best_cost", "best_rows")
 
     def __init__(self, scenario: Scenario, affinity: AffinityMatrix, budget: int):
-        self.ledger = CapacityLedger(scenario)
-        self.spans = scenario.spans.tolist()
-        self.f = affinity.values.tolist()
+        self.scenario = scenario
+        self.spans = scenario.spans
+        self.f = affinity.values
         self.alpha = scenario.alpha
         self.instances = instances = scenario.instances.tolist()
         self.last = depth = scenario.num_applications - 1
@@ -123,68 +131,81 @@ class _Search:
         self.best_rows: Optional[list[tuple]] = None
 
     def run(self) -> None:
-        """Search from every machine empty: no cpu used, no payoff, a cost term of 0."""
-        self.descend(0, [_MachineState(cap, 0.0, 0.0, 0.0) for cap in self.ledger.caps])
+        """Search from every machine empty: no cpu used, no payoff."""
+        states = [_MachineState([*cap, 0.0, 0.0]) for cap in self.scenario.capacity_rows]
+        self.stock(0, states, range(len(states)))
+        self.descend(0, states)
 
-    def climb(self, state: _MachineState, i: int, j: int):
-        """(payoff, term) after each instance of application i machine j admits from ``state``."""
-        ledger = self.ledger
-        ledger.remaining[j] = list(state.remaining)
-        ledger.used_cpu[j] = state.used_cpu
-        fij, span, alpha = self.f[i][j], self.spans[j], self.alpha
-        payoff = state.payoff
-        for _ in range(self.instances[i]):
-            if ledger.first_admissible(i, (j,)) < 0:
-                return
-            ledger.add(i, j)
-            payoff += fij
-            pi = ledger.pi[j]
-            yield payoff, span * pi * pi * pi - alpha * payoff
+    def grow(self, states: np.ndarray, machines: np.ndarray, i: int):
+        """``states`` (S, 6 values) after 0 .. k more instances of application i on ``machines``.
 
-    def ladder(self, state: _MachineState, i: int, j: int) -> list[_MachineState]:
-        """Machine j's states after 0, 1, ... more instances of application i.
-
-        The first is a fresh state, never ``state``, so the trie holds no cycle.
+        Returns the (S, k + 1, 6) values and ``ledger_steps``' ``pi`` and
+        ``reached``; the payoff, like the ledger's columns, is one
+        sequential ``np.add.accumulate``, so it has the bits of adding one
+        affinity per instance.
         """
-        ladder = [_MachineState(state.remaining, state.used_cpu, state.payoff, state.term)]
-        remaining, used_cpu = self.ledger.remaining, self.ledger.used_cpu
-        for payoff, term in self.climb(state, i, j):
-            ladder.append(_MachineState(tuple(remaining[j]), used_cpu[j], payoff, term))
-        return ladder
+        steps, pi, reached = ledger_steps(self.scenario, states[:, :5], machines, i)
+        grown = np.empty((*pi.shape, 6))
+        grown[:, :, :5] = steps
+        grown[:, 0, 5] = states[:, 5]
+        grown[:, 1:, 5] = self.f[i].take(machines)[:, None]
+        np.add.accumulate(grown[:, :, 5], axis=1, out=grown[:, :, 5])
+        return grown, pi, reached
 
-    def tables(self, state: _MachineState, j: int) -> list[np.ndarray]:
-        """Machine j's table per batched level, below its entry state ``state``.
+    def stock(self, i: int, states: list[_MachineState], machines: Iterable[int]) -> None:
+        """Build ``below`` for level i's entry states ``states``, on ``machines``, in one go.
 
-        The machine's states at a level are numbered in the order they are
-        built. A level above the last maps each state and count 0 .. k to
-        the next level's state, -1 past the room; the last level's holds
-        the cost terms, ``inf`` past the room, and builds no state. Each
-        table is then spread over its level's grid: column r is row r.
+        Above the batch, one ``grow`` gives every state its ladder; the
+        first of a ladder is a fresh state, never the one it grew from, so
+        the trie holds no cycle. At the batch's first level, one ``grow``
+        per batched level gives every state its tables: the states below
+        each entry state are numbered, level by level, in the order they
+        are built. A level above the last maps each state and count
+        0 .. k to the next level's state, -1 past the room; the last
+        level's holds the cost terms, ``inf`` past the room. Each table
+        is spread over its level's grid: column r is row r.
         """
-        states, out = [state], []
-        for i, (_, grid) in enumerate(self.grids, self.depth):
+        values = np.array([s.values for s in states])
+        machines = np.array(machines, dtype=np.intp)
+        if i < self.depth:
+            grown, _, reached = self.grow(values, machines, i)
+            for s, column, room in zip(states, grown.tolist(), reached.sum(axis=1).tolist()):
+                s.below = list(map(_MachineState, column[:room]))
+            return
+        # Every entry's states lie together, in the order they are built:
+        # ``starts`` holds each entry's first state, ``owner`` each state's entry.
+        owner = starts = np.arange(len(states))
+        for s in states:
+            s.below = []
+        for i, (_, grid) in enumerate(self.grids, i):
+            grown, pi, reached = self.grow(values, machines, i)
             if i == self.last:
-                table = [[s.term, *(t for _, t in self.climb(s, i, j))] for s in states]
-                pad = _INF
+                spans = self.spans.take(machines)[:, None]
+                table = np.where(reached, spans * pi * pi * pi - self.alpha * grown[:, :, 5], _INF)
             else:
-                table, below = [], []
-                for s in states:
-                    ladder = self.ladder(s, i, j)
-                    table.append(range(len(below), len(below) + len(ladder)))
-                    below += ladder
-                states, pad = below, -1
-            width = self.instances[i] + 1
-            out.append(np.array([[*row, *[pad] * (width - len(row))] for row in table])[:, grid[j]])
-        return out
+                room = reached.sum(axis=1)
+                first = np.cumsum(room) - room  # counted over all entries
+                heads = first[starts]  # each entry's first state at the next level
+                first -= heads[owner]
+                table = np.where(reached, first[:, None] + np.arange(reached.shape[1]), -1)
+            spread = table.take(grid[machines] + np.arange(0, table.size, table.shape[1])[:, None])
+            bounds = [*starts.tolist(), len(spread)]
+            for s, lo, hi in zip(states, bounds, bounds[1:]):
+                s.below.append(spread[lo:hi])
+            if i < self.last:
+                values = grown[reached]
+                machines, owner, starts = machines.repeat(room), owner.repeat(room), heads
 
     def descend(self, i: int, states: list[_MachineState]) -> None:
         """Enumerate application i's rows from the machine states ``states``."""
         if i == self.depth:
             self.batch(states)
             return
-        for j, s in enumerate(states):
-            s.ladder = s.ladder or self.ladder(s, i, j)
-        ladders = [s.ladder for s in states]
+        ladders = [s.below for s in states]
+        # The next level's entries are the ladders' states: stock the new ones at once.
+        bare = [(s, j) for j, ladder in enumerate(ladders) for s in ladder if s.below is None]
+        if bare:
+            self.stock(i + 1, *zip(*bare))
         # A ladder's length is the machine's room for application i plus one.
         key = (self.instances[i], tuple(map(len, ladders)))
         rows = self.row_cache.get(key)
@@ -206,9 +227,7 @@ class _Search:
         and row-minor as in a row-by-row search. If the budget trips, only
         the leaves before node ``budget + 1`` are scored.
         """
-        for j, s in enumerate(states):
-            s.tables = s.tables or self.tables(s, j)
-        tables = [s.tables for s in states]
+        tables = [s.below for s in states]
         fronts = [np.zeros(1, dtype=np.intp)] * len(states)
         picks = []  # per level, each node's flat (parent, grid row) index
         for level in range(self.last - self.depth):
@@ -281,6 +300,7 @@ def optimal_place(
     placed one instance at a time in application order, summed in machine
     order.
     """
+    budget = _integer("node budget", budget)
     if budget <= 0:
         raise ModelError("node budget must be positive")
     require_final(scenario, affinity)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from powerplace import (
@@ -13,6 +14,7 @@ from powerplace import (
 )
 from powerplace import oracle
 from powerplace.affinity import build_final_affinity
+from powerplace.model import ModelError
 from powerplace.oracle import _BLOCK_CELLS, DEFAULT_NODE_BUDGET
 from powerplace.workload import GeneratorConfig, generate_synthetic
 
@@ -116,6 +118,32 @@ class TestOptimalPlace:
         scn = generate_synthetic(GeneratorConfig(4, 4, seed=0, instance_range=(2, 2)))
         f = build_final_affinity(scn)
         res = optimal_place(scn, f, budget=3)
+        assert not res.exhausted
+
+    @pytest.mark.parametrize(
+        "budget, message",
+        [
+            (2.5, "node budget must be an integer, got 2.5"),
+            (float("nan"), "node budget must be an integer, got nan"),
+            (True, "node budget must be an integer, got True"),
+            ("5", "node budget must be an integer, got '5'"),
+            (None, "node budget must be an integer, got None"),
+            (0, "node budget must be positive"),
+            (-3, "node budget must be positive"),
+            (3, None),
+            (np.int64(3), None),
+        ],
+        ids=["float", "nan", "bool", "str", "none", "zero", "negative", "int", "numpy-int"],
+    )
+    def test_budget_is_a_positive_integer(self, budget, message):
+        scn = generate_synthetic(GeneratorConfig(4, 4, seed=0, instance_range=(2, 2)))
+        f = build_final_affinity(scn)
+        if message is not None:
+            with pytest.raises(ModelError, match=f"^{message}$"):
+                optimal_place(scn, f, budget=budget)
+            return
+        res = optimal_place(scn, f, budget=budget)
+        assert type(res.nodes_explored) is int and res.nodes_explored == 4
         assert not res.exhausted
 
     def test_cost_is_recomputed_from_counts_bit_for_bit(self):
@@ -236,6 +264,51 @@ class TestOptimalPlace:
                     assert res.optimal is not None
                     heur = total_cost(scn, out.allocation, f).reduced
                     assert res.optimal_reduced_cost <= heur + 1e-9 * max(1.0, abs(heur))
+
+
+# The results of the row-by-row ledger search, pinned: (machines,
+# applications, seed, budget, nodes, exhausted, optimum rows, cost), two
+# instances per application. The batch takes all but the first level on
+# 5x5x2 and the last four on 4x6x2 and 4x8x2, so levels above it build
+# ladders and batch entries share states, and their tables, with earlier
+# entries. Costs are checked to 1e-12
+# only: the affinity comes from a BLAS matmul whose kernel may round the
+# last bit differently.
+_LARGER_SPACES = [
+    (5, 5, 0, DEFAULT_NODE_BUDGET, 31512, True, "20000 00002 00110 00002 11000", -0.7932026053207644),
+    (5, 5, 1, DEFAULT_NODE_BUDGET, 44221, True, "01010 10100 10001 02000 00020", -9.537232498887022),
+    (5, 5, 2, DEFAULT_NODE_BUDGET, 41529, True, "01001 00200 11000 00002 00011", 13.406190646930138),
+    (5, 5, 3, DEFAULT_NODE_BUDGET, 63526, True, "01010 11000 00020 00200 00011", -5.7587605882495385),
+    (5, 5, 4, DEFAULT_NODE_BUDGET, 70280, True, "20000 10001 01100 00101 10010", -8.038590451362795),
+    (5, 5, 5, DEFAULT_NODE_BUDGET, 37016, True, "10100 00002 02000 02000 10010", -18.229180168796407),
+    (5, 5, 6, DEFAULT_NODE_BUDGET, 16768, True, "00002 02000 10100 10001 00020", -12.472331866800136),
+    (5, 5, 7, DEFAULT_NODE_BUDGET, 74787, True, "00200 10001 20000 10010 02000", -25.507504944697345),
+    (5, 5, 8, DEFAULT_NODE_BUDGET, 80363, True, "00020 02000 00200 10001 01001", -30.787274098793723),
+    (5, 5, 9, DEFAULT_NODE_BUDGET, 26656, True, "01010 20000 00002 00110 00002", -21.6183570629495),
+    (4, 6, 0, DEFAULT_NODE_BUDGET, 2525, True, "2000 0011 0200 2000 1100 2000", 152.55052051612026),
+    (4, 6, 1, DEFAULT_NODE_BUDGET, 213415, True, "0200 1001 1100 0200 0020 0002", 5.940341055707375),
+    (4, 6, 2, DEFAULT_NODE_BUDGET, 142246, True, "1100 0020 0101 1010 2000 0200", 28.38982193223354),
+    (4, 6, 3, DEFAULT_NODE_BUDGET, 141914, True, "0011 1010 0002 0020 0002 0110", 22.69035036541873),
+    (4, 6, 4, DEFAULT_NODE_BUDGET, 537841, True, "0200 1010 0020 2000 0020 1001", -5.4804793349044),
+    (4, 8, 0, 2_000_000, 3124, True, None, None),
+    (4, 8, 1, 2_000_000, 2_000_001, False, "0002 1001 2000 0020 1001 0200 0002 0002", 67.03204793678904),
+]
+
+
+@pytest.mark.parametrize(
+    "m, n, seed, budget, nodes, exhausted, rows, cost",
+    _LARGER_SPACES,
+    ids=[f"{m}x{n}x2-seed{seed}" for m, n, seed, *_ in _LARGER_SPACES],
+)
+def test_larger_spaces_keep_their_results(m, n, seed, budget, nodes, exhausted, rows, cost):
+    scn = generate_synthetic(GeneratorConfig(m, n, seed=seed, instance_range=(2, 2)))
+    res = optimal_place(scn, build_final_affinity(scn), budget=budget)
+    assert (res.nodes_explored, res.exhausted) == (nodes, exhausted)
+    if rows is None:
+        assert res.optimal is None and res.optimal_reduced_cost is None
+    else:
+        assert res.optimal.counts.tolist() == [list(map(int, row)) for row in rows.split()]
+        assert res.optimal_reduced_cost == pytest.approx(cost, rel=1e-12, abs=0)
 
 
 class TestFeasibilityCheck:

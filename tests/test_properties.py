@@ -13,7 +13,9 @@ resources; each of the three tags the draws that retired one
 (``--hypothesis-show-statistics`` reports the share). The exact solver's whole-row enumeration must match a
 depth-first search with one call per machine and instance at every node
 budget, and its cost must be the one recomputed from the optimum's
-counts, bit for bit.
+counts, bit for bit. The array steps it builds machine states with must
+match CapacityLedger's admit-then-add, repeated, bit for bit: remaining
+capacity, cpu used, the snapped pi and the number of instances admitted.
 
 Every strategy's outcome must be sound: a complete allocation passes
 validate_allocation, a partial one breaks no anti-affinity or capacity
@@ -50,12 +52,15 @@ from hypothesis import strategies as st
 from powerplace.affinity import AffinityMatrix, build_final_affinity
 from powerplace.costs import metrics, total_cost
 from powerplace.model import (
+    CAPACITY_SLACK,
     AffinityWeights,
     AllocationMatrix,
     Application,
+    CapacityLedger,
     Machine,
     ResourceVector,
     Scenario,
+    ledger_steps,
     validate_allocation,
 )
 from powerplace.oracle import DEFAULT_NODE_BUDGET, optimal_place
@@ -74,15 +79,18 @@ from powerplace.workload import (
 )
 
 from support import (
+    app,
     dense_metrics,
     dense_validate_allocation,
     fresh_oracle_cost,
+    machine,
     replay_aap,
     replay_cpaap,
     replay_delta_sum,
     replay_first_fit,
     replay_oracle,
     replay_pap,
+    scenario,
     scenarios_equal,
     spent_machines,
 )
@@ -303,6 +311,70 @@ def test_oracle_rows_match_per_machine_search(config):
         if result.optimal is not None:
             counts = result.optimal.counts
             assert result.optimal_reduced_cost == fresh_oracle_cost(scenario, affinity, counts)
+
+
+@st.composite
+def ledger_step_cases(draw):
+    """Capacities, demands, counts, anti-affinity, an application and machine states with their machines."""
+    # Half the draws take every amount from 0.1, 0.2 and 0.3, whose sums and
+    # differences are inexact in binary (0.1 + 0.2 > 0.3), so that exact
+    # fits and the snap of pi to 1.0 come up often.
+    amounts = st.sampled_from([0.1, 0.2, 0.3]) if draw(st.booleans()) else st.floats(0.01, 2.0)
+    or_zero = st.one_of(st.just(0.0), amounts)
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    caps = draw(st.lists(st.tuples(*[amounts] * 4), min_size=m, max_size=m))
+    demands = draw(st.lists(st.tuples(amounts, *[or_zero] * 3), min_size=n, max_size=n))
+    instances = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    anti = draw(st.lists(st.lists(st.sampled_from([0, 0, 1]), min_size=m, max_size=m), min_size=n, max_size=n))
+    # remaining and cpu used drawn apart: any loaded state, reachable or not;
+    # 2.0 has room for any one instance
+    roomy = st.one_of(amounts, st.just(2.0))
+    states = draw(st.lists(st.tuples(*[roomy] * 4, or_zero), min_size=1, max_size=6))
+    machines = draw(st.lists(st.integers(0, m - 1), min_size=len(states), max_size=len(states)))
+    return caps, demands, instances, anti, draw(st.integers(0, n - 1)), states, machines
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ledger_step_cases())
+# 0.2 used plus 0.1 is 0.30000000000000004 of a 0.3 cap: an exact fit
+# whose pi snaps to 1.0; a second instance no longer fits
+@example(case=([(0.3, 1.0, 1.0, 1.0)], [(0.1, 0.0, 0.0, 0.0)], [3], [[0]], 0, [(0.1, 1.0, 1.0, 1.0, 0.2)], [0]))
+# the same on an anti-affine machine beside a free one, and 0.1 three times
+# from 1.0, which the product 1.0 - 3 * 0.1 misses by one ulp
+@example(case=([(0.3, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0)], [(0.1, 0.1, 0.0, 0.1)], [4], [[1, 0]], 0,
+               [(0.1, 1.0, 1.0, 1.0, 0.2), (1.0, 1.0, 1.0, 1.0, 0.0)], [0, 1]))
+def test_ledger_steps_match_the_scalar_ledger(case):
+    caps, demands, instances, anti, i, states, machines = case
+    scn = scenario([machine(j, *cap) for j, cap in enumerate(caps)],
+                   [app(a, *d, instances=k) for a, (d, k) in enumerate(zip(demands, instances))], anti=anti)
+    steps, pi, reached = ledger_steps(scn, np.array(states), np.array(machines), i)
+    k = instances[i]
+    assert steps.shape == (len(states), k + 1, 5) and pi.shape == reached.shape == (len(states), k + 1)
+    for s, (state, j) in enumerate(zip(states, machines)):
+        ledger = CapacityLedger(scn)
+        ledger.remaining[j], ledger.used_cpu[j] = list(state[:4]), state[4]
+        loaded = state[4] / caps[j][0]
+        rows, pis = [list(state)], [1.0 if 1.0 < loaded <= 1.0 + CAPACITY_SLACK else loaded]
+        while len(rows) <= k and ledger.first_admissible(i, (j,)) >= 0:
+            if any(0 < d == r for d, r in zip(demands[i], ledger.remaining[j])):
+                event("exact fit")
+            ledger.add(i, j)
+            rows.append([*ledger.remaining[j], ledger.used_cpu[j]])
+            pis.append(ledger.pi[j])
+            if ledger.pi[j] != ledger.used_cpu[j] / caps[j][0]:
+                event("pi snapped")
+        if anti[i][j]:
+            event("anti-affine")
+        count = len(rows)
+        assert reached[s].tolist() == [True] * count + [False] * (k + 1 - count)
+        assert hexes(steps[s, :count]) == hexes(rows)
+        assert hexes(pi[s, :count]) == hexes(pis)
+    if 0.0 in demands[i]:
+        event("a zero demand")
 
 
 def place(strategy, scenario, affinity):
