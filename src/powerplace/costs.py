@@ -130,7 +130,7 @@ def metrics(
     report = validate_allocation(scenario, allocation)
     requested = scenario.total_instances
     counts = allocation.cell_counts
-    on_affine = float(counts[scenario.user_affinity.ravel()[allocation.cells] == 1].sum())
+    on_affine = float(counts[scenario.user_affinity.ravel()[allocation.cells]].sum())
     rho = on_affine / requested
     avg_util = _ordered_sum(pis) / scenario.num_machines
     if breakdown.total == 0.0:

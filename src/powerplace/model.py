@@ -170,37 +170,35 @@ def _settings(
 
 
 def _binary_matrix(name: str, mat: np.ndarray) -> np.ndarray:
-    """``mat`` as a read-only int64 matrix; ModelError unless every cell is 0 or 1.
+    """``mat`` as a read-only bool matrix; ModelError unless every cell is 0 or 1.
 
-    Cells are checked before the cast, so a fraction or a NaN is rejected
-    rather than truncated. A read-only int64 matrix, such as another
-    scenario's, is kept as it is; anything else is copied.
+    A read-only bool matrix, such as another scenario's, is kept as it is,
+    a writable one copied. An int, uint or float matrix is cast if every
+    cell equals 0 or 1, which a NaN does not; an object matrix is read as
+    floats first. Complex, string and bytes cells are no numbers.
     """
-    if mat.dtype.kind not in "biuf":
+    if mat.dtype.kind == "O":
         try:
             mat = np.asarray(mat, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ModelError(f"{name} must be binary") from exc
-    # a NaN fails the range test: min() and max() are NaN
-    if not (mat.min() >= 0 and mat.max() <= 1):
-        raise ModelError(f"{name} must be binary")
-    if mat.dtype == np.int64 and not mat.flags.writeable:
+    if mat.dtype.kind == "b" and not mat.flags.writeable:
         return mat
-    ints = mat.astype(np.int64)
-    if mat.dtype.kind == "f" and not np.array_equal(ints, mat):
+    # a copy as bool, equal to mat only if every cell is 0 or 1
+    if mat.dtype.kind not in "biuf" or not np.array_equal(bits := mat != 0, mat):
         raise ModelError(f"{name} must be binary")
-    ints.setflags(write=False)
-    return ints
+    bits.setflags(write=False)
+    return bits
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A complete placement problem instance.
 
-    Holds the machine fleet, the application requests, the binary user
-    affinity and anti-affinity matrices (N applications x M machines), the
-    resource-affinity weights, the affinity cost coefficient alpha, and the
-    utilization threshold used by the power-aware heuristic.
+    Holds the machine fleet, the application requests, the user affinity
+    and anti-affinity matrices (N applications x M machines, read-only
+    bool), the resource-affinity weights, the affinity cost coefficient
+    alpha, and the utilization threshold used by the power-aware heuristic.
 
     A cell may not be both user-affine and anti-affine: both matrices are
     user-supplied and must not contradict each other.
@@ -223,8 +221,8 @@ class Scenario:
     weights: AffinityWeights
     alpha: float
     pi_threshold: float = 0.5
-    # anti_affinity as one bytes row per application, built once here and
-    # shared by every CapacityLedger: anti_rows[i][j] is 0 or 1
+    # anti_affinity's bool rows as bytes, one per application, built once
+    # here and shared by every CapacityLedger: anti_rows[i][j] is 0 or 1
     anti_rows: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
     # The numbers of the machines and applications, read from here and never
     # rebuilt: read-only float64 columns capacities (M, 4) and demands (N, 4)
@@ -276,7 +274,7 @@ class Scenario:
         object.__setattr__(self, "applications", applications)
         object.__setattr__(self, "user_affinity", user)
         object.__setattr__(self, "anti_affinity", anti)
-        object.__setattr__(self, "anti_rows", tuple(map(bytes, anti.astype(np.uint8))))
+        object.__setattr__(self, "anti_rows", tuple(map(bytes, anti)))
         caps = tuple(m.capacity.as_tuple() for m in machines)
         reqs = tuple(a.demand.as_tuple() for a in applications)
         object.__setattr__(self, "capacity_rows", caps)
@@ -514,7 +512,7 @@ def ledger_steps(
     steps[:, 1:, 4] = d[0]
     np.add.accumulate(steps, axis=1, out=steps)
     fits = (steps[:, :-1, :4] >= d).all(axis=2)
-    fits &= scenario.anti_affinity[i].take(machines)[:, None] == 0
+    fits &= ~scenario.anti_affinity[i].take(machines)[:, None]
     reached = np.ones(steps.shape[:2], dtype=bool)
     np.logical_and.accumulate(fits, axis=1, out=reached[:, 1:])
     pi = steps[:, :, 4] / scenario.capacities[:, 0].take(machines)[:, None]

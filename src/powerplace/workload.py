@@ -209,7 +209,7 @@ def anti_affinity_count(fraction: float, num_machines: int) -> int:
 def _draw_affinity(
     rng: np.random.Generator, n: int, m: int, anti_fraction: float, user_density: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Random N x M (user, anti) affinity matrices.
+    """Random N x M (user, anti) affinity matrices, read-only bool.
 
     Anti-affinity is drawn first: every application gets
     ``anti_affinity_count(anti_fraction, m)`` forbidden machines. User
@@ -217,12 +217,14 @@ def _draw_affinity(
     pairs, so the two never clash.
     """
     k = anti_affinity_count(anti_fraction, m)
-    anti = np.zeros((n, m), dtype=np.int64)
+    anti = np.zeros((n, m), dtype=bool)
     for i in range(n):
         if k:
-            anti[i, rng.choice(m, size=k, replace=False)] = 1
-    user = (rng.random((n, m)) < user_density).astype(np.int64)
-    user[anti == 1] = 0
+            anti[i, rng.choice(m, size=k, replace=False)] = True
+    user = rng.random((n, m)) < user_density
+    user[anti] = False
+    user.setflags(write=False)  # read-only: Scenario keeps both without a copy
+    anti.setflags(write=False)
     return user, anti
 
 
@@ -425,12 +427,14 @@ def _accept_affinity(path: Path, n: int, m: int) -> Optional[tuple[np.ndarray, n
     """(user, anti) from a clean affinity.csv, read whole by numpy's C parser; else None.
 
     A file is clean when its header is a permutation of AFFINITY_FIELDS, no
-    line is longer than the csv field limit, loadtxt reads it without a
-    warning (a file with no data rows warns), and every row passes
-    _check_pair's checks and gives a pair no other row gives. loadtxt reads
-    no number that float() rejects, nor a quoted cell or a whitespace-only
-    line, so a clean file reads as the row checks read it. Every other file
-    returns None, and the row checks read it and name its first problem.
+    line is longer than the csv field limit, loadtxt reads every cell as an
+    int32 without a warning (a file with no data rows warns), and every row
+    passes _check_pair's checks and gives a pair no other row gives. The
+    int32 parse reads only text that _parse_int reads, to the same value,
+    and no quoted cell or whitespace-only line; ``1.0``, ``1e0``, ``1_0``
+    or ``2147483648`` it rejects. So a clean file reads as the row checks
+    read it. Every other file returns None, and the row checks read it and
+    name its first problem.
     """
     try:
         with open(path, "rb") as fh:
@@ -447,31 +451,29 @@ def _accept_affinity(path: Path, n: int, m: int) -> Optional[tuple[np.ndarray, n
             # Given the path, loadtxt reads the file in chunks; given an open
             # file, line by line: 0.25 s against 0.36 s on a 2000 x 1600
             # trace's 896,734 rows (numpy 2.4.6).
-            values = np.loadtxt(path, dtype=np.float64, delimiter=",", comments=None,
+            values = np.loadtxt(path, dtype=np.int32, delimiter=",", comments=None,
                                 skiprows=1, ndmin=2, encoding="utf-8")
     except (ValueError, Warning):
         return None
     if values.shape[1] != len(fields):
         return None
     i, j, u, a = (values[:, header.index(name)] for name in fields)
-    ok = (np.floor(i) == i) & (0 <= i) & (i < n) & (np.floor(j) == j) & (0 <= j) & (j < m)
+    ok = (0 <= i) & (i < n) & (0 <= j) & (j < m)
     ok &= ((u == 0) | (u == 1)) & ((a == 0) | (a == 1)) & ((u == 0) | (a == 0))
     if not ok.all():
         return None
-    pairs = i.astype(np.intp), j.astype(np.intp)
     given = np.zeros((n, m), dtype=bool)
-    given[pairs] = True
+    given[i, j] = True
     if np.count_nonzero(given) < len(values):
         return None
-    user = np.zeros((n, m), dtype=np.int64)
-    anti = np.zeros((n, m), dtype=np.int64)
-    user[pairs] = u
-    anti[pairs] = a
-    return user, anti
+    cells = np.zeros((2, n, m), dtype=bool)  # user, then anti-affinity
+    cells[:, i, j] = u, a
+    cells.setflags(write=False)
+    return tuple(cells)
 
 
 def _read_affinity(path: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(user, anti) N x M matrices from affinity.csv; omitted pairs are (0, 0).
+    """(user, anti) N x M read-only bool matrices from affinity.csv; omitted pairs are (0, 0).
 
     A clean file is read whole by _accept_affinity. Any other is streamed
     through _check_pair's checks, which report its first problem in file
@@ -480,8 +482,7 @@ def _read_affinity(path: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     matrices = _accept_affinity(path, n, m)
     if matrices is not None:
         return matrices
-    user = np.zeros((n, m), dtype=np.int64)
-    anti = np.zeros((n, m), dtype=np.int64)
+    cells = np.zeros((2, n, m), dtype=bool)  # user, then anti-affinity
     first_line = np.zeros((n, m), dtype=np.int64)  # 0: the pair is not given yet
     records = _records(path, AFFINITY_FIELDS)
     next(records)  # the header
@@ -493,9 +494,9 @@ def _read_affinity(path: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
                 f"first given on line {first_line[i, j]}"
             )
         first_line[i, j] = line
-        user[i, j] = u
-        anti[i, j] = a
-    return user, anti
+        cells[:, i, j] = u, a
+    cells.setflags(write=False)
+    return tuple(cells)
 
 
 def load_trace(
@@ -616,10 +617,10 @@ def save_trace(scenario: Scenario, directory: str | Path) -> dict[str, Path]:
         for r0 in range(0, scenario.num_applications, step):
             user = scenario.user_affinity[r0:r0 + step]
             anti = scenario.anti_affinity[r0:r0 + step]
-            nonzero = (user | anti) != 0
+            nonzero = user | anti
             rows, cols = np.nonzero(nonzero)  # row-major: app, then machine
             pairs = (rows + r0, cols, user[nonzero], anti[nonzero])
-            fh.write("".join(
-                f"{i},{j},{u},{a}\n" for i, j, u, a in zip(*(v.tolist() for v in pairs))
+            fh.write("".join(  # :d writes each bool cell as 0 or 1
+                f"{i},{j},{u:d},{a:d}\n" for i, j, u, a in zip(*(v.tolist() for v in pairs))
             ))
     return paths

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +21,10 @@ from powerplace.model import CapacityLedger
 from powerplace.oracle import optimal_place
 from powerplace.placement import first_fit_place
 from powerplace.affinity import build_final_affinity
+from powerplace.costs import metrics
 
 from support import admissible, app, machine, scenario, traced_peak
-from powerplace.workload import GeneratorConfig, generate_synthetic
+from powerplace.workload import GeneratorConfig, generate_synthetic, save_trace
 
 
 def alloc(rows):
@@ -99,12 +101,42 @@ class TestTypes:
         with pytest.raises(ModelError, match=f"{name} must be binary"):
             scenario([machine(0), machine(1)], [app(0)], user=user, anti=anti)
 
-    @pytest.mark.parametrize("dtype", [float, bool, np.uint8, np.int32])
-    def test_scenario_stores_binary_cells_as_int64(self, dtype):
-        scn = scenario([machine(0), machine(1)], [app(0)],
-                       user=np.array([[1, 0]], dtype=dtype), anti=np.array([[0, 1]], dtype=dtype))
-        assert scn.user_affinity.dtype == np.int64 and scn.anti_affinity.dtype == np.int64
-        assert scn.user_affinity.tolist() == [[1, 0]] and scn.anti_affinity.tolist() == [[0, 1]]
+    # an object matrix is read as floats first
+    @pytest.mark.parametrize("dtype", [float, bool, np.uint8, np.int32, np.int64, object])
+    def test_scenario_stores_binary_cells_as_bool(self, tmp_path, dtype):
+        machines, apps = [machine(0), machine(1)], [app(0), app(1, instances=2)]
+        user, anti = [[1, 0], [0, 1]], [[0, 1], [0, 0]]
+        scn = scenario(machines, apps,
+                       user=np.array(user, dtype=dtype), anti=np.array(anti, dtype=dtype))
+        assert scn.user_affinity.dtype == bool and scn.anti_affinity.dtype == bool
+        assert scn.user_affinity.tolist() == user and scn.anti_affinity.tolist() == anti
+        # the cells' input type changes no result: as from Python lists
+        plain = scenario(machines, apps, user=user, anti=anti)
+        placed = alloc([[1, 1], [0, 2]])  # app 0 on its forbidden machine 1
+        assert metrics(scn, placed, build_final_affinity(scn)) == metrics(
+            plain, placed, build_final_affinity(plain))
+        assert validate_allocation(scn, placed) == validate_allocation(plain, placed)
+        written = [save_trace(s, tmp_path / name) for s, name in ((scn, "cells"), (plain, "plain"))]
+        for name in written[0]:
+            assert written[0][name].read_bytes() == written[1][name].read_bytes(), name
+        # a read-only bool matrix is kept; any other is copied, read-only
+        for writable in (True, False):
+            cells = np.array(user, dtype=dtype)
+            cells.setflags(write=writable)
+            held = scenario(machines, apps, user=cells, anti=anti).user_affinity
+            assert (held is cells) == (dtype is bool and not writable)
+            assert held.dtype == bool and not held.flags.writeable
+
+    @pytest.mark.parametrize("bad", [[[1 + 1j, 0]], [["1", "0"]], [[b"1", b"0"]]],
+                             ids=["complex", "str", "bytes"])
+    @pytest.mark.parametrize("name", ["user_affinity", "anti_affinity"])
+    def test_scenario_rejects_cells_that_are_not_numbers(self, name, bad):
+        cells, other = np.array(bad), np.zeros((1, 2), dtype=int)
+        user, anti = (cells, other) if name == "user_affinity" else (other, cells)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a ComplexWarning is no rejection
+            with pytest.raises(ModelError, match=f"{name} must be binary"):
+                scenario([machine(0), machine(1)], [app(0)], user=user, anti=anti)
 
     def test_anti_rows_are_bytes_built_once_and_shared(self):
         anti = [[0, 1, 0], [1, 0, 1]]

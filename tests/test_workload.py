@@ -566,6 +566,28 @@ class TestLoadTrace:
         with pytest.raises(WorkloadError, match="out of range"):
             load_trace(m, a, f)
 
+    @pytest.mark.parametrize("style", ["{}.0", "{}e0", "+{}", "1_0"])
+    def test_numbers_numpy_reads_no_int32_load_alike(self, tmp_path, style):
+        # numpy's int32 parse rejects 1.0, 1e0 and 1_0, so the row checks read
+        # them, as float() does: 1_0 is 10
+        scn = generate_synthetic(GeneratorConfig(12, 12, seed=5, anti_affinity_fraction=0.3))
+        paths = save_trace(scn, tmp_path)
+        header, *rows = paths["affinity"].read_text().splitlines()
+        if style == "1_0":
+            k = next(k for k, row in enumerate(rows) if row.startswith("10,"))
+            rows[k] = "1_0" + rows[k][2:]
+        else:
+            rows = [",".join(style.format(v) for v in row.split(",")) for row in rows]
+        paths["affinity"].write_text("\n".join([header, *rows]) + "\n")
+        loaded = load_trace(paths["machines"], paths["applications"], paths["affinity"])
+        assert scenarios_equal(loaded, scn)
+
+    def test_app_id_past_int32_reports_the_row_checks_message(self, tmp_path):
+        m, a, f = self.write(tmp_path, affinity=AFFINITY_CSV + "2147483648,0,1,0\n")
+        with pytest.raises(WorkloadError) as err:
+            load_trace(m, a, f)
+        assert str(err.value) == "affinity.csv line 4: pair (2147483648, 0) out of range"
+
     @pytest.mark.parametrize("with_affinity", [True, False], ids=["affinity", "no-affinity"])
     @pytest.mark.parametrize(
         "which, name",
@@ -738,7 +760,7 @@ class TestSaveTrace:
         pairs = np.nonzero(user | anti)
         lines = [",".join(AFFINITY_FIELDS) + "\n"]
         for i, j, u, a in zip(*(v.tolist() for v in (*pairs, user[pairs], anti[pairs]))):
-            lines.append(f"{i},{j},{u},{a}\n")
+            lines.append(f"{i},{j},{int(u)},{int(a)}\n")
         return "".join(lines).encode()
 
     @pytest.mark.parametrize("cells", [1, 250, 799, None], ids=["1", "250", "799", "default"])
