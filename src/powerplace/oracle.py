@@ -3,33 +3,31 @@
 Enumerates allocations as per-application count rows over machines
 (instances of one application are interchangeable, so labeled-instance
 enumeration would only multiply the space by factorials). Each level is
-one application, and each node is one whole row that fits: rows are
-listed in ascending lexicographic order. A machine's state (remaining
-capacity, cpu used, payoff) depends only on its column of counts so far,
-so states are built once and memoized per machine. They are built as
-arrays by ``model.ledger_steps``, the capacity ledger's admit-then-add
-for many states in one call, with the bits of its scalar steps: each
-level entry builds what the next level reads for all its new states at
-once. The deepest levels whose rows make at most about 64k leaves at
-full room (the last level always; on 4 machines x 4 applications x 2
-instances, the whole search) are expanded as one array frontier: each
-machine's states below the batch's entry state get a table per level,
-the next state's id for every row (-1 past the machine's room) and, at
-the last level, the cost terms (``inf`` past it). A level's nodes are
-the frontier's rows that fit on every machine; a leaf's cost is its
-terms added in machine order. Levels above the batch recurse row by row.
-The nodes, their order and the optimum are those of a row-by-row search,
-a budget trip inside the batch included. Intended for desk-scale ground
-truth, roughly up to 8 instances on 4 machines.
+one application, and each node is one whole row that fits; a level's
+grid lists every row of its instance count in ascending lexicographic
+order. A machine's state depends only on its column of counts so far, so
+each level builds a state once, through ``model.ledger_steps`` (the
+capacity ledger's admit-then-add for many states in one call), the
+first time a chunk of nodes above needs it.
+
+Every level is expanded in chunks of at most ``_BLOCK_CELLS`` (node,
+grid row) cells, depth first in row order: the cells that fit every
+machine are the next level's nodes, and a leaf's cost is its terms added
+in machine order. A node's rank, the sum of its own and its ancestors'
+1-based positions within their levels, is its preorder number on a leaf
+and a lower bound on any other node, so only a chunk that takes the node
+count past the budget needs ranks. The nodes, the optimum and a budget
+trip are those of a row-by-row search. Intended for desk-scale ground
+truth: 6 machines x 6 applications x 2 instances take a fraction of a
+second, and the default budget of 10M nodes trips in under a second.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import getitem
-from typing import Iterable, Optional
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from typing import Optional
 
 import numpy as np
 
@@ -38,8 +36,8 @@ from .model import AllocationMatrix, ModelError, Scenario, _integer, ledger_step
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
-# Worst-case leaves of one batch, so its working set stays bounded.
-_BLOCK_CELLS = 1 << 16
+# (node, grid row) cells of one chunk, so its working set stays bounded.
+_BLOCK_CELLS = 1 << 14
 
 _INF = float("inf")
 
@@ -66,224 +64,219 @@ class _BudgetHit(Exception):
     """The node budget tripped; unwinds the search to ``optimal_place``."""
 
 
-class _MachineState:
-    """One machine after one column of counts (applications 0..i-1).
+# Cached: every search of one shape reads the same grids.
+@lru_cache(maxsize=32)
+def _grid(k: int, m: int) -> np.ndarray:
+    """Every row of k instances over m machines, in ascending order, as read-only (machine, row) counts.
 
-    ``values`` is (remaining cpu, io, nw, mem, cpu used, payoff), the
-    payoff being the affinity its instances earn. ``below`` is what level
-    i reads from the state, built by ``_Search.stock``: above the batch,
-    its ladder, the states after 0, 1, ... more instances of application
-    i; at the batch's first level, its tables (see ``_Search.batch``).
+    A row is a multiset of k machines; ``combinations_with_replacement``
+    lists the multisets in the reverse of their rows' order.
+    """
+    picks = np.array(list(combinations_with_replacement(range(m), k)), dtype=np.intp)
+    grid = (picks[::-1, :, None] == np.arange(m)).sum(axis=1).T.copy()
+    grid.setflags(write=False)
+    return grid
+
+
+def _put(buf: np.ndarray, at: int, end: int, new) -> np.ndarray:
+    """``buf`` with rows at .. end - 1 set to ``new``; when full, moved to room for ``at + end`` rows."""
+    if end > len(buf):
+        grown = np.empty((at + end, *buf.shape[1:]), buf.dtype)
+        grown[:at] = buf[:at]
+        buf = grown
+    buf[at:end] = new
+    return buf
+
+
+class _Level:
+    """One application's level: one row per machine state its nodes start from.
+
+    A state's row holds its machine in ``machines`` and, in ``table``, for
+    each grid row, the application's count on that machine, -1 past the
+    machine's room, or at the last level the cost term, ``inf`` past it.
+    Above the last level, ``grown`` holds the state's values (remaining
+    cpu, io, nw, mem, cpu used, payoff) after each count that fits,
+    ``reach`` how many fit, and ``below`` the next level's row for count
+    0, -1 until it is built; the row for count t is t rows further.
     """
 
-    __slots__ = ("values", "below")
+    __slots__ = ("grid", "machines", "table", "grown", "reach", "below", "built")
 
-    def __init__(self, values: list):
-        self.values = values
-        self.below: Optional[list] = None
-
-
-def _rows(k: int, lengths: tuple) -> list[tuple]:
-    """Every row of counts summing to k with ``row[j] < lengths[j]``, ascending lexicographically."""
-    if len(lengths) == 1:
-        return [(k,)] if k < lengths[0] else []
-    return [(c, *rest) for c in range(min(k + 1, lengths[0])) for rest in _rows(k - c, lengths[1:])]
+    def __init__(self, grid: np.ndarray, k: int, dtype: type, most: int):
+        # Rows for all ``most`` states the level can hold, up to a chunk's
+        # cells, save a small search from moving its arrays.
+        rows = min(most, _BLOCK_CELLS // grid.shape[1])
+        self.grid = grid
+        self.machines = np.empty(rows, dtype=np.intp)
+        self.table = np.empty((rows, grid.shape[1]), dtype=dtype)
+        self.grown = np.empty((rows, k + 1, 6))
+        self.reach = np.empty(rows, dtype=np.intp)
+        self.below = np.empty(rows, dtype=np.intp)
+        self.built = 0
 
 
 class _Search:
     """One exhaustive search; lives for one ``optimal_place`` call.
 
-    ``stock``, through ``grow``, is its one state builder. ``run`` stocks
-    the empty machines; each level entry of ``descend`` stocks, in one
-    call, every state of its ladders that has nothing built below it yet,
-    which are the next level's entry states: with their ladders above the
-    batch, and with their tables, one ``grow`` per batched level, at its
-    first level.
+    ``counts`` holds each level's nodes so far and ``nodes`` their sum.
+    ``trail[i]`` is the chunk of level i that the search is in: the
+    level's count before it; ``lo``, the index of its first parent in
+    the chunk above; and ``picks``, its nodes as flat (parent - lo, grid
+    row) cells.
     """
 
-    __slots__ = ("scenario", "spans", "f", "alpha", "instances", "last", "depth", "budget",
-                 "nodes", "row_cache", "grids", "path", "best_cost", "best_rows")
+    __slots__ = ("scenario", "f", "last", "levels", "budget", "nodes", "counts", "trail",
+                 "best_cost", "best_rows")
 
     def __init__(self, scenario: Scenario, affinity: AffinityMatrix, budget: int):
         self.scenario = scenario
-        self.spans = scenario.spans
         self.f = affinity.values
-        self.alpha = scenario.alpha
-        self.instances = instances = scenario.instances.tolist()
-        self.last = depth = scenario.num_applications - 1
+        instances = scenario.instances.tolist()
+        self.last = len(instances) - 1
+        self.levels = []
+        most = scenario.num_machines  # the most states a level can hold
+        for i, k in enumerate(instances):
+            # A count takes the narrowest integer that holds -1 .. k.
+            dtype = np.min_scalar_type(-k - 1) if i < self.last else float
+            self.levels.append(_Level(_grid(k, scenario.num_machines), k, dtype, most))
+            most *= k + 1
         self.budget = budget
         self.nodes = 0
-        self.row_cache: dict[tuple, list[tuple]] = {}
-        # The batch: the deepest levels, the last always, whose rows make
-        # at most _BLOCK_CELLS leaves at every machine's full room.
-        m = scenario.num_machines
-        leaves = math.comb(instances[depth] + m - 1, m - 1)
-        while depth and leaves * math.comb(instances[depth - 1] + m - 1, m - 1) <= _BLOCK_CELLS:
-            depth -= 1
-            leaves *= math.comb(instances[depth] + m - 1, m - 1)
-        self.depth = depth
-        # Per batched level, every row whatever the room, and its counts as (machine, row).
-        grids = {k: _rows(k, (k + 1,) * m) for k in set(instances[depth:])}
-        grids = {k: (rows, np.array(rows, dtype=np.intp).reshape(-1, m).T) for k, rows in grids.items()}
-        self.grids = [grids[k] for k in instances[depth:]]
-        self.path: list[tuple] = [()] * depth  # the rows above the batch
+        self.counts = [0] * len(instances)
+        self.trail: list[tuple] = [()] * self.last
         self.best_cost = _INF
-        self.best_rows: Optional[list[tuple]] = None
+        self.best_rows: Optional[list[np.ndarray]] = None
 
     def run(self) -> None:
         """Search from every machine empty: no cpu used, no payoff."""
-        states = [_MachineState([*cap, 0.0, 0.0]) for cap in self.scenario.capacity_rows]
-        self.stock(0, states, range(len(states)))
-        self.descend(0, states)
-
-    def grow(self, states: np.ndarray, machines: np.ndarray, i: int):
-        """``states`` (S, 6 values) after 0 .. k more instances of application i on ``machines``.
-
-        Returns the (S, k + 1, 6) values and ``ledger_steps``' ``pi`` and
-        ``reached``; the payoff, like the ledger's columns, is one
-        sequential ``np.add.accumulate``, so it has the bits of adding one
-        affinity per instance.
-        """
-        steps, pi, reached = ledger_steps(self.scenario, states[:, :5], machines, i)
-        grown = np.empty((*pi.shape, 6))
-        grown[:, :, :5] = steps
-        grown[:, 0, 5] = states[:, 5]
-        grown[:, 1:, 5] = self.f[i].take(machines)[:, None]
-        np.add.accumulate(grown[:, :, 5], axis=1, out=grown[:, :, 5])
-        return grown, pi, reached
-
-    def stock(self, i: int, states: list[_MachineState], machines: Iterable[int]) -> None:
-        """Build ``below`` for level i's entry states ``states``, on ``machines``, in one go.
-
-        Above the batch, one ``grow`` gives every state its ladder; the
-        first of a ladder is a fresh state, never the one it grew from, so
-        the trie holds no cycle. At the batch's first level, one ``grow``
-        per batched level gives every state its tables: the states below
-        each entry state are numbered, level by level, in the order they
-        are built. A level above the last maps each state and count
-        0 .. k to the next level's state, -1 past the room; the last
-        level's holds the cost terms, ``inf`` past the room. Each table
-        is spread over its level's grid: column r is row r.
-        """
-        values = np.array([s.values for s in states])
-        machines = np.array(machines, dtype=np.intp)
-        if i < self.depth:
-            grown, _, reached = self.grow(values, machines, i)
-            for s, column, room in zip(states, grown.tolist(), reached.sum(axis=1).tolist()):
-                s.below = list(map(_MachineState, column[:room]))
-            return
-        # Every entry's states lie together, in the order they are built:
-        # ``starts`` holds each entry's first state, ``owner`` each state's entry.
-        owner = starts = np.arange(len(states))
-        for s in states:
-            s.below = []
-        for i, (_, grid) in enumerate(self.grids, i):
-            grown, pi, reached = self.grow(values, machines, i)
-            if i == self.last:
-                spans = self.spans.take(machines)[:, None]
-                table = np.where(reached, spans * pi * pi * pi - self.alpha * grown[:, :, 5], _INF)
-            else:
-                room = reached.sum(axis=1)
-                first = np.cumsum(room) - room  # counted over all entries
-                heads = first[starts]  # each entry's first state at the next level
-                first -= heads[owner]
-                table = np.where(reached, first[:, None] + np.arange(reached.shape[1]), -1)
-            spread = table.take(grid[machines] + np.arange(0, table.size, table.shape[1])[:, None])
-            bounds = [*starts.tolist(), len(spread)]
-            for s, lo, hi in zip(states, bounds, bounds[1:]):
-                s.below.append(spread[lo:hi])
-            if i < self.last:
-                values = grown[reached]
-                machines, owner, starts = machines.repeat(room), owner.repeat(room), heads
-
-    def descend(self, i: int, states: list[_MachineState]) -> None:
-        """Enumerate application i's rows from the machine states ``states``."""
-        if i == self.depth:
-            self.batch(states)
-            return
-        ladders = [s.below for s in states]
-        # The next level's entries are the ladders' states: stock the new ones at once.
-        bare = [(s, j) for j, ladder in enumerate(ladders) for s in ladder if s.below is None]
-        if bare:
-            self.stock(i + 1, *zip(*bare))
-        # A ladder's length is the machine's room for application i plus one.
-        key = (self.instances[i], tuple(map(len, ladders)))
-        rows = self.row_cache.get(key)
-        if rows is None:
-            rows = self.row_cache[key] = _rows(*key)
-        for row in rows:
-            self.nodes += 1
-            if self.nodes > self.budget:
-                raise _BudgetHit
-            self.path[i] = row
-            self.descend(i + 1, list(map(getitem, ladders, row)))
-
-    def batch(self, states: list[_MachineState]) -> None:
-        """Enumerate the batched levels below the entry states ``states`` as one frontier.
-
-        The frontier holds each machine's state id per node. Gathered at
-        those ids, each machine's table is a (node, grid row) array; the
-        rows that fit every machine are the next level's nodes, node-major
-        and row-minor as in a row-by-row search. If the budget trips, only
-        the leaves before node ``budget + 1`` are scored.
-        """
-        tables = [s.below for s in states]
-        fronts = [np.zeros(1, dtype=np.intp)] * len(states)
-        picks = []  # per level, each node's flat (parent, grid row) index
-        for level in range(self.last - self.depth):
-            ids = [t[level].take(front, axis=0) for t, front in zip(tables, fronts)]
-            # -1 is the only negative id, so OR-ing the ids finds any.
-            picks.append(np.flatnonzero(reduce(np.bitwise_or, ids) >= 0))
-            fronts = [a.take(picks[-1]) for a in ids]
-        cost = tables[0][-1].take(fronts[0], axis=0)
-        for t, front in zip(tables[1:], fronts[1:]):
-            # Added in machine order, ((t0 + t1) + t2) + ..., so a leaf's
-            # cost has the bits of the sum optimal_place documents.
-            cost += t[-1].take(front, axis=0)
-        cost = cost.ravel()
-        nodes = self.nodes + sum(map(len, picks)) + int(np.count_nonzero(cost < _INF))
-        tripped = nodes > self.budget
-        if tripped:
-            picks.append(np.flatnonzero(cost < _INF))
-            cost = cost[:self.cut(picks)]
-        if cost.size:
-            # Leaves are in ascending lexicographic order and argmin keeps
-            # the first of equal costs, so a strict comparison keeps the
-            # lexicographically smallest of equal-cost optima.
-            best = int(cost.argmin())
-            if cost[best] < self.best_cost:
-                self.best_cost = float(cost[best])
-                rows = []
-                for level in range(len(self.grids) - 1, -1, -1):
-                    grid = self.grids[level][0]
-                    best, r = divmod(best, len(grid))
-                    rows.insert(0, grid[r])
-                    if level:
-                        best = int(picks[level - 1][best])
-                self.best_rows = [*self.path, *rows]
-        if tripped:
-            self.nodes = self.budget + 1
+        m = self.scenario.num_machines
+        self.build(0, np.array([[*cap, 0.0, 0.0] for cap in self.scenario.capacity_rows]), np.arange(m))
+        self.expand(0, np.arange(m)[:, None])  # the root: one node, on rows 0 .. m - 1
+        if self.nodes > self.budget:
             raise _BudgetHit
-        self.nodes = nodes
 
-    def cut(self, picks: list[np.ndarray]) -> int:
-        """How many leaf cells, in order, come before node ``budget + 1``.
+    def build(self, i: int, values: np.ndarray, machines: np.ndarray) -> None:
+        """Append rows to level i for the states ``values`` (S, 6) on ``machines``, in one go.
 
-        ``picks`` holds every batched level's nodes, the leaves last. A
-        node's rank in the row-by-row (preorder) search is its parent's
-        plus one plus the subtree sizes of its elder siblings.
+        The payoff, like the ledger's columns, is one sequential
+        ``np.add.accumulate``, so it has the bits of adding one affinity
+        per instance.
         """
-        parents = [p // len(rows) for p, (rows, _) in zip(picks, self.grids)]
-        sizes = [np.ones(len(picks[-1]))]
-        for par, count in zip(parents[:0:-1], map(len, picks[-2::-1])):
-            sizes.insert(0, 1 + np.bincount(par, weights=sizes[0], minlength=count))
-        rank = self.nodes + 1 + np.cumsum(sizes[0]) - sizes[0]
-        for par, size, above in zip(parents[1:], sizes[1:], sizes):
-            # A parent's descendants before it in its level place its first child.
-            first = np.cumsum(above - 1) - (above - 1)
-            rank = rank[par] + 1 + np.cumsum(size) - size - first[par]
-        allowed = int(np.searchsorted(rank, self.budget, side="right"))
-        return int(picks[-1][allowed - 1]) + 1 if allowed else 0
+        level = self.levels[i]
+        steps, pi, reached = ledger_steps(self.scenario, values[:, :5], machines, i)
+        payoff = np.empty(pi.shape)
+        payoff[:, 0] = values[:, 5]
+        payoff[:, 1:] = self.f[i].take(machines)[:, None]
+        np.add.accumulate(payoff, axis=1, out=payoff)
+        at, level.built = level.built, level.built + len(machines)
+        counts = level.grid.take(machines, axis=0)  # each grid row's count on the state's machine
+        if i == self.last:
+            spans = self.scenario.spans.take(machines)[:, None]
+            terms = np.where(reached, spans * pi * pi * pi - self.scenario.alpha * payoff, _INF)
+            table = terms.take(counts + np.arange(0, terms.size, terms.shape[1])[:, None])
+        else:
+            reach = reached.sum(axis=1)
+            table = np.where(counts < reach[:, None], counts, -1)
+            grown = np.concatenate((steps, payoff[:, :, None]), axis=2)
+            level.grown = _put(level.grown, at, level.built, grown)
+            level.reach = _put(level.reach, at, level.built, reach)
+            level.below = _put(level.below, at, level.built, -1)
+        level.machines = _put(level.machines, at, level.built, machines)
+        level.table = _put(level.table, at, level.built, table)
+
+    def expand(self, i: int, rows: np.ndarray) -> None:
+        """Enumerate application i's rows below a chunk of nodes, their states' ``rows`` (machine, node).
+
+        Raises ``_BudgetHit`` once the nodes before node ``budget + 1``
+        are done.
+        """
+        level = self.levels[i]
+        table = level.table
+        width = table.shape[1]
+        step = max(1, _BLOCK_CELLS // width)
+        for lo in range(0, rows.shape[1], step):
+            block = rows[:, lo:lo + step]
+            if i == self.last:
+                # Added in machine order, ((t0 + t1) + t2) + ..., so a
+                # leaf's cost has the bits of the sum optimal_place documents.
+                cost = table.take(block[0], axis=0).ravel()
+                for machine in block[1:]:
+                    cost += table.take(machine, axis=0).ravel()
+                end = self.admit(i, cost < _INF, lo)
+                self.score(cost[:end], lo)
+            else:
+                cells = table.take(block, axis=0).reshape(len(block), -1)
+                # -1 is the only negative count, so OR-ing the counts finds any.
+                fits = np.bitwise_or.reduce(cells, axis=0) >= 0
+                base = self.counts[i]
+                end = self.admit(i, fits, lo)
+                picks = fits[:end].nonzero()[0]
+                if picks.size:
+                    self.trail[i] = (base, lo, picks)
+                    # Build the states below the block's that have none yet,
+                    # each once and all in one go.
+                    bases = level.below.take(block)
+                    missing = bases < 0
+                    if missing.any():
+                        once = np.zeros(level.built, dtype=bool)
+                        once[block[missing]] = True
+                        bare = once.nonzero()[0]
+                        reach = level.reach.take(bare)
+                        level.below[bare] = self.levels[i + 1].built + np.cumsum(reach) - reach
+                        fits_below = np.arange(level.grown.shape[1]) < reach[:, None]
+                        self.build(i + 1, level.grown.take(bare, axis=0)[fits_below],
+                                   level.machines.take(bare).repeat(reach))
+                        bases = level.below.take(block)
+                    below = bases.take(picks // width, axis=1) + cells.take(picks, axis=1)
+                    del cells  # the levels below hold only their own rows
+                    self.expand(i + 1, below)
+            if end < block.shape[1] * width:
+                raise _BudgetHit
+
+    def admit(self, i: int, fits: np.ndarray, lo: int) -> int:
+        """Count level i's new nodes, the cells ``fits``; how many cells come before node ``budget + 1``.
+
+        The ranks are worked out only when the count passes the budget:
+        cells from the first ranked past it on are never reached.
+        """
+        new = int(np.count_nonzero(fits))
+        base = self.counts[i]
+        self.counts[i] += new
+        self.nodes += new
+        if self.nodes <= self.budget:
+            return fits.size
+        cells = fits.nonzero()[0]
+        rank = np.arange(base + 1, base + 1 + new)
+        for level, _, parent in self.lineage(i, cells, lo):
+            if level:
+                rank += self.trail[level - 1][0] + 1 + parent
+        kept = int(np.searchsorted(rank, self.budget, side="right"))
+        return int(cells[kept]) if kept < new else fits.size
+
+    def lineage(self, i: int, cells, lo: int):
+        """(level, cells, parents' index in the chunk above) for level i's ``cells``, then up the trail."""
+        for level in range(i, -1, -1):
+            parent = lo + cells // self.levels[level].grid.shape[1]
+            yield level, cells, parent
+            if level:
+                _, lo, picks = self.trail[level - 1]
+                cells = picks[parent]
+
+    def score(self, cost: np.ndarray, lo: int) -> None:
+        """Keep the best of the leaf cells ``cost``, of parents lo, lo + 1, ..., if it beats the best yet."""
+        if not cost.size:
+            return
+        # Leaves are in ascending lexicographic order and argmin keeps
+        # the first of equal costs, so a strict comparison keeps the
+        # lexicographically smallest of equal-cost optima.
+        best = int(cost.argmin())
+        if cost[best] < self.best_cost:
+            self.best_cost = float(cost[best])
+            rows = []
+            for level, cell, _ in self.lineage(self.last, best, lo):
+                grid = self.levels[level].grid
+                rows.append(grid[:, cell % grid.shape[1]])
+            self.best_rows = rows[::-1]
 
 
 def optimal_place(
@@ -314,6 +307,6 @@ def optimal_place(
     return OracleResult(
         optimal=AllocationMatrix(np.array(search.best_rows, dtype=np.int64)) if found else None,
         optimal_reduced_cost=search.best_cost if found else None,
-        nodes_explored=search.nodes,
+        nodes_explored=search.nodes if exhausted else budget + 1,
         exhausted=exhausted,
     )

@@ -483,17 +483,20 @@ def _read_affinity(path: Path, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     if matrices is not None:
         return matrices
     cells = np.zeros((2, n, m), dtype=bool)  # user, then anti-affinity
-    first_line = np.zeros((n, m), dtype=np.int64)  # 0: the pair is not given yet
+    given = np.zeros((n, m), dtype=bool)
     records = _records(path, AFFINITY_FIELDS)
     next(records)  # the header
     for line, get in records:
         i, j, u, a = _check_pair(get, line, path, n, m)
-        if first_line[i, j]:
+        if given[i, j]:
+            # Read the rows again, all checked by now, for the first one.
+            again = _records(path, AFFINITY_FIELDS)
+            next(again)
+            first = next(at for at, row in again if _check_pair(row, at, path, n, m)[:2] == (i, j))
             raise WorkloadError(
-                f"{path.name} line {line}: duplicate pair ({i}, {j}), "
-                f"first given on line {first_line[i, j]}"
+                f"{path.name} line {line}: duplicate pair ({i}, {j}), first given on line {first}"
             )
-        first_line[i, j] = line
+        given[i, j] = True
         cells[:, i, j] = u, a
     cells.setflags(write=False)
     return tuple(cells)

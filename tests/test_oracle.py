@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -164,9 +162,9 @@ class TestOptimalPlace:
         "budget, nodes, counts",
         [
             (1, 2, None),  # the first row of app 1 trips before any is scored
-            (2, 3, [[0, 1], [0, 1]]),  # trips inside app 1's first batch of rows
+            (2, 3, [[0, 1], [0, 1]]),  # trips inside app 1's rows below app 0's first
             (3, 4, [[0, 1], [1, 0]]),
-            (5, 6, [[0, 1], [1, 0]]),  # trips inside app 1's second batch
+            (5, 6, [[0, 1], [1, 0]]),  # and below its second
             (6, 6, [[0, 1], [1, 0]]),
         ],
     )
@@ -197,17 +195,14 @@ class TestOptimalPlace:
         ids=["4x2", "3x3-anti", "4x3", "2x3", "4x1"],
     )
     def test_every_budget_matches_the_replay(self, config, monkeypatch):
-        # a trip at any node, in a level above the batch, between batches or
-        # at any batched level, ends at node budget + 1 with the best of the
-        # rows before it; the batch takes the last level only, the last two,
-        # and then the whole search
+        # a trip at any node, at any level and anywhere in a chunk, ends at
+        # node budget + 1 with the best of the rows before it, whether every
+        # node is a chunk of its own (1), a chunk splits a parent's rows or
+        # takes a few parents (2, 7), or one chunk takes a level
         scn = generate_synthetic(config)
         f = build_final_affinity(scn)
-        n, m = scn.num_applications, scn.num_machines
-        rows = [math.comb(k + m - 1, m - 1) for k in scn.instances.tolist()]
-        for batched in sorted({1, min(2, n), n}):
-            monkeypatch.setattr(oracle, "_BLOCK_CELLS", math.prod(rows[n - batched:]))
-            assert oracle._Search(scn, f, 1).depth == n - batched
+        for cells in (1, 2, 7, _BLOCK_CELLS):
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
             full = optimal_place(scn, f).nodes_explored
             for budget in range(1, full + 1):
                 res = optimal_place(scn, f, budget=budget)
@@ -216,10 +211,10 @@ class TestOptimalPlace:
                 if res.optimal is not None:
                     assert res.optimal_reduced_cost == fresh_oracle_cost(scn, f, res.optimal.counts)
 
-    def test_batch_in_several_blocks_matches_the_replay(self):
+    def test_batch_in_several_blocks_matches_the_replay(self, monkeypatch):
         # every row of app 0 fits, and every row of app 1 fits each of them:
-        # 462 x 462 leaves are more than one batch holds, so each row of app 0
-        # is a node of its own, followed by one batch of app 1's 462 rows
+        # 462 x 462 leaves are more than one chunk holds, so app 1's rows
+        # come in chunks of `step` parents, after all 462 rows of app 0
         spans = (60, 150, 80, 120, 90, 110)
         caps = (40, 24, 30, 36, 28, 32)
         scn = scenario(
@@ -227,29 +222,47 @@ class TestOptimalPlace:
             [app(0, cpu=1.0, instances=6), app(1, cpu=1.5, instances=6)],
         )
         f = final_matrix([[0.9, 0.5, 0.2, 0.1, 0.3, 0.0], [0.7, 0.0, 0.4, 0.6, 0.8, 0.2]])
-        assert 462 < _BLOCK_CELLS < 462 * 462
-        assert oracle._Search(scn, f, 1).depth == 1
-        step = _BLOCK_CELLS // 462
-        first = step * (1 + 462)  # the first `step` rows of app 0 and their batches
-        # inside the first batch; at the end of a batch, so that the next row
-        # of app 0 trips on its own node; after none and after one of that
-        # row's app 1 rows; inside a later batch; exhausted
-        for budget in (4000, first, first + 1, first + 2, 68_000, DEFAULT_NODE_BUDGET):
-            res = optimal_place(scn, f, budget=budget)
-            replay_oracle(scn, f, res, budget)
-            assert res.optimal_reduced_cost == fresh_oracle_cost(scn, f, res.optimal.counts)
-        assert res.exhausted and res.nodes_explored == 462 * 463
+        for cells in (462, _BLOCK_CELLS):
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", cells)
+            assert 462 <= cells < 462 * 462
+            step = cells // 462
+            first = step * (1 + 462)  # the first `step` rows of app 0 and their rows
+            # inside the first chunk; at the end of a chunk, so that the next
+            # row of app 0 trips on its own node; after none and after one of
+            # that row's app 1 rows; inside a later chunk; exhausted
+            for budget in (4000, first, first + 1, first + 2, 68_000, DEFAULT_NODE_BUDGET):
+                res = optimal_place(scn, f, budget=budget)
+                replay_oracle(scn, f, res, budget)
+                assert res.optimal_reduced_cost == fresh_oracle_cost(scn, f, res.optimal.counts)
+            assert res.exhausted and res.nodes_explored == 462 * 463
 
     def test_largest_tiny_solve_keeps_a_small_working_set(self):
-        # the largest of perfbench's 200 oracle-tiny solves, all in one
-        # batch: per-machine (node, row) gathers peak near 0.26 MB, where
-        # (node, row, machine) broadcast indexing peaks near 1.5 MB
+        # the largest of perfbench's 200 oracle-tiny solves, one chunk per
+        # level: its tables and gathers peak near 0.25 MB
         scn = generate_synthetic(GeneratorConfig(4, 4, seed=99, instance_range=(2, 2)))
         f = build_final_affinity(scn)
         optimal_place(scn, f)
         res, peak = traced_peak(lambda: optimal_place(scn, f))
         assert res.exhausted and res.nodes_explored == 11_105
         assert peak <= 768 * 1024
+
+    @pytest.mark.parametrize(
+        "budget, nodes, cost",
+        [(300_000, 300_001, 646.4172834581691), (DEFAULT_NODE_BUDGET, DEFAULT_NODE_BUDGET + 1, 531.776809122088)],
+        ids=["300k", "default"],
+    )
+    def test_deep_trip_keeps_its_result_and_a_bounded_working_set(self, budget, nodes, cost):
+        # 20 levels of up to 20,475 rows each (4 instances on 25 machines):
+        # the trip lands at node budget + 1 with the row-by-row search's
+        # best so far. Each level holds rows only for the states below the
+        # nodes expanded, and each level below a chunk only its own chunk.
+        scn = generate_synthetic(GeneratorConfig(25, 20, seed=1, instance_range=(1, 4)))
+        f = build_final_affinity(scn)
+        res, peak = traced_peak(lambda: optimal_place(scn, f, budget=budget))
+        assert (res.nodes_explored, res.exhausted) == (nodes, False)
+        assert res.optimal_reduced_cost == pytest.approx(cost, rel=1e-12, abs=0)
+        assert validate_allocation(scn, res.optimal).feasible_complete
+        assert peak <= 160 * 1024 * 1024
 
     def test_dominates_heuristics(self):
         for seed in range(15):
@@ -268,12 +281,11 @@ class TestOptimalPlace:
 
 # The results of the row-by-row ledger search, pinned: (machines,
 # applications, seed, budget, nodes, exhausted, optimum rows, cost), two
-# instances per application. The batch takes all but the first level on
-# 5x5x2 and the last four on 4x6x2 and 4x8x2, so levels above it build
-# ladders and batch entries share states, and their tables, with earlier
-# entries. Costs are checked to 1e-12
-# only: the affinity comes from a BLAS matmul whose kernel may round the
-# last bit differently.
+# instances per application. Their deep levels take many chunks, which
+# share states, and the states' rows, built for earlier chunks; on 6x6x2
+# one chunk's nodes span several chunks of the level below. Costs are
+# checked to 1e-12 only: the affinity comes from a BLAS matmul whose
+# kernel may round the last bit differently.
 _LARGER_SPACES = [
     (5, 5, 0, DEFAULT_NODE_BUDGET, 31512, True, "20000 00002 00110 00002 11000", -0.7932026053207644),
     (5, 5, 1, DEFAULT_NODE_BUDGET, 44221, True, "01010 10100 10001 02000 00020", -9.537232498887022),
@@ -292,6 +304,9 @@ _LARGER_SPACES = [
     (4, 6, 4, DEFAULT_NODE_BUDGET, 537841, True, "0200 1010 0020 2000 0020 1001", -5.4804793349044),
     (4, 8, 0, 2_000_000, 3124, True, None, None),
     (4, 8, 1, 2_000_000, 2_000_001, False, "0002 1001 2000 0020 1001 0200 0002 0002", 67.03204793678904),
+    (6, 6, 0, DEFAULT_NODE_BUDGET, 642_203, True, "100010 000002 100010 100010 010010 001010", 7.729120333949995),
+    (6, 6, 1, DEFAULT_NODE_BUDGET, 5_066_387, True, "011000 000101 200000 000020 010100 020000",
+     -21.309371180886547),
 ]
 
 

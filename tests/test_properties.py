@@ -284,8 +284,8 @@ def test_cell_scoring_matches_dense_passes(case):
 # Room for a few instances of each application, so a machine's room is
 # often smaller than an application's count but most scenarios are feasible.
 SNUG_MACHINES = ResourceRanges(cpu=(8, 24), io=(100, 300), nw=(100, 300), mem=(16, 48))
-# Budgets 1-3 and 7 trip inside the first rows, the last application's
-# batch included whenever there are one or two applications.
+# Budgets 1-3 and 7 trip inside the first rows, in the last application's
+# first chunk whenever there are one or two applications.
 ORACLE_BUDGETS = (1, 2, 3, 7, 50, DEFAULT_NODE_BUDGET)
 
 
