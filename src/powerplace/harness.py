@@ -42,10 +42,6 @@ SWEEP_FIELDS = {
 SWEEP_KINDS = tuple(SWEEP_FIELDS)
 ALGORITHM_NAMES = ("pap", "aap", "cpaap", "first_fit", "oracle")
 
-# Scale guard for selecting the exhaustive solver inside a sweep.
-ORACLE_MAX_MACHINES = 4
-ORACLE_MAX_INSTANCES = 8
-
 CSV_HEADER = (
     "sweep_point,algorithm,seed,feasible,total_cost,reduced_cost,"
     "power_cost,payoff,rho,avg_util,psi,runtime_ms"
@@ -120,6 +116,35 @@ def run_scenario(
     return RunResult(report=report, outcome=outcome)
 
 
+def _count(x: int) -> str:
+    """``x`` with thousands separators, or as a power of ten past 15 digits."""
+    return f"{x:,}" if x < 10**15 else f"about 10^{math.log10(x):.1f}"
+
+
+def _oracle_excess(point: GeneratorConfig) -> Optional[str]:
+    """Why the oracle's whole search at ``point`` could pass DEFAULT_NODE_BUDGET; None when it fits.
+
+    With k the point's most instances per application, each level's grid
+    holds G = C(m + k - 1, k) rows of m machines, so a search of N
+    applications explores at most S = G + G^2 + ... + G^N nodes (exactly S
+    when every row fits), and ``_grid(k, m)`` compares G * k * m cells.
+    With both within the budget no run at the point can trip it. Each is
+    worked out only once the one before fits: where k * m alone is past
+    the budget, C(m + k - 1, k) can take seconds.
+    """
+    m, n, k = point.machine_count, point.application_count, point.instance_range[1]
+    budget = DEFAULT_NODE_BUDGET
+    if k * m > budget:  # G >= 1
+        return f"the grid of {k} instances on {m} machines compares more than {budget:,} cells"
+    g = math.comb(m + k - 1, k)
+    if g * k * m > budget:
+        return f"the grid of {k} instances on {m} machines compares {_count(g * k * m)} cells"
+    nodes = n if g == 1 else (g ** (n + 1) - g) // (g - 1)
+    if nodes > budget:
+        return f"{n} applications of up to {k} instances on {m} machines make {_count(nodes)} nodes"
+    return None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One experiment: vary ``kind`` over ``values`` for each algorithm.
@@ -129,7 +154,10 @@ class SweepSpec:
     ``points`` holds one GeneratorConfig per value: ``base`` with the
     swept field set, checked here so a bad point fails before any run.
     ``repetitions`` scenarios are generated per point, seeded
-    point.seed + 0 .. point.seed + repetitions - 1.
+    point.seed + 0 .. point.seed + repetitions - 1. With ``"oracle"``
+    among the algorithms, every point's whole search must fit the node
+    budget the sweep runs it with (see ``_oracle_excess``), so no oracle
+    row can trip it.
     """
 
     kind: str
@@ -169,13 +197,13 @@ class SweepSpec:
             except WorkloadError as exc:
                 raise HarnessError(f"sweep point {self.kind}={value:g}: {exc}") from exc
         if "oracle" in algorithms:
-            max_m = max(p.machine_count for p in points)
-            max_i = max(p.application_count * p.instance_range[1] for p in points)
-            if max_m > ORACLE_MAX_MACHINES or max_i > ORACLE_MAX_INSTANCES:
-                raise HarnessError(
-                    "oracle runs are limited to "
-                    f"{ORACLE_MAX_MACHINES} machines and {ORACLE_MAX_INSTANCES} instances"
-                )
+            for value, point in zip(values, points):
+                excess = _oracle_excess(point)
+                if excess:
+                    raise HarnessError(
+                        f"sweep point {self.kind}={value:g}: an oracle search there could pass "
+                        f"its {DEFAULT_NODE_BUDGET:,}-node budget: {excess}"
+                    )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "algorithms", algorithms)
         object.__setattr__(self, "repetitions", repetitions)

@@ -421,15 +421,13 @@ class CapacityLedger:
     The bookkeeping path of the greedy strategies, which place one
     instance at a time and never take one back. The exact solver uses
     ``ledger_steps``, its array form, instead. ``remaining[j]`` is machine
-    j's leftover (cpu, io, nw, mem). ``add`` clamps to 0 a subtraction that
-    lands below zero by no more than CAPACITY_SLACK of the capacity, as
-    float residue; an add that ``first_admissible`` admitted never lands
-    below zero (``d <= r`` implies ``fl(r - d) >= 0``), so the clamp acts
-    only on an add the ledger did not admit, which no caller in this
-    package makes. ``pi[j]`` is the cpu utilization, snapped
-    to 1.0 when it overshoots by no more than CAPACITY_SLACK. ``anti``,
-    ``caps`` and ``demands`` are the scenario's ``anti_rows``,
-    ``capacity_rows`` and ``demand_rows``, shared, not copied.
+    j's leftover (cpu, io, nw, mem). ``add`` subtracts with no clamp: it is
+    meant only for an add ``first_admissible`` admitted, which never lands
+    below zero (``d <= r`` implies ``fl(r - d) >= 0``), so it does the
+    arithmetic of ``ledger_steps`` on every add. ``pi[j]`` is the cpu
+    utilization, snapped to 1.0 when it overshoots by no more than
+    CAPACITY_SLACK. ``anti`` and ``demands`` are the scenario's
+    ``anti_rows`` and ``demand_rows``, shared, not copied.
     ``first_admissible`` holds the one admissibility test and counts
     nothing. ``pairs`` is the greedy strategies' work count: they add to it
     themselves, and the ledger never changes it. Since ``remaining`` only
@@ -439,10 +437,10 @@ class CapacityLedger:
     machines.
     """
 
-    __slots__ = ("caps", "remaining", "cpu_cap", "used_cpu", "pi", "anti", "demands", "pairs")
+    __slots__ = ("remaining", "cpu_cap", "used_cpu", "pi", "anti", "demands", "pairs")
 
     def __init__(self, scenario: Scenario):
-        self.caps = caps = scenario.capacity_rows
+        caps = scenario.capacity_rows
         self.remaining = list(map(list, caps))
         self.cpu_cap = [cap[0] for cap in caps]
         self.used_cpu = [0.0] * len(caps)
@@ -478,10 +476,7 @@ class CapacityLedger:
         d = self.demands[i]
         r = self.remaining[j]
         for c in range(4):
-            nr = r[c] - d[c]
-            if nr < 0 and nr >= -CAPACITY_SLACK * max(self.caps[j][c], 1.0):
-                nr = 0.0
-            r[c] = nr
+            r[c] -= d[c]
         used = self.used_cpu[j] + d[0]
         self.used_cpu[j] = used
         pi = used / self.cpu_cap[j]

@@ -129,22 +129,43 @@ def test_criterion_3_cost_reconciliation(constraint_suite):
     )
 
 
-def test_criterion_4_oracle_dominance():
+def oracle_dominance_cases():
+    """(label, config) for criterion 4: 200 cases up to 3x3 and 60 of 5x5x2.
+
+    The 5x5x2 set is at the sweeps' oracle ceiling (813,615 nodes when every
+    row fits, within the default budget), over the same capacity ranges
+    and anti-affinity fractions as the first.
+    """
     tight = ResourceRanges(cpu=(8, 12), io=(100, 1000), nw=(100, 1000), mem=(16, 256))
-    t0 = time.perf_counter()
+    wide = ResourceRanges((8, 64), (100, 1000), (100, 1000), (16, 256))
+    fractions = (0.0, 0.3, 0.5)
     rng = np.random.default_rng(999)
-    dominance_breaks = []
-    feasibility_breaks = []
-    infeasible_cases = 0
     for case in range(200):
-        cfg = GeneratorConfig(
+        yield case, GeneratorConfig(
             machine_count=int(rng.integers(1, 4)),
             application_count=int(rng.integers(1, 4)),
             seed=case,
             instance_range=(1, 2),
-            capacity_ranges=tight if case % 2 else ResourceRanges((8, 64), (100, 1000), (100, 1000), (16, 256)),
-            anti_affinity_fraction=float(rng.choice((0.0, 0.3, 0.5))),
+            capacity_ranges=tight if case % 2 else wide,
+            anti_affinity_fraction=float(rng.choice(fractions)),
         )
+    # seeds cycle through all six pairs of capacity range and fraction
+    for seed in range(60):
+        yield f"5x5x2 seed {seed}", GeneratorConfig(
+            5, 5, seed=seed, instance_range=(2, 2),
+            capacity_ranges=tight if seed % 2 else wide,
+            anti_affinity_fraction=fractions[seed % 3],
+        )
+
+
+def test_criterion_4_oracle_dominance():
+    t0 = time.perf_counter()
+    dominance_breaks = []
+    feasibility_breaks = []
+    infeasible_cases = 0
+    cases = 0
+    for case, cfg in oracle_dominance_cases():
+        cases += 1
         scn = generate_synthetic(cfg)
         f = build_final_affinity(scn)
         res = optimal_place(scn, f)
@@ -161,10 +182,10 @@ def test_criterion_4_oracle_dominance():
                     if res.optimal_reduced_cost > heur + 1e-9 * max(1.0, abs(heur)):
                         dominance_breaks.append((case, name))
     elapsed = time.perf_counter() - t0
-    ok = not dominance_breaks and not feasibility_breaks and elapsed < 120.0
+    ok = cases == 260 and not dominance_breaks and not feasibility_breaks and elapsed < 120.0
     report(
         4, "oracle dominance", ok,
-        f"{infeasible_cases} infeasible cases, {len(dominance_breaks)} dominance breaks, "
+        f"{cases} cases, {infeasible_cases} infeasible, {len(dominance_breaks)} dominance breaks, "
         f"{len(feasibility_breaks)} feasibility breaks, {elapsed:.1f}s",
     )
 

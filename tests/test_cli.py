@@ -200,6 +200,17 @@ class TestSweep:
         assert err.startswith("error: sweep point anti_affinity=1: anti_affinity_fraction")
         assert not out.exists()
 
+    def test_oracle_sweep_past_the_budget_fails_before_any_run(self, tmp_path, capsys):
+        # 4 applications of 1-4 instances on 4 machines make 1,544,760 nodes, 5 make 54.1M
+        out = tmp_path / "oracle.json"
+        assert run_cli("sweep", "--kind", "applications", "--values", "3,4,5", "--machines", 4,
+                       "--algorithms", "cpaap,oracle", "--format", "json", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep point applications=5: an oracle search there could pass "
+                              "its 10,000,000-node budget: 5 applications of up to 4 instances on "
+                              "4 machines make 54,066,635 nodes")
+        assert not out.exists()
+
     def test_bad_values_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             run_cli("sweep", "--kind", "alpha", "--values", "fast,slow",

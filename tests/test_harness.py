@@ -7,7 +7,8 @@ import pytest
 
 from powerplace import AffinityWeights, total_cost
 from powerplace.affinity import build_final_affinity
-from powerplace.oracle import optimal_place
+from powerplace.oracle import DEFAULT_NODE_BUDGET, optimal_place
+from powerplace import harness
 from powerplace.harness import (
     CSV_HEADER,
     HarnessError,
@@ -24,6 +25,29 @@ from support import app, final_matrix, machine, scenario
 
 
 BASE = GeneratorConfig(6, 5, seed=100)
+
+# Room for every instance a generated scenario can ask for.
+ROOMY = ResourceRanges(cpu=(1e6, 1e6), io=(1e6, 1e6), nw=(1e6, 1e6), mem=(1e6, 1e6))
+
+
+def space_nodes(m, instances):
+    """Nodes of the oracle's whole count-row space: every row of every level.
+
+    Level i has the rows of each row above it, C(m + k - 1, k) for k
+    instances on m machines.
+    """
+    total, level = 0, 1
+    for k in instances:
+        level *= math.comb(m + k - 1, k)
+        total += level
+    return total
+
+
+def oracle_admits(config):
+    """Whether a sweep may run the oracle at ``config``: S and the grid's cells both within the budget."""
+    m, n, k = config.machine_count, config.application_count, config.instance_range[1]
+    cells = math.comb(m + k - 1, k) * k * m
+    return space_nodes(m, [k] * n) <= DEFAULT_NODE_BUDGET and cells <= DEFAULT_NODE_BUDGET
 
 
 class TestRunScenario:
@@ -99,6 +123,84 @@ class TestSweepSpec:
             SweepSpec("alpha", (1.0, 2.0), BASE, ("oracle",))
         tiny = GeneratorConfig(3, 2, seed=0, instance_range=(1, 2))
         SweepSpec("alpha", (1.0, 2.0), tiny, ("oracle",))  # fits the guard
+
+    @pytest.mark.parametrize(
+        "m, n, instance_range, seed",
+        [(3, 3, (2, 2), 0), (4, 3, (1, 3), 1), (2, 6, (1, 3), 3), (5, 5, (2, 2), 0), (4, 4, (1, 4), 2)],
+    )
+    def test_space_is_the_node_count_when_every_row_fits(self, m, n, instance_range, seed):
+        cfg = GeneratorConfig(m, n, seed=seed, instance_range=instance_range,
+                              capacity_ranges=ROOMY, anti_affinity_fraction=0.0)
+        scn = generate_synthetic(cfg)
+        instances = scn.instances.tolist()
+        if instance_range[0] < instance_range[1]:
+            assert len(set(instances)) > 1, instances  # the draw mixes counts
+        result = optimal_place(scn, build_final_affinity(scn))
+        assert result.exhausted
+        assert result.nodes_explored == space_nodes(m, instances)
+        # the rule's S takes every application at the most instances, a bound
+        assert space_nodes(m, instances) <= space_nodes(m, [instance_range[1]] * n)
+        SweepSpec("alpha", (1.0,), cfg, ("oracle",))
+
+    def test_every_shape_the_old_guard_admitted_is_admitted(self):
+        # that guard: at most 4 machines and 8 instances in all
+        for m in range(1, 5):
+            for k in range(1, 9):
+                for n in range(1, 8 // k + 1):
+                    SweepSpec("alpha", (1.0,), GeneratorConfig(m, n, instance_range=(1, k)), ("oracle",))
+
+    def test_admits_exactly_the_points_within_the_budget(self):
+        for m in range(1, 9):
+            for k in range(1, 7):
+                for n in range(1, 9):
+                    cfg = GeneratorConfig(m, n, instance_range=(1, k))
+                    try:
+                        SweepSpec("alpha", (1.0,), cfg, ("oracle",))
+                        admitted = True
+                    except HarnessError:
+                        admitted = False
+                    assert admitted == oracle_admits(cfg), (m, n, k)
+
+    @pytest.mark.parametrize(
+        "m, n, k, admitted",
+        [(3161, 2, 1, True),  # S = 9,995,082, the slowest shape admitted
+         (3162, 2, 1, False),  # S = 10,001,406
+         (2, 1, 2235, True),  # the grid compares 9,994,920 cells
+         (2, 1, 2236, False)],  # 10,003,864 cells
+    )
+    def test_budget_edges(self, m, n, k, admitted):
+        cfg = GeneratorConfig(m, n, instance_range=(1, k))
+        assert oracle_admits(cfg) is admitted
+        if admitted:
+            SweepSpec("alpha", (1.0,), cfg, ("oracle",))
+        else:
+            with pytest.raises(HarnessError, match="oracle"):
+                SweepSpec("alpha", (1.0,), cfg, ("oracle",))
+
+    @pytest.mark.parametrize(
+        "kind, values, base, message",
+        [("applications", (5.0, 6.0), GeneratorConfig(6, 1, instance_range=(2, 2)),
+          "sweep point applications=6: an oracle search there could pass its 10,000,000-node "
+          "budget: 6 applications of up to 2 instances on 6 machines make 90,054,426 nodes"),
+         ("alpha", (1.0,), GeneratorConfig(2, 1, instance_range=(1, 10**6)),
+          "sweep point alpha=1: an oracle search there could pass its 10,000,000-node "
+          "budget: the grid of 1000000 instances on 2 machines compares 2,000,002,000,000 cells"),
+         ("alpha", (1.0,), GeneratorConfig(10**6, 1, instance_range=(1, 10**6)),
+          "the grid of 1000000 instances on 1000000 machines compares more than 10,000,000 cells"),
+         ("alpha", (1.0,), GeneratorConfig(25, 20),
+          "20 applications of up to 4 instances on 25 machines make about 10^86.2 nodes")],
+        ids=["6x6x2", "2-machines-1e6-instances", "1e6-machines", "25x20"],
+    )
+    def test_refused_before_any_scenario(self, monkeypatch, kind, values, base, message):
+        def no_scenario(config):
+            raise AssertionError("a refused sweep generated a scenario")
+
+        monkeypatch.setattr(harness, "generate_synthetic", no_scenario)
+        with pytest.raises(HarnessError) as caught:
+            run_sweep(SweepSpec(kind, values, base, ("cpaap", "oracle")))
+        assert message in str(caught.value)
+        # the same points without the oracle are admitted
+        SweepSpec(kind, values, base, ("cpaap",))
 
     @pytest.mark.parametrize("values", [(float("nan"), 1.0), (1.0, float("inf"))])
     def test_rejects_non_finite_values(self, values):

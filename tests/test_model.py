@@ -268,12 +268,22 @@ class TestRemainingCapacity:
         assert ledger.pi[0] == 1.0
         assert not admissible(ledger, 0, 0)
 
-    def test_float_residue_clamped_and_utilization_snapped(self):
-        # 0.3 - 0.1 - 0.1 - 0.1 is -2.8e-17 and 3 * 0.1 / 0.3 overshoots 1
-        ledger = ledger_for([machine(0, 0.3, 0.3, 0, 0)], [app(0, 0.1, 0.1)])
-        for _ in range(3):
+    def test_admitted_adds_stay_nonnegative_and_utilization_snapped(self):
+        # ten adds of 0.03 on 0.3 are all admitted, and the cpu used sums to
+        # 0.30000000000000004, whose utilization 1.0000000000000002 snaps to 1
+        ledger = ledger_for([machine(0, 0.3, 0.3, 0, 0)], [app(0, 0.03, 0.03)])
+        for _ in range(10):
+            assert admissible(ledger, 0, 0)
             assert ledger.pi_after(0, 0) <= 1.0
             ledger.add(0, 0)
+            assert min(ledger.remaining[0]) >= 0.0
+        assert ledger.used_cpu[0] / 0.3 == 1.0000000000000002
+        assert ledger.pi[0] == 1.0
+        assert not admissible(ledger, 0, 0)
+        # an exact fit lands on 0.0, with no clamp to put it there
+        ledger = ledger_for([machine(0, 0.3, 0.3, 0, 0)], [app(0, 0.3, 0.3)])
+        assert admissible(ledger, 0, 0)
+        ledger.add(0, 0)
         assert ledger.remaining[0] == [0.0, 0.0, 0.0, 0.0]
         assert ledger.pi[0] == 1.0
 

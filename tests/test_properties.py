@@ -28,6 +28,12 @@ point. No comparison a strategy or the exact solver makes can change, so
 their decisions and work counts must stay the same, and the reduced cost
 must scale exactly.
 
+Appending a machine that every application is anti-affine to changes no
+heuristic's trace, failing instance or reduced cost, whatever affinity its
+column holds: the column is appended to the same affinity values, and a
+1.0 there ranks the machine first for aap. Only the work counts may
+change, since the machine is probed and counted.
+
 Scoring from the placed cells must agree with the dense N x M passes it
 replaced on any allocation, broken or not: the same verdict, witness and
 detail text for every constraint, and every metric within 1e-12.
@@ -468,6 +474,60 @@ def test_power_scaling_leaves_oracle_unchanged(config, c):
     else:
         assert b.optimal.counts.tolist() == a.optimal.counts.tolist()
         assert b.optimal_reduced_cost == a.optimal_reduced_cost * c
+
+
+def with_spurned_machine(scenario, affinity, column, power_of):
+    """``scenario`` with one more machine, which every application is anti-affine to, and ``affinity``
+    with ``column`` appended for it.
+
+    The machine has each resource's largest capacity and machine
+    ``power_of``'s power, so it would take any instance the others take.
+    The other columns keep ``affinity``'s values, not a rebuild's.
+    """
+    m = scenario.num_machines
+    capacity = ResourceVector(*scenario.capacities.max(axis=0).tolist())
+    source = scenario.machines[power_of]
+    spurned = Machine(m, capacity, source.p_idle, source.p_max)
+    n = scenario.num_applications
+    wide = replace(
+        scenario,
+        machines=scenario.machines + (spurned,),
+        user_affinity=np.hstack((scenario.user_affinity, np.zeros((n, 1), dtype=bool))),
+        anti_affinity=np.hstack((scenario.anti_affinity, np.ones((n, 1), dtype=bool))),
+    )
+    return wide, AffinityMatrix(np.hstack((affinity.values, np.array(column)[:, None])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=st.builds(
+        GeneratorConfig,
+        machine_count=st.integers(1, 12),
+        application_count=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        user_affinity_density=st.floats(0.0, 1.0),
+        anti_affinity_fraction=st.floats(0.0, 0.9),
+        alpha=ALPHAS,
+        pi_threshold=st.floats(0.05, 1.0),
+    ),
+    data=st.data(),
+)
+def test_an_anti_affine_machine_changes_nothing(config, data):
+    scenario = generate_synthetic(config)
+    # 1.0 ranks the new machine first for aap wherever a row holds no 1.0 of its own
+    column = data.draw(st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+                                min_size=scenario.num_applications,
+                                max_size=scenario.num_applications))
+    power_of = data.draw(st.integers(0, scenario.num_machines - 1))
+    f = build_final_affinity(scenario)
+    wide, f_wide = with_spurned_machine(scenario, f, column, power_of)
+    for strategy in (pap_place, aap_place, cpaap_place, first_fit_place):
+        a, b = place(strategy, scenario, f), place(strategy, wide, f_wide)
+        # pairs_examined may differ: the new machine is probed and counted
+        assert b.trace == a.trace
+        assert b.failed_at == a.failed_at
+        assert b.allocation.counts[:, -1].sum() == 0
+        assert total_cost(wide, b.allocation, f_wide).reduced == total_cost(scenario, a.allocation, f).reduced
 
 
 def strip_power(path):
