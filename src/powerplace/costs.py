@@ -53,9 +53,13 @@ def delta_cost(machine: Machine, pi_old: float, pi_new: float, affinity: float, 
     difference of utilization, minus the alpha-weighted affinity payoff of
     the placed instance.
     """
+    return _span_delta(machine.p_max - machine.p_idle, pi_old, pi_new, affinity, alpha)
+
+
+def _span_delta(span: float, pi_old: float, pi_new: float, affinity: float, alpha: float) -> float:
+    """``delta_cost`` for a machine of power span ``span`` (p_max - p_idle)."""
     if not (0.0 <= pi_old <= pi_new <= 1.0):
         raise ValueError(f"need 0 <= pi_old <= pi_new <= 1, got {pi_old!r}, {pi_new!r}")
-    span = machine.p_max - machine.p_idle
     return span * (pi_new * pi_new * pi_new - pi_old * pi_old * pi_old) - alpha * affinity
 
 

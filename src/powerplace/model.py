@@ -1,11 +1,12 @@
 """Domain model: machines, applications, scenarios, allocations, and the
 constraint checks every placement must satisfy.
 
-All quantities are nonnegative reals held as Python floats; ids and counts
-are exact integers. A machine hosts instances of applications subject to
-three constraints: forbidden (app, machine) pairs stay empty, every
-requested instance is placed, and per-machine resource capacities are
-never exceeded.
+All quantities are nonnegative reals, held by a scenario as float64
+columns and by the records as Python floats; counts are exact integers,
+and an id is a row of the columns. A machine hosts instances of
+applications subject to three constraints: forbidden (app, machine) pairs
+stay empty, every requested instance is placed, and per-machine resource
+capacities are never exceeded.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -24,9 +26,11 @@ CAPACITY_SLACK = 1e-9
 
 RESOURCE_NAMES = ("cpu", "io", "nw", "mem")
 
+_INT64_MAX = 2**63 - 1
+
 
 class ModelError(ValueError):
-    """Malformed model input: bad dimensions, negative or non-finite quantities, id gaps."""
+    """Malformed model input: bad dimensions, negative or non-finite quantities."""
 
 
 def _integer(name: str, value, error: type[ValueError] = ModelError) -> int:
@@ -58,8 +62,8 @@ class ResourceVector:
 
     Serves both as a machine capacity and as a per-instance application
     demand. Components: cpu (cores), io (I/O bandwidth), nw (network
-    bandwidth), mem (memory), all finite and >= 0, and cpu > 0, each held
-    as a Python float.
+    bandwidth), mem (memory), each held as a Python float and checked by
+    ``_broken_row``'s resource rules.
     """
 
     cpu: float
@@ -70,15 +74,9 @@ class ResourceVector:
     def __post_init__(self) -> None:
         for name in RESOURCE_NAMES:
             value = getattr(self, name)
-            if type(value) is not float:  # the readers pass floats and skip the call
-                value = _real(f"resource component {name!r}", value)
-                object.__setattr__(self, name, value)
-            if not (math.isfinite(value) and value >= 0):
-                raise ModelError(f"resource component {name!r} must be finite and >= 0")
-        # a machine with no cpu has no utilization, and an instance that uses
-        # none never changes one, which degenerates the heuristics' priorities
-        if self.cpu <= 0:
-            raise ModelError("resource component 'cpu' must be > 0")
+            if type(value) is not float:
+                object.__setattr__(self, name, _real(f"resource component {name!r}", value))
+        _raise_broken(resources=np.array([self.as_tuple()]))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.cpu, self.io, self.nw, self.mem)
@@ -126,10 +124,7 @@ class Machine:
             value = getattr(self, name)
             if type(value) is not float:
                 object.__setattr__(self, name, _real(f"machine {self.id}: {name}", value))
-        if not (math.isfinite(self.p_idle) and math.isfinite(self.p_max)):
-            raise ModelError(f"machine {self.id}: p_idle and p_max must be finite")
-        if self.p_idle < 0 or self.p_max < self.p_idle:
-            raise ModelError(f"machine {self.id}: need 0 <= p_idle <= p_max")
+        _raise_broken(power=np.array([[self.p_idle], [self.p_max]]), ids=(self.id,))
 
 
 @dataclass(frozen=True)
@@ -144,10 +139,52 @@ class Application:
         object.__setattr__(self, "id", _integer("application id", self.id))
         instances = _integer(f"application {self.id}: instances", self.instances)
         object.__setattr__(self, "instances", instances)
-        if self.instances < 1:
-            raise ModelError(f"application {self.id}: instances must be >= 1")
-        if self.instances >= 2**63:  # Scenario.instances is int64
-            raise ModelError(f"application {self.id}: instances must be < 2**63")
+        _raise_broken(instances=np.array([instances]), ids=(self.id,))
+
+
+_RESOURCE_RULES = (*(f"resource component {name!r} must be finite and >= 0" for name in RESOURCE_NAMES),
+                   "resource component 'cpu' must be > 0")
+_POWER_RULES = ("machine {}: p_idle and p_max must be finite", "machine {}: need 0 <= p_idle <= p_max")
+_INSTANCE_RULES = ("application {}: instances must be >= 1", "application {}: instances must be < 2**63")
+
+
+def _broken_row(resources=None, power=None, instances=None, ids=None) -> Optional[tuple[int, str]]:
+    """The first row that breaks a row rule, with the text of its first broken rule; else None.
+
+    The one home of the rules, tried in this order: ``resources`` (K, 4)
+    each finite and >= 0, and cpu > 0; ``power``, (p_idle, p_max), both
+    finite and 0 <= p_idle <= p_max; ``instances`` 1 <= count < 2**63, held
+    as integers so no rounding meets the bound. ``ids`` name the rows
+    (default: their positions). A later column may hold fewer rows, as a
+    trace row read in part does.
+    """
+    groups = []  # (K, R) bool, True where row k keeps rule r, and the R rules' texts
+    if resources is not None:
+        finite = (resources >= 0) & (resources < math.inf)
+        groups.append((np.concatenate((finite, resources[:, :1] > 0), axis=1), _RESOURCE_RULES))
+    if power is not None:
+        idle, peak = power
+        kept = np.array([np.isfinite(idle) & np.isfinite(peak), (idle >= 0) & (peak >= idle)]).T
+        groups.append((kept, _POWER_RULES))
+    if instances is not None:
+        groups.append((np.array([instances >= 1, instances <= _INT64_MAX]).T, _INSTANCE_RULES))
+    found = None
+    for kept, texts in groups:
+        broken = (~kept.all(axis=1)).nonzero()[0]
+        if broken.size and (found is None or broken[0] < found[0]):
+            row = int(broken[0])
+            found = row, texts[int(kept[row].argmin())]
+    if found is None:
+        return None
+    row, text = found
+    return row, text.format(row if ids is None else ids[row])
+
+
+def _raise_broken(**columns) -> None:
+    """ModelError with the text of the first rule that ``_broken_row(**columns)`` finds broken."""
+    found = _broken_row(**columns)
+    if found is not None:
+        raise ModelError(found[1])
 
 
 def _settings(
@@ -191,50 +228,49 @@ def _binary_matrix(name: str, mat: np.ndarray) -> np.ndarray:
     return bits
 
 
+# Scenario's columns of the fleet, and the dtype each is held as.
+_COLUMNS = (("capacities", float), ("idles", float), ("peaks", float),
+            ("demands", float), ("instances", np.int64))
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A complete placement problem instance.
 
-    Holds the machine fleet, the application requests, the user affinity
-    and anti-affinity matrices (N applications x M machines, read-only
-    bool), the resource-affinity weights, the affinity cost coefficient
-    alpha, and the utilization threshold used by the power-aware heuristic.
-
-    A cell may not be both user-affine and anti-affine: both matrices are
-    user-supplied and must not contradict each other.
-
-    ``alpha`` and ``pi_threshold`` are held as Python floats. It also
-    builds, once, what the greedy strategies read on every run:
-    ``placement_order``, the applications by decreasing demand (cpu, then
-    io, nw and mem; ties in id order), and ``demand_floor``, below which in
-    any one resource a machine admits no instance of any application.
-    ``dataclasses.replace`` builds both anew.
-
-    Compared and hashed by identity: the matrices are arrays, which have no
-    single truth value.
+    The fleet is held as read-only columns, float64 unless said: machine
+    ``capacities`` (M, 4) in RESOURCE_NAMES order, ``idles`` and ``peaks``
+    (M,), each machine's p_idle and p_max, application ``demands`` (N, 4) and
+    int64 ``instances`` (N,); an id is a row. A column that already is
+    read-only and of its dtype, such as another scenario's, is kept as it
+    is, any other copied; every row must keep the row rules
+    (``_broken_row``). ``machines`` and ``applications`` are records of the
+    same numbers, built on first read. Beside them: the user affinity and
+    anti-affinity matrices (N x M, read-only bool, never both set on a
+    cell), the resource-affinity weights, and alpha and pi_threshold, held
+    as Python floats. It also builds, once, what the greedy strategies read
+    on every run: ``placement_order``, the applications by decreasing
+    demand (cpu, then io, nw and mem; ties in id order), and
+    ``demand_floor``, below which in any one resource a machine admits no
+    instance of any application. Compared and hashed by identity: the
+    matrices are arrays, which have no single truth value.
     """
 
-    machines: tuple[Machine, ...]
-    applications: tuple[Application, ...]
+    capacities: np.ndarray
+    idles: np.ndarray
+    peaks: np.ndarray
+    demands: np.ndarray
+    instances: np.ndarray
     user_affinity: np.ndarray
     anti_affinity: np.ndarray
     weights: AffinityWeights
     alpha: float
     pi_threshold: float = 0.5
-    # anti_affinity's bool rows as bytes, one per application, built once
-    # here and shared by every CapacityLedger: anti_rows[i][j] is 0 or 1
+    # Shared by every CapacityLedger, not copied: anti_affinity's rows as
+    # bytes (anti_rows[i][j] is 0 or 1), and each machine's capacity and
+    # each application's demand as a tuple of Python floats. spans is the
+    # read-only peaks - idles.
     anti_rows: tuple[bytes, ...] = field(init=False, repr=False, compare=False)
-    # The numbers of the machines and applications, read from here and never
-    # rebuilt: read-only float64 columns capacities (M, 4) and demands (N, 4)
-    # in RESOURCE_NAMES order, spans p_max - p_idle and idles p_idle (M,),
-    # int64 instances (N,); and, for the per-step loops of every
-    # CapacityLedger, each machine's capacity and each application's demand
-    # as a tuple, shared, not copied
-    capacities: np.ndarray = field(init=False, repr=False, compare=False)
-    demands: np.ndarray = field(init=False, repr=False, compare=False)
     spans: np.ndarray = field(init=False, repr=False, compare=False)
-    idles: np.ndarray = field(init=False, repr=False, compare=False)
-    instances: np.ndarray = field(init=False, repr=False, compare=False)
     capacity_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     demand_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     # For the greedy strategies (see above), read on every run: demand_floor,
@@ -244,21 +280,31 @@ class Scenario:
     placement_order: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        machines = tuple(self.machines)
-        applications = tuple(self.applications)
-        if not machines or not applications:
+        cols = {}
+        for name, dtype in _COLUMNS:
+            col = cols[name] = np.asarray(getattr(self, name))
+            if col.dtype.kind not in ("iu" if dtype is np.int64 else "iuf"):
+                raise ModelError(f"{name} must hold {'integers' if dtype is np.int64 else 'real numbers'}")
+        caps, demands = cols["capacities"], cols["demands"]
+        m, n = (len(col) if col.ndim else 0 for col in (caps, demands))
+        if not m or not n:
             raise ModelError("need at least one machine and one application")
-        for j, m in enumerate(machines):
-            if m.id != j:
-                raise ModelError(f"machine ids must be 0..M-1 in order, got {m.id} at {j}")
-        for i, a in enumerate(applications):
-            if a.id != i:
-                raise ModelError(f"application ids must be 0..N-1 in order, got {a.id} at {i}")
-        shape = (len(applications), len(machines))
+        for name, shape in (("capacities", (m, 4)), ("idles", (m,)), ("peaks", (m,)),
+                            ("demands", (n, 4)), ("instances", (n,))):
+            if cols[name].shape != shape:
+                raise ModelError(f"{name} must have shape {shape}, got {cols[name].shape}")
+        _raise_broken(resources=caps, power=(cols["idles"], cols["peaks"]))
+        _raise_broken(resources=demands, instances=cols["instances"])
+        for name, dtype in _COLUMNS:  # cast once checked: a uint64 count may pass int64's range
+            col = cols[name]
+            if col.dtype != dtype or col.flags.writeable:
+                col = col.astype(dtype)
+                col.setflags(write=False)
+            object.__setattr__(self, name, col)
         user = np.asarray(self.user_affinity)
         anti = np.asarray(self.anti_affinity)
-        if user.shape != shape or anti.shape != shape:
-            raise ModelError(f"affinity matrices must have shape {shape}")
+        if user.shape != (n, m) or anti.shape != (n, m):
+            raise ModelError(f"affinity matrices must have shape {(n, m)}")
         user = _binary_matrix("user_affinity", user)
         anti = _binary_matrix("anti_affinity", anti)
         clash = np.logical_and(user, anti)
@@ -270,38 +316,40 @@ class Scenario:
         alpha, pi_threshold = _settings(self.weights, self.alpha, self.pi_threshold)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "pi_threshold", pi_threshold)
-        object.__setattr__(self, "machines", machines)
-        object.__setattr__(self, "applications", applications)
         object.__setattr__(self, "user_affinity", user)
         object.__setattr__(self, "anti_affinity", anti)
         object.__setattr__(self, "anti_rows", tuple(map(bytes, anti)))
-        caps = tuple(m.capacity.as_tuple() for m in machines)
-        reqs = tuple(a.demand.as_tuple() for a in applications)
-        object.__setattr__(self, "capacity_rows", caps)
-        object.__setattr__(self, "demand_rows", reqs)
-        for name, rows, kind in (
-            ("capacities", caps, float),
-            ("demands", reqs, float),
-            ("spans", [m.p_max - m.p_idle for m in machines], float),
-            ("idles", [m.p_idle for m in machines], float),
-            ("instances", [a.instances for a in applications], np.int64),
-        ):
-            col = np.array(rows, dtype=kind)
-            col.setflags(write=False)
-            object.__setattr__(self, name, col)
+        spans = self.peaks - self.idles
+        spans.setflags(write=False)
+        object.__setattr__(self, "spans", spans)
+        object.__setattr__(self, "capacity_rows", tuple(map(tuple, self.capacities.tolist())))
+        object.__setattr__(self, "demand_rows", tuple(map(tuple, self.demands.tolist())))
         object.__setattr__(self, "demand_floor", tuple(self.demands.min(axis=0).tolist()))
         # lexsort's last key leads and its sort is stable, so ties keep id order
         order = np.lexsort(-self.demands.T[::-1])
         pairs = tuple(zip(order.tolist(), self.instances[order].tolist()))
         object.__setattr__(self, "placement_order", pairs)
 
+    @cached_property
+    def machines(self) -> tuple[Machine, ...]:
+        """The machines as records, machine j on row j, built from the columns on first read."""
+        power = zip(self.idles.tolist(), self.peaks.tolist())
+        return tuple(Machine(j, ResourceVector(*cap), p_idle, p_max)
+                     for j, (cap, (p_idle, p_max)) in enumerate(zip(self.capacity_rows, power)))
+
+    @cached_property
+    def applications(self) -> tuple[Application, ...]:
+        """The applications as records, application i on row i, built from the columns on first read."""
+        return tuple(Application(i, ResourceVector(*demand), count)
+                     for i, (demand, count) in enumerate(zip(self.demand_rows, self.instances.tolist())))
+
     @property
     def num_machines(self) -> int:
-        return len(self.machines)
+        return len(self.capacities)
 
     @property
     def num_applications(self) -> int:
-        return len(self.applications)
+        return len(self.demands)
 
     @property
     def total_instances(self) -> int:

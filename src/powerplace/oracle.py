@@ -154,8 +154,15 @@ class _Search:
     def run(self) -> None:
         """Search from every machine empty: no cpu used, no payoff."""
         m = self.scenario.num_machines
-        self.build(0, np.array([[*cap, 0.0, 0.0] for cap in self.scenario.capacity_rows]), np.arange(m))
-        self.expand(0, np.arange(m)[:, None])  # the root: one node, on rows 0 .. m - 1
+        self.build(0, np.hstack((self.scenario.capacities, np.zeros((m, 2)))), np.arange(m))
+        # one generator per level, depth first: the top one's chunk is expanded before it resumes
+        stack = [self.expand(0, np.arange(m)[:, None])]  # the root: one node, on rows 0 .. m - 1
+        while stack:
+            below = next(stack[-1], None)
+            if below is None:
+                stack.pop()
+            else:
+                stack.append(self.expand(len(stack), below))
         if self.nodes > self.budget:
             raise _BudgetHit
 
@@ -188,11 +195,11 @@ class _Search:
         level.machines = _put(level.machines, at, level.built, machines)
         level.table = _put(level.table, at, level.built, table)
 
-    def expand(self, i: int, rows: np.ndarray) -> None:
+    def expand(self, i: int, rows: np.ndarray):
         """Enumerate application i's rows below a chunk of nodes, their states' ``rows`` (machine, node).
 
-        Raises ``_BudgetHit`` once the nodes before node ``budget + 1``
-        are done.
+        Yields each block's nodes, level i + 1's ``rows``, to be expanded before it
+        resumes. Raises ``_BudgetHit`` once the nodes before node ``budget + 1`` are done.
         """
         level = self.levels[i]
         table = level.table
@@ -233,7 +240,7 @@ class _Search:
                         bases = level.below.take(block)
                     below = bases.take(picks // width, axis=1) + cells.take(picks, axis=1)
                     del cells  # the levels below hold only their own rows
-                    self.expand(i + 1, below)
+                    yield below
             if end < block.shape[1] * width:
                 raise _BudgetHit
 

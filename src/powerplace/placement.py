@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from .affinity import AffinityMatrix, require_final
-from .costs import delta_cost
+from .costs import _span_delta
 from .model import AllocationMatrix, CapacityLedger, Scenario
 
 PlacementEvent = tuple[int, int, int]  # (application id, instance index, machine id)
@@ -250,11 +250,11 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
     """
     require_final(scenario, affinity)
     walk = _AffinityWalk(affinity)
-    machines = scenario.machines
+    spans = scenario.spans.tolist()
     alpha = scenario.alpha
     # no utilization reaches an infinite threshold, so omega[j] is pi[j] and
     # the state's order is (pi, id), candidate one's scan order
-    state = PapPriorityState(omega=[0.0] * len(machines), threshold=math.inf)
+    state = PapPriorityState(omega=[0.0] * len(spans), threshold=math.inf)
 
     def choose(ledger: CapacityLedger, i: int) -> int:
         # both candidates are admissible, so they exist or fail together
@@ -267,8 +267,8 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
         if j1 != j2:
             fi = walk.fi
             after2 = ledger.pi_after(i, j2)
-            cost1 = delta_cost(machines[j1], pi[j1], after, fi[j1], alpha)
-            cost2 = delta_cost(machines[j2], pi[j2], after2, fi[j2], alpha)
+            cost1 = _span_delta(spans[j1], pi[j1], after, fi[j1], alpha)
+            cost2 = _span_delta(spans[j2], pi[j2], after2, fi[j2], alpha)
             if cost1 > cost2:
                 j1, after = j2, after2
         # the returned machine is always placed: its pair moves now, to the

@@ -39,11 +39,8 @@ import numpy as np
 from .model import (
     RESOURCE_NAMES,
     AffinityWeights,
-    Application,
-    Machine,
-    ModelError,
-    ResourceVector,
     Scenario,
+    _broken_row,
     _integer,
     _real,
     _settings,
@@ -206,6 +203,10 @@ def anti_affinity_count(fraction: float, num_machines: int) -> int:
     return min(num_machines - 1, int(math.floor(fraction * num_machines + 0.5)))
 
 
+# Cells of one block of user-affinity draws, _draw_affinity's only float64 temporary.
+_DRAW_BLOCK_CELLS = 1 << 16
+
+
 def _draw_affinity(
     rng: np.random.Generator, n: int, m: int, anti_fraction: float, user_density: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -221,7 +222,11 @@ def _draw_affinity(
     for i in range(n):
         if k:
             anti[i, rng.choice(m, size=k, replace=False)] = True
-    user = rng.random((n, m)) < user_density
+    # drawn a block of rows at a time: the values and stream position of one (n, m) draw
+    user = np.empty((n, m), dtype=bool)
+    step = max(1, _DRAW_BLOCK_CELLS // m)
+    for r0 in range(0, n, step):
+        np.less(rng.random((min(step, n - r0), m)), user_density, out=user[r0:r0 + step])
     user[anti] = False
     user.setflags(write=False)  # read-only: Scenario keeps both without a copy
     anti.setflags(write=False)
@@ -233,27 +238,23 @@ def generate_synthetic(config: GeneratorConfig) -> Scenario:
     rng = np.random.default_rng(config.seed)
     m, n = config.machine_count, config.application_count
 
-    machine_columns = [rng.uniform(lo, hi, m) for lo, hi in (
-        *config.capacity_ranges.as_dict().values(), config.power_idle_range, config.power_max_range)]
-    demand_columns = [rng.uniform(lo, hi, n) for lo, hi in config.demand_ranges.as_dict().values()]
+    *caps, idles, peaks = (rng.uniform(lo, hi, m) for lo, hi in (
+        *config.capacity_ranges.as_dict().values(), config.power_idle_range, config.power_max_range))
+    demands = [rng.uniform(lo, hi, n) for lo, hi in config.demand_ranges.as_dict().values()]
     lo, hi = config.instance_range
-    instances = rng.integers(lo, hi + 1, n).tolist()
+    instances = rng.integers(lo, hi + 1, n)
     user, anti = _draw_affinity(
         rng, n, m, config.anti_affinity_fraction, config.user_affinity_density
     )
-
-    # tolist() gives each row as Python floats: cpu, io, nw, mem[, p_idle, p_max]
-    machines = tuple(
-        Machine(id=j, capacity=ResourceVector(*row[:4]), p_idle=row[4], p_max=row[5])
-        for j, row in enumerate(np.column_stack(machine_columns).tolist())
-    )
-    applications = tuple(
-        Application(id=i, demand=ResourceVector(*row), instances=count)
-        for i, (row, count) in enumerate(zip(np.column_stack(demand_columns).tolist(), instances))
-    )
+    capacities, demands = np.column_stack(caps), np.column_stack(demands)
+    for col in (capacities, idles, peaks, demands, instances):
+        col.setflags(write=False)  # read-only: Scenario keeps each without a copy
     return Scenario(
-        machines=machines,
-        applications=applications,
+        capacities=capacities,
+        idles=idles,
+        peaks=peaks,
+        demands=demands,
+        instances=instances,
         user_affinity=user,
         anti_affinity=anti,
         weights=config.weights,
@@ -363,46 +364,70 @@ def _getter(path: Path, header: list[str], line: int, cells: list[str]):
 
 
 @contextmanager
-def _row_rules(path: Path, line: int):
-    """Report a model rule broken by one trace row with its file and line."""
+def _row_rules(path: Path, lines: list[int], columns, ids=None):
+    """Check the row rules (``_broken_row``) over ``columns()``, the rows read
+    so far, when the block ends and when it raises a WorkloadError, which is
+    let through only if no row breaks one: the file's first problem is raised.
+    """
+    def check() -> None:
+        found = _broken_row(**columns(), ids=ids)
+        if found is not None:
+            raise WorkloadError(f"{path.name} line {lines[found[0]]}: {found[1]}") from None
+
     try:
         yield
-    except ModelError as exc:
-        raise WorkloadError(f"{path.name} line {line}: {exc}") from exc
+    except WorkloadError:
+        check()
+        raise
+    check()
 
 
-def _read_rows(path: Path, kind: str, records, build) -> list:
-    """The values of a machines.csv or applications.csv, one per row, in id order.
+def _read_rows(path: Path, kind: str, records, extra: tuple[str, ...]):
+    """A machines.csv or applications.csv as (lines, resources, rest), rows in id order.
 
-    Each record's id is read, then ``build(id, get, line)`` makes its value
-    under _row_rules, then a repeated id is rejected, so the first bad row in
-    file order is the one reported. Ids must be exactly 0..n-1: after the
-    last row, a gap is reported with the first missing id.
+    Each record is parsed as read, under _row_rules: its id, its four
+    resource fields, then the fields ``extra`` (an instance count as an
+    integer); a repeated id is rejected after its row. Ids must be exactly
+    0..n-1: after the last row, a gap is reported with the first missing id.
     """
-    id_name = "machine_id" if kind == "machine" else "app_id"
-    rows: dict[int, tuple[int, object]] = {}  # id -> (line, value), in file order
-    for line, get in records:
-        i = get(id_name, True)
-        with _row_rules(path, line):
-            value = build(i, get, line)
-        if i in rows:
-            raise WorkloadError(
-                f"{path.name} line {line}: duplicate {kind} id {i}, "
-                f"first given on line {rows[i][0]}"
-            )
-        rows[i] = line, value
-    n = len(rows)
+    id_name, *names = (MACHINE_FIELDS if kind == "machine" else APPLICATION_FIELDS)[:5]
+    integer = kind == "application"
+    lines, ids, numbers, rest = [], [], [], []
+    first: dict[int, int] = {}  # id -> line, in file order
+
+    def columns() -> dict:
+        read = {"resources": np.array(numbers, dtype=float).reshape(-1, 4)}
+        if integer:  # the counts as Python ints: exact against 2**63
+            read["instances"] = np.array(rest).reshape(-1)
+        elif extra == MACHINE_POWER_FIELDS:
+            read["power"] = np.array(rest, dtype=float).reshape(-1, 2).T
+        return read
+
+    with _row_rules(path, lines, columns, ids):
+        for line, get in records:
+            lines.append(line)
+            ids.append(i := get(id_name, True))
+            numbers.append([get(name) for name in names])
+            rest.append([get(name, integer) for name in extra])
+            if i in first:
+                raise WorkloadError(
+                    f"{path.name} line {line}: duplicate {kind} id {i}, first given on line {first[i]}"
+                )
+            first[i] = line
+    n = len(ids)
     if not n:
         raise WorkloadError(f"{path.name}: no data rows")
-    missing = next((i for i in range(n) if i not in rows), None)
+    missing = next((i for i in range(n) if i not in first), None)
     if missing is not None:
         # n distinct ids with one of 0..n-1 missing: some row's id is outside it
-        i, line = next((i, line) for i, (line, _) in rows.items() if not 0 <= i < n)
+        i, line = next((i, line) for i, line in first.items() if not 0 <= i < n)
         raise WorkloadError(
             f"{path.name} line {line}: {kind} id {i} is out of range: {kind} ids must be "
             f"exactly 0..{n - 1}, and {missing} is missing"
         )
-    return [rows[i][1] for i in range(n)]
+    at = np.argsort(ids)  # ids are 0..n-1, so at[i] is id i's row
+    return ([lines[k] for k in at.tolist()], np.array(numbers, dtype=float)[at],
+            np.array(rest, dtype=None if integer else float)[at])
 
 
 def _check_pair(get, line: int, path: Path, n: int, m: int) -> tuple[int, int, int, int]:
@@ -521,14 +546,13 @@ def load_trace(
     columns are drawn from P_IDLE_DRAW/P_MAX_DRAW, and a missing affinity
     file's matrices as in generate_synthetic, at the given density and fraction.
     A bad file raises WorkloadError naming its first problem in file order,
-    with the file and its physical line: each row is built where it is read
-    into the model's records, whose own rules it must meet (cpu > 0 is
-    ResourceVector's, for capacities and demands alike), and its id is
-    checked there too. A machines.csv without a power column draws the
-    missing values machine by machine in id order after its last row, and
-    only then builds each machine, with its power rules. The settings are
-    checked before any file is read, weights, alpha and pi_threshold by
-    the rule Scenario applies, and are used as Python numbers.
+    with the file and its physical line: rows are parsed into columns as
+    read, and the model's row rules (``model._broken_row``) are checked over
+    the rows read so far when the file ends or a row raises. A machines.csv
+    without a power column draws the missing values machine by machine in id
+    order after its last row, and only then checks their power rules. The
+    settings are checked before any file is read, weights, alpha and
+    pi_threshold by the rule Scenario applies, and used as Python numbers.
     """
     seed, alpha, pi_threshold, user_affinity_density, anti_affinity_fraction = _check_settings(
         seed, weights, alpha, pi_threshold, user_affinity_density, anti_affinity_fraction)
@@ -538,41 +562,41 @@ def load_trace(
 
     records = _records(machines_path, MACHINE_FIELDS, MACHINE_POWER_FIELDS)
     header = next(records)
-    if all(name in header for name in MACHINE_POWER_FIELDS):
-        machines = _read_rows(machines_path, "machine", records, lambda i, get, line: Machine(
-            i, ResourceVector(*map(get, MACHINE_FIELDS[1:])), get("p_idle"), get("p_max")))
+    given = tuple(name for name in MACHINE_POWER_FIELDS if name in header)
+    lines, capacities, power = _read_rows(machines_path, "machine", records, given)
+    if given == MACHINE_POWER_FIELDS:
+        idles, peaks = power.T
     else:
-        rows = _read_rows(machines_path, "machine", records, lambda i, get, line: (
-            line, ResourceVector(*map(get, MACHINE_FIELDS[1:])),
-            *(get(name) if name in header else None for name in MACHINE_POWER_FIELDS)))
-        machines = []
-        for mid, (line, cap, p_idle, p_max) in enumerate(rows):
-            if p_idle is None:
-                p_idle = _truncated_normal(rng, *P_IDLE_DRAW, 0.0)
-                if p_max is not None:
-                    for _ in range(1000):
-                        if p_idle <= p_max:
-                            break
-                        p_idle = _truncated_normal(rng, *P_IDLE_DRAW, 0.0)
-            if p_max is None:
-                p_max = _truncated_normal(rng, *P_MAX_DRAW, p_idle)
-            with _row_rules(machines_path, line):
-                machines.append(Machine(id=mid, capacity=cap, p_idle=p_idle, p_max=p_max))
+        columns = dict(zip(given, power.T.tolist()))
+        idles, peaks = [], []
+        with _row_rules(machines_path, lines, lambda: {"power": (np.array(idles), np.array(peaks))}):
+            for p_idle, p_max in zip(*(columns.get(name, [None] * len(lines))
+                                       for name in MACHINE_POWER_FIELDS)):
+                for _ in range(1001 if p_idle is None else 0):  # redrawn while above a given p_max
+                    p_idle = _truncated_normal(rng, *P_IDLE_DRAW, 0.0)
+                    if p_max is None or p_idle <= p_max:
+                        break
+                if p_max is None:
+                    p_max = _truncated_normal(rng, *P_MAX_DRAW, p_idle)
+                idles.append(p_idle)
+                peaks.append(p_max)
 
     records = _records(applications_path, APPLICATION_FIELDS)
     next(records)  # the header
-    applications = _read_rows(applications_path, "application", records, lambda i, get, line: (
-        Application(i, ResourceVector(*map(get, APPLICATION_FIELDS[1:5])), get("instances", True))))
+    _, demands, counts = _read_rows(applications_path, "application", records, ("instances",))
 
-    n, m = len(applications), len(machines)
+    n, m = len(demands), len(capacities)
     if affinity_path is not None:
         user, anti = _read_affinity(Path(affinity_path), n, m)
     else:
         user, anti = _draw_affinity(rng, n, m, anti_affinity_fraction, user_affinity_density)
 
     return Scenario(
-        machines=tuple(machines),
-        applications=tuple(applications),
+        capacities=capacities,
+        idles=idles,
+        peaks=peaks,
+        demands=demands,
+        instances=counts[:, 0],
         user_affinity=user,
         anti_affinity=anti,
         weights=weights,
@@ -602,18 +626,13 @@ def save_trace(scenario: Scenario, directory: str | Path) -> dict[str, Path]:
     }
     with open(paths["machines"], "w", encoding="utf-8") as fh:
         fh.write(",".join(MACHINE_FIELDS + MACHINE_POWER_FIELDS) + "\n")
-        for mach in scenario.machines:
-            cap = mach.capacity
-            fields = (cap.cpu, cap.io, cap.nw, cap.mem, mach.p_idle, mach.p_max)
-            fh.write(f"{mach.id}," + ",".join(repr(float(v)) for v in fields) + "\n")
+        power = zip(scenario.idles.tolist(), scenario.peaks.tolist())
+        for j, (cap, pair) in enumerate(zip(scenario.capacity_rows, power)):
+            fh.write(f"{j}," + ",".join(map(repr, cap + pair)) + "\n")
     with open(paths["applications"], "w", encoding="utf-8") as fh:
         fh.write(",".join(APPLICATION_FIELDS) + "\n")
-        for app in scenario.applications:
-            d = app.demand
-            fields = (d.cpu, d.io, d.nw, d.mem)
-            fh.write(
-                f"{app.id}," + ",".join(repr(float(v)) for v in fields) + f",{app.instances}\n"
-            )
+        for i, (demand, count) in enumerate(zip(scenario.demand_rows, scenario.instances.tolist())):
+            fh.write(f"{i}," + ",".join(map(repr, demand)) + f",{count}\n")
     with open(paths["affinity"], "w", encoding="utf-8") as fh:
         fh.write(",".join(AFFINITY_FIELDS) + "\n")
         step = max(1, _WRITE_BLOCK_CELLS // scenario.num_machines)

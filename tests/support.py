@@ -70,9 +70,13 @@ def scenario(machines, applications, user=None, anti=None, weights=WEIGHTS,
         user = np.zeros((n, m), dtype=int)
     if anti is None:
         anti = np.zeros((n, m), dtype=int)
+    # the records' numbers stacked into the scenario's columns: an id is a row
     return Scenario(
-        machines=tuple(machines),
-        applications=tuple(applications),
+        capacities=[mach.capacity.as_tuple() for mach in machines],
+        idles=[mach.p_idle for mach in machines],
+        peaks=[mach.p_max for mach in machines],
+        demands=[a.demand.as_tuple() for a in applications],
+        instances=[a.instances for a in applications],
         user_affinity=np.asarray(user),
         anti_affinity=np.asarray(anti),
         weights=weights,

@@ -299,6 +299,13 @@ class TestRunSweep:
         assert means[(2.0, "pap")]["total_cost"] == pytest.approx(expected, rel=1e-12)
         assert means[(2.0, "pap")]["feasible_rate"] == 1.0
 
+    def test_an_oracle_point_deeper_than_the_recursion_limit_has_no_error(self):
+        # one machine takes every application's one instance: 1,200 levels,
+        # past Python's default recursion limit of 1,000
+        base = GeneratorConfig(1, 1, instance_range=(1, 1), capacity_ranges=ROOMY)
+        table = run_sweep(SweepSpec("applications", (1200.0,), base, ("oracle",)))
+        assert [(r.error, r.feasible) for r in table.rows] == [(None, True)]
+
     def test_failure_recorded_and_sweep_continues(self, monkeypatch):
         import powerplace.harness as harness
 

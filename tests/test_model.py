@@ -19,12 +19,12 @@ from powerplace import (
 )
 from powerplace.model import CapacityLedger
 from powerplace.oracle import optimal_place
-from powerplace.placement import first_fit_place
+from powerplace.placement import aap_place, cpaap_place, first_fit_place, pap_place
 from powerplace.affinity import build_final_affinity
 from powerplace.costs import metrics
 
 from support import admissible, app, machine, scenario, traced_peak
-from powerplace.workload import GeneratorConfig, generate_synthetic, save_trace
+from powerplace.workload import GeneratorConfig, generate_synthetic, load_trace, save_trace
 
 
 def alloc(rows):
@@ -82,10 +82,6 @@ class TestTypes:
     def test_scenario_rejects_user_anti_overlap(self):
         with pytest.raises(ModelError, match="both set"):
             scenario([machine(0)], [app(0)], user=[[1]], anti=[[1]])
-
-    def test_scenario_rejects_misordered_ids(self):
-        with pytest.raises(ModelError):
-            scenario([machine(1)], [app(0)])
 
     def test_scenario_matrices_read_only(self):
         scn = scenario([machine(0)], [app(0)])
@@ -145,8 +141,9 @@ class TestTypes:
         assert "anti_rows" not in repr(scn)
         assert CapacityLedger(scn).anti is scn.anti_rows
         with pytest.raises(TypeError):
-            Scenario(scn.machines, scn.applications, scn.user_affinity, scn.anti_affinity,
-                     scn.weights, scn.alpha, scn.pi_threshold, scn.anti_rows)
+            Scenario(scn.capacities, scn.idles, scn.peaks, scn.demands, scn.instances,
+                     scn.user_affinity, scn.anti_affinity, scn.weights, scn.alpha,
+                     scn.pi_threshold, scn.anti_rows)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -233,6 +230,87 @@ class TestTypes:
         bad.setflags(write=False)
         with pytest.raises(ModelError, match="user_affinity must be binary"):
             scenario([machine(0)], [app(0)], user=bad)
+
+
+class TestColumns:
+    def test_copy_with_new_alpha_shares_the_columns(self):
+        scn = generate_synthetic(GeneratorConfig(3, 2, seed=1))
+        copy = replace(scn, alpha=2.0)
+        for name in ("capacities", "idles", "peaks", "demands", "instances"):
+            assert getattr(copy, name) is getattr(scn, name), name
+        # a writable column, or one of another dtype, is copied, read-only
+        caps = np.array(scn.capacities)
+        held = replace(scn, capacities=caps, instances=scn.instances.astype(np.int32))
+        assert held.capacities is not caps and not held.capacities.flags.writeable
+        assert held.instances.dtype == np.int64 and not held.instances.flags.writeable
+
+    @pytest.mark.parametrize(
+        "name, cell, value, message",
+        [
+            ("capacities", (1, 0), 0.0, "resource component 'cpu' must be > 0"),
+            ("capacities", (0, 2), math.nan, "resource component 'nw' must be finite and >= 0"),
+            ("demands", (1, 3), -1.0, "resource component 'mem' must be finite and >= 0"),
+            ("idles", 1, 300.0, "machine 1: need 0 <= p_idle <= p_max"),
+            ("peaks", 2, math.inf, "machine 2: p_idle and p_max must be finite"),
+            ("instances", 1, 0, "application 1: instances must be >= 1"),
+        ],
+    )
+    def test_a_column_takes_the_rule_of_its_records(self, name, cell, value, message):
+        scn = generate_synthetic(GeneratorConfig(3, 2, seed=1))
+        col = np.array(getattr(scn, name))
+        col[cell] = value
+        with pytest.raises(ModelError) as err:
+            replace(scn, **{name: col})
+        assert str(err.value) == message
+
+    def test_a_count_past_int64_is_caught_before_the_cast(self):
+        scn = generate_synthetic(GeneratorConfig(3, 2, seed=1))
+        with pytest.raises(ModelError, match="application 1: instances must be < 2"):
+            replace(scn, instances=np.array([1, 2**63], dtype=np.uint64))
+        with pytest.raises(ModelError, match="instances must hold integers"):
+            replace(scn, instances=[1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ({"capacities": np.zeros((0, 4))}, "need at least one machine and one application"),
+            ({"peaks": np.ones(4)}, r"peaks must have shape \(3,\), got \(4,\)"),
+            ({"demands": np.ones((2, 3))}, r"demands must have shape \(2, 4\)"),
+            ({"idles": ["1", "2", "3"]}, "idles must hold real numbers"),
+            ({"capacities": np.ones((3, 4), dtype=bool)}, "capacities must hold real numbers"),
+        ],
+        ids=["no-machines", "peaks-shape", "demands-shape", "strings", "bools"],
+    )
+    def test_bad_columns_rejected(self, columns, message):
+        scn = generate_synthetic(GeneratorConfig(3, 2, seed=1))
+        with pytest.raises(ModelError, match=message):
+            replace(scn, **columns)
+
+    def test_no_path_builds_a_record(self, monkeypatch, tmp_path):
+        def refuse(record):
+            raise AssertionError(f"a {type(record).__name__} was built")
+
+        for record in (ResourceVector, Machine, Application):
+            monkeypatch.setattr(record, "__post_init__", refuse)
+        scn = generate_synthetic(GeneratorConfig(3, 3, seed=4, instance_range=(1, 2)))
+        paths = save_trace(scn, tmp_path / "power")
+        loaded = load_trace(paths["machines"], paths["applications"], paths["affinity"])
+        lines = paths["machines"].read_text().splitlines()
+        bare = tmp_path / "bare.csv"
+        bare.write_text("".join(",".join(line.split(",")[:5]) + "\n" for line in lines))
+        drawn = load_trace(bare, paths["applications"], paths["affinity"], seed=3)
+        for s in (scn, loaded, drawn, replace(scn, alpha=2.0)):
+            f = build_final_affinity(s)
+            for out in (pap_place(s, f), aap_place(s, f), cpaap_place(s, f), first_fit_place(s)):
+                metrics(s, out.allocation, f)
+            assert optimal_place(s, f).exhausted
+        monkeypatch.undo()
+        for s in (scn, loaded, drawn):
+            assert [[*mach.capacity.as_tuple(), mach.p_idle, mach.p_max] for mach in s.machines] == \
+                np.column_stack((s.capacities, s.idles, s.peaks)).tolist()
+            assert [mach.id for mach in s.machines] == list(range(s.num_machines))
+            assert [[a.id, *a.demand.as_tuple(), a.instances] for a in s.applications] == \
+                [[i, *d, k] for i, (d, k) in enumerate(zip(s.demands.tolist(), s.instances.tolist()))]
 
 
 def ledger_for(machines, apps, anti=None):

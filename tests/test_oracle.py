@@ -14,7 +14,7 @@ from powerplace import oracle
 from powerplace.affinity import build_final_affinity
 from powerplace.model import ModelError
 from powerplace.oracle import _BLOCK_CELLS, DEFAULT_NODE_BUDGET
-from powerplace.workload import GeneratorConfig, generate_synthetic
+from powerplace.workload import GeneratorConfig, ResourceRanges, generate_synthetic
 
 from support import (
     app,
@@ -263,6 +263,15 @@ class TestOptimalPlace:
         assert res.optimal_reduced_cost == pytest.approx(cost, rel=1e-12, abs=0)
         assert validate_allocation(scn, res.optimal).feasible_complete
         assert peak <= 160 * 1024 * 1024
+
+    def test_depth_past_the_recursion_limit(self):
+        # 1,200 levels of one node each, past Python's default recursion
+        # limit of 1,000: the levels are driven from an explicit stack
+        roomy = ResourceRanges(cpu=(1e6, 1e6), io=(1e6, 1e6), nw=(1e6, 1e6), mem=(1e6, 1e6))
+        scn = generate_synthetic(GeneratorConfig(1, 1200, instance_range=(1, 1), capacity_ranges=roomy))
+        res = optimal_place(scn, build_final_affinity(scn))
+        assert (res.exhausted, res.nodes_explored) == (True, 1200)
+        assert res.optimal.counts.tolist() == [[1]] * 1200
 
     def test_dominates_heuristics(self):
         for seed in range(15):

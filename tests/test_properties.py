@@ -44,8 +44,10 @@ whether numpy's C parser takes it whole or the row checks stream it: the
 same matrices, or the same first error in file order.
 """
 
+import codecs
 import csv
 import math
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -61,10 +63,7 @@ from powerplace.model import (
     CAPACITY_SLACK,
     AffinityWeights,
     AllocationMatrix,
-    Application,
     CapacityLedger,
-    Machine,
-    ResourceVector,
     Scenario,
     ledger_steps,
     validate_allocation,
@@ -255,9 +254,11 @@ def scored_allocations(draw):
 def build_scored(case):
     caps, power, demands, instances, marks, values, alpha, counts = case
     scenario = Scenario(
-        machines=tuple(Machine(j, ResourceVector(*cap), *pw) for j, (cap, pw) in enumerate(zip(caps, power))),
-        applications=tuple(Application(i, ResourceVector(*d), k)
-                           for i, (d, k) in enumerate(zip(demands, instances))),
+        capacities=caps,
+        idles=[idle for idle, _ in power],
+        peaks=[peak for _, peak in power],
+        demands=demands,
+        instances=instances,
         user_affinity=np.array(marks) == 1,
         anti_affinity=np.array(marks) == 2,
         weights=AffinityWeights(0.25, 0.25, 0.25, 0.25),
@@ -418,8 +419,8 @@ def test_outcomes_are_valid_and_reconcile(config):
 
 
 def scaled(scenario, c):
-    machines = tuple(replace(m, p_idle=m.p_idle * c, p_max=m.p_max * c) for m in scenario.machines)
-    return replace(scenario, machines=machines, alpha=scenario.alpha * c)
+    return replace(scenario, idles=scenario.idles * c, peaks=scenario.peaks * c,
+                   alpha=scenario.alpha * c)
 
 
 @settings(max_examples=100, deadline=None)
@@ -447,6 +448,36 @@ def test_power_scaling_leaves_heuristics_unchanged(config, c):
         assert b.pairs_examined == a.pairs_examined
         reduced = total_cost(scenario, a.allocation, f).reduced
         assert total_cost(big, b.allocation, f_big).reduced == reduced * c
+
+
+def resized(scenario, c):
+    return replace(scenario, capacities=scenario.capacities * c, demands=scenario.demands * c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=st.builds(
+        GeneratorConfig,
+        machine_count=st.integers(1, 12),
+        application_count=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        user_affinity_density=st.floats(0.0, 1.0),
+        anti_affinity_fraction=st.floats(0.0, 0.9),
+        alpha=ALPHAS,
+        pi_threshold=st.floats(0.05, 1.0),
+    ),
+    c=st.sampled_from([4.0, 1 / 1024]),
+)
+def test_resource_scaling_leaves_heuristics_unchanged(config, c):
+    # a power-of-two factor on every capacity and demand is exact, so every
+    # headroom share, utilization and comparison is the same
+    scenario = generate_synthetic(config)
+    scaled_fleet = resized(scenario, c)
+    f, f_scaled = build_final_affinity(scenario), build_final_affinity(scaled_fleet)
+    for strategy in (pap_place, aap_place, cpaap_place, first_fit_place):
+        a, b = place(strategy, scenario, f), place(strategy, scaled_fleet, f_scaled)
+        assert b.trace == a.trace
+        assert b.failed_at == a.failed_at
 
 
 @settings(max_examples=40, deadline=None)
@@ -484,14 +515,12 @@ def with_spurned_machine(scenario, affinity, column, power_of):
     ``power_of``'s power, so it would take any instance the others take.
     The other columns keep ``affinity``'s values, not a rebuild's.
     """
-    m = scenario.num_machines
-    capacity = ResourceVector(*scenario.capacities.max(axis=0).tolist())
-    source = scenario.machines[power_of]
-    spurned = Machine(m, capacity, source.p_idle, source.p_max)
     n = scenario.num_applications
     wide = replace(
         scenario,
-        machines=scenario.machines + (spurned,),
+        capacities=np.vstack((scenario.capacities, scenario.capacities.max(axis=0))),
+        idles=np.append(scenario.idles, scenario.idles[power_of]),
+        peaks=np.append(scenario.peaks, scenario.peaks[power_of]),
         user_affinity=np.hstack((scenario.user_affinity, np.zeros((n, 1), dtype=bool))),
         anti_affinity=np.hstack((scenario.anti_affinity, np.ones((n, 1), dtype=bool))),
     )
@@ -560,11 +589,57 @@ def test_trace_round_trip(config, power, load_seed):
             assert scenarios_equal(loaded, scenario)
         else:
             # Drawn power aside, the trace reads back; the drawn scenario round-trips.
-            with_power = replace(loaded, machines=scenario.machines)
+            with_power = replace(loaded, idles=scenario.idles, peaks=scenario.peaks)
             assert scenarios_equal(with_power, scenario)
             paths = save_trace(loaded, Path(tmp) / "b")
             again = load_trace(paths["machines"], paths["applications"], paths["affinity"])
             assert scenarios_equal(again, loaded)
+
+
+# What the reader fuzz inserts: numbers out of range or not finite, a byte
+# that is not UTF-8, a byte order mark, csv quoting and separators.
+FUZZ_TOKENS = [b"nan", b"1e400", b"-1", b"0", b"1.5", b"1e20", b"\xff", codecs.BOM_UTF8, b'"', b",",
+               b"\n", b"\r", b" ", b"\x00"]
+FUZZ_EDITS = st.tuples(
+    st.sampled_from(["machines", "applications", "affinity"]),
+    st.one_of(
+        st.tuples(st.just("insert"), st.floats(0.0, 1.0), st.sampled_from(FUZZ_TOKENS)),
+        st.tuples(st.just("delete"), st.floats(0.0, 1.0), st.integers(1, 8)),
+        st.tuples(st.just("repeat"), st.floats(0.0, 1.0), st.integers(1, 3)),
+    ),
+)
+# The errors of a whole file, which have no line to name.
+FILE_ERROR = re.compile(r"(machines|applications|affinity)\.csv"
+                        r"(: (empty file|missing columns|unknown columns|no data rows)| line \d+: )")
+
+
+def fuzzed(data: bytes, edit) -> bytes:
+    """``data`` with one edit at the fraction ``at`` of its length: a token
+    inserted, a run of bytes deleted, or the line there repeated."""
+    kind, at, arg = edit
+    k = int(at * len(data))
+    if kind == "insert":
+        return data[:k] + arg + data[k:]
+    if kind == "delete":
+        return data[:k] + data[k + arg:]
+    lines = data.splitlines(keepends=True)
+    k = min(int(at * len(lines)), len(lines) - 1)
+    return b"".join(lines[:k] + lines[k:k + 1] * arg + lines[k:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(FUZZ_EDITS, min_size=1, max_size=4))
+def test_an_edited_trace_loads_or_names_its_line(edits):
+    scenario = generate_synthetic(GeneratorConfig(6, 5, seed=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = save_trace(scenario, Path(tmp))
+        for name, edit in edits:
+            paths[name].write_bytes(fuzzed(paths[name].read_bytes(), edit))
+        try:
+            load_trace(paths["machines"], paths["applications"], paths["affinity"])
+        except WorkloadError as exc:
+            # any other exception fails the test as it is
+            assert FILE_ERROR.match(str(exc)), str(exc)
 
 
 def affinity_row_by_row(path, n, m):

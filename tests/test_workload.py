@@ -173,6 +173,14 @@ class TestGenerateSynthetic:
         b = generate_synthetic(GeneratorConfig(10, 8, seed=2))
         assert not scenarios_equal(a, b)
 
+    def test_peak_stays_below_one_float_matrix(self):
+        # the user-affinity draws are made a block of rows at a time, so no
+        # N x M float64 matrix (8 MB here) is ever held
+        n = m = 1000
+        scn, peak = traced_peak(lambda: generate_synthetic(GeneratorConfig(m, n, seed=7)))
+        assert scn.user_affinity.shape == (n, m)
+        assert peak < n * m * 8
+
     def test_zero_fraction_means_no_anti_affinity(self):
         scn = generate_synthetic(GeneratorConfig(10, 8, seed=0, anti_affinity_fraction=0.0))
         assert scn.anti_affinity.sum() == 0
@@ -314,6 +322,40 @@ class TestLoadTrace:
         with pytest.raises(WorkloadError, match=where):
             load_trace(m, a, f)
 
+    @pytest.mark.parametrize(
+        "which, rows, message",
+        [
+            ("machines", ["0,0,200,200,32,oops,250"],
+             "machines.csv line 2: resource component 'cpu' must be > 0"),
+            ("machines", ["0,16,200,200,32,oops,250", "1,0,100,100,16,90,210"],
+             "machines.csv line 2: bad number 'oops' for 'p_idle'"),
+            ("machines", ["0,16,200,200,32,300,250", "1,oops,100,100,16,90,210"],
+             "machines.csv line 2: machine 0: need 0 <= p_idle <= p_max"),
+            ("machines", ["0,16,200,200,32,100,250", "0,8,100,100,16,300,210"],
+             "machines.csv line 3: machine 0: need 0 <= p_idle <= p_max"),
+            ("machines", ["1,16,200,200,32,100,250", "7,8,100,100,-16,90,210"],
+             "machines.csv line 3: resource component 'mem' must be finite and >= 0"),
+            ("apps", ["0,0,50,25,8,oops"],
+             "applications.csv line 2: resource component 'cpu' must be > 0"),
+            ("apps", ["0,4,50,25,8,0", "0,2,20,10,4,1"],
+             "applications.csv line 2: application 0: instances must be >= 1"),
+            ("apps", ["0,4,50,25,8,2", "1,2,20,10,4,1", "1,2,20,10,4,0"],
+             "applications.csv line 4: application 1: instances must be >= 1"),
+        ],
+        ids=["rule-then-number-in-a-row", "number-then-rule", "power-rule-then-number",
+             "rule-then-repeated-id", "rule-then-id-gap", "app-rule-then-number",
+             "count-rule-then-repeated-id", "repeated-id-breaking-a-rule"],
+    )
+    def test_first_problem_in_file_order_across_the_row_rules(self, tmp_path, which, rows, message):
+        # the row rules are checked once the rows are read, yet report as
+        # if each row were checked where it is read
+        files = {"machines": MACHINES_CSV, "apps": APPS_CSV}
+        files[which] = files[which].splitlines()[0] + "\n" + "".join(row + "\n" for row in rows)
+        m, a, f = self.write(tmp_path, files["machines"], files["apps"])
+        with pytest.raises(WorkloadError) as err:
+            load_trace(m, a, f)
+        assert str(err.value) == message
+
     def test_drawn_p_idle_above_a_given_p_max_breaks_the_machine_rule(self, tmp_path):
         # every p_idle draw is at least 0.115, above this p_max
         machines = "machine_id,cpu_cap,io_cap,nw_cap,mem_cap,p_max\n0,16.0,200.0,200.0,32.0,0.001\n"
@@ -321,6 +363,15 @@ class TestLoadTrace:
         with pytest.raises(WorkloadError) as err:
             load_trace(m, a, seed=3)
         assert str(err.value) == "machines.csv line 2: machine 0: need 0 <= p_idle <= p_max"
+
+    def test_a_broken_power_rule_comes_before_a_later_failed_draw(self, tmp_path):
+        # machine 1's p_idle leaves no p_max to draw, but machine 0 comes first
+        machines = ("machine_id,cpu_cap,io_cap,nw_cap,mem_cap,p_idle\n"
+                    "1,8.0,100.0,100.0,16.0,1e9\n0,16.0,200.0,200.0,32.0,-5\n")
+        m, a, f = self.write(tmp_path, machines=machines)
+        with pytest.raises(WorkloadError) as err:
+            load_trace(m, a, f)
+        assert str(err.value) == "machines.csv line 3: machine 0: need 0 <= p_idle <= p_max"
 
     def test_backfill_fractions_checked(self, tmp_path):
         m, a, _ = self.write(tmp_path, affinity=None)
