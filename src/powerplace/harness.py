@@ -5,7 +5,9 @@ anti-affinity fraction, or alpha) over a list of points, runs each chosen
 algorithm on ``repetitions`` seeded scenarios per point, and collects one
 result row per run. Row seeds repeat across points so comparisons along
 the sweep axis are paired. Points that differ only in alpha share each
-seed's scenario, affinity and ranking, generated once.
+seed's scenario, affinity and ranking, generated once, and the strategies
+that read nothing of alpha (ALPHA_BLIND: pap, aap and first_fit) are
+placed once per seed, their one allocation evaluated at every point.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -41,6 +43,10 @@ SWEEP_FIELDS = {
 }
 SWEEP_KINDS = tuple(SWEEP_FIELDS)
 ALGORITHM_NAMES = ("pap", "aap", "cpaap", "first_fit", "oracle")
+# The strategies whose placement reads nothing of alpha: pap orders machines
+# by power, aap by affinity and first_fit by id. Only cpaap and the oracle
+# weigh power against payoff by alpha.
+ALPHA_BLIND = ("pap", "aap", "first_fit")
 
 CSV_HEADER = (
     "sweep_point,algorithm,seed,feasible,total_cost,reduced_cost,"
@@ -249,6 +255,11 @@ class ResultRow:
         )
 
 
+# A row's JSON keys. Emission reads them off each row: asdict deep-copies
+# every value, which took most of the time of writing a row.
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow))
+
+
 @dataclass(frozen=True)
 class ResultsTable:
     rows: tuple[ResultRow, ...]
@@ -260,12 +271,16 @@ class ResultsTable:
         for row in self.rows:
             if row.error is None:
                 groups.setdefault((row.sweep_point, row.algorithm), []).append(row)
-        fields = ("total_cost", "reduced_cost", "power_cost", "payoff", "rho", "avg_util", "psi")
+        names = ("total_cost", "reduced_cost", "power_cost", "payoff", "rho", "avg_util", "psi")
         out = {}
         for key, rows in sorted(groups.items()):
-            out[key] = {f: sum(getattr(r, f) for r in rows) / len(rows) for f in fields}
+            out[key] = {f: sum(getattr(r, f) for r in rows) / len(rows) for f in names}
             out[key]["feasible_rate"] = sum(r.feasible for r in rows) / len(rows)
         return out
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _seed_rows(
@@ -273,28 +288,48 @@ def _seed_rows(
 ) -> list[ResultRow]:
     """One seed's rows for points that differ only in alpha, on one shared scenario.
 
-    The scenario and its affinity are dropped on return, so a sweep holds
-    one seed's at a time.
+    The set-up builds the affinity's ranking when aap or cpaap runs, so no
+    row's runtime_ms covers it. The strategies that read alpha run first,
+    at every point; each ALPHA_BLIND strategy then runs once, on the first
+    point's scenario, and its allocation is scored at every point. The
+    scenario and its affinity are dropped on return, so a sweep holds one
+    seed's at a time.
     """
+    values = [float(value) for value, _ in group]
     try:
         shared = generate_synthetic(replace(group[0][1], seed=seed))
         affinity = build_final_affinity(shared)
-    except Exception as exc:  # noqa: BLE001 - raised again on each row below
-        shared, failure = None, exc
+        if "aap" in algorithms or "cpaap" in algorithms:
+            affinity.ranked  # built here, outside every row's runtime_ms
+    except Exception as exc:  # noqa: BLE001 - recorded on every row of the seed
+        error = _error_text(exc)
+        return [ResultRow(value, algorithm, seed, error=error) for value in values for algorithm in algorithms]
+    scenarios = [shared if point.alpha == shared.alpha else replace(shared, alpha=point.alpha)
+                 for _, point in group]
     rows = []
-    for value, point in group:
-        scenario = shared
-        if shared is not None and point.alpha != shared.alpha:
-            scenario = replace(shared, alpha=point.alpha)
+    for value, scenario in zip(values, scenarios):
         for algorithm in algorithms:
+            if algorithm in ALPHA_BLIND:
+                continue
             try:
-                if scenario is None:
-                    raise failure
                 report = run_scenario(scenario, algorithm, affinity).report
                 rows.append(ResultRow.from_report(value, algorithm, seed, report))
             except Exception as exc:  # noqa: BLE001 - sweep must survive one bad run
-                error = f"{type(exc).__name__}: {exc}"
-                rows.append(ResultRow(float(value), algorithm, seed, error=error))
+                rows.append(ResultRow(value, algorithm, seed, error=_error_text(exc)))
+    for algorithm in algorithms:
+        if algorithm not in ALPHA_BLIND:
+            continue
+        try:
+            placed = run_scenario(scenarios[0], algorithm, affinity)
+            allocation, runtime_s = placed.outcome.allocation, placed.report.runtime_s
+            reports = [placed.report] + [metrics(scenario, allocation, affinity, runtime_s=runtime_s)
+                                         for scenario in scenarios[1:]]
+        except Exception as exc:  # noqa: BLE001 - sweep must survive one bad run
+            error = _error_text(exc)
+            rows.extend(ResultRow(value, algorithm, seed, error=error) for value in values)
+        else:
+            rows.extend(ResultRow.from_report(value, algorithm, seed, report)
+                        for value, report in zip(values, reports))
     return rows
 
 
@@ -304,13 +339,19 @@ def run_sweep(spec: SweepSpec) -> ResultsTable:
     Neither a drawn scenario nor its final affinity depends on alpha, so
     points whose configs differ only in alpha share each seed's scenario,
     affinity and ranking: each point runs on a copy of the scenario with
-    its own alpha. Runtime is still measured around the placement call,
-    so the ranking build is charged to the first aap or cpaap row run on
-    the shared matrix.
+    its own alpha. cpaap and the oracle run at every point. pap, aap and
+    first_fit (ALPHA_BLIND) read nothing of alpha, so each is placed once
+    per seed and its allocation is evaluated at every point; its rows of
+    one seed carry that one run's runtime_ms. Runtime is measured around
+    the placement call only, and the ranking is built with the seed's
+    affinity, so no row's runtime_ms covers it. A sweep of another kind
+    has one point per group and runs every strategy at every point.
 
     A failure in one run is recorded on its row (NaN metrics plus the
-    error text) and the sweep continues; a failure to generate a seed's
-    scenario or affinity is recorded on every row of that seed.
+    error text) and the sweep continues; a failed run of an ALPHA_BLIND
+    strategy is recorded on every point's row of its seed, and a failure
+    to generate a seed's scenario, affinity or ranking on every row of
+    that seed.
     """
     groups: dict[GeneratorConfig, list[tuple[float, GeneratorConfig]]] = {}
     for value, point in zip(spec.values, spec.points):
@@ -372,7 +413,7 @@ def emit_results(table: ResultsTable, path: str | Path, fmt: str = "csv") -> Pat
     else:
         doc = {
             "config": table.config,
-            "rows": [_json_fields(asdict(r)) for r in table.rows],
+            "rows": [_json_fields({name: getattr(r, name) for name in _ROW_FIELDS}) for r in table.rows],
             "aggregates": [
                 _json_fields({"sweep_point": point, "algorithm": algorithm, **means})
                 for (point, algorithm), means in table.mean_by_point().items()

@@ -1,6 +1,7 @@
+import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -423,6 +424,75 @@ class TestSharedAlphaScenarios:
         assert _without_runtime(table.rows) == _without_runtime(alone)
 
 
+# An alpha sweep the oracle can run at every point: 4 machines, 2 applications.
+ORACLE_BASE = GeneratorConfig(4, 2, seed=5, instance_range=(1, 4))
+
+
+class TestAlphaBlindStrategies:
+    """An alpha sweep places pap, aap and first_fit once per seed."""
+
+    @pytest.mark.parametrize(
+        "kind, values, blind_runs_per_rep",
+        [("alpha", (0.5, 4.0, 16.0), 1), ("machines", (2, 3, 4), 3)],
+    )
+    def test_runs_per_strategy(self, monkeypatch, kind, values, blind_runs_per_rep):
+        calls = _counting(monkeypatch, "run_scenario")
+        reps = 2
+        table = run_sweep(SweepSpec(kind, values, ORACLE_BASE, harness.ALGORITHM_NAMES, repetitions=reps))
+        assert len(table.rows) == len(values) * len(harness.ALGORITHM_NAMES) * reps
+        assert all(r.error is None for r in table.rows)
+        runs = {name: sum(algorithm == name for _, algorithm, _ in calls)
+                for name in harness.ALGORITHM_NAMES}
+        assert runs == {
+            name: (blind_runs_per_rep if name in harness.ALPHA_BLIND else len(values)) * reps
+            for name in harness.ALGORITHM_NAMES
+        }
+
+    def test_rows_of_one_seed_carry_one_runtime(self):
+        values = (0.5, 4.0, 16.0, 70.0)
+        table = run_sweep(SweepSpec("alpha", values, BASE, ("pap", "aap", "cpaap", "first_fit"), repetitions=3))
+        for algorithm in harness.ALPHA_BLIND:
+            for seed in range(BASE.seed, BASE.seed + 3):
+                rows = [r for r in table.rows if (r.algorithm, r.seed) == (algorithm, seed)]
+                assert len(rows) == len(values) and len({r.runtime_ms for r in rows}) == 1
+                assert len({r.total_cost for r in rows}) == len(values)
+
+    @pytest.mark.parametrize("algorithms, ranked", [(("pap", "aap"), True), (("cpaap",), True),
+                                                    (("pap", "first_fit"), False)])
+    def test_ranking_is_built_before_any_run(self, monkeypatch, algorithms, ranked):
+        real = harness.run_scenario
+        seen = []
+
+        def watching(scenario, algorithm, affinity=None, oracle_budget=DEFAULT_NODE_BUDGET):
+            seen.append("ranked" in vars(affinity))
+            return real(scenario, algorithm, affinity, oracle_budget)
+
+        monkeypatch.setattr(harness, "run_scenario", watching)
+        run_sweep(SweepSpec("alpha", (0.5, 4.0), BASE, algorithms, repetitions=2))
+        assert seen and set(seen) == {ranked}
+
+    def test_a_failed_run_puts_its_error_on_every_point_of_its_seed(self, monkeypatch):
+        real = harness.run_scenario
+        failures = []
+
+        def flaky(scenario, algorithm, affinity=None, oracle_budget=0):
+            if algorithm == "aap":
+                failures.append(algorithm)
+                raise RuntimeError(f"boom {len(failures)}")
+            return real(scenario, algorithm, affinity)
+
+        monkeypatch.setattr(harness, "run_scenario", flaky)
+        values = (1.0, 4.0, 16.0)
+        table = run_sweep(SweepSpec("alpha", values, BASE, ("pap", "aap", "cpaap"), repetitions=2))
+        for rep in range(2):
+            rows = [r for r in table.rows if (r.algorithm, r.seed) == ("aap", BASE.seed + rep)]
+            assert [r.sweep_point for r in rows] == list(values)
+            assert {r.error for r in rows} == {f"RuntimeError: boom {rep + 1}"}
+            assert all(math.isnan(r.total_cost) and not r.feasible for r in rows)
+        assert all(r.error is None for r in table.rows if r.algorithm != "aap")
+        assert len(failures) == 2
+
+
 class TestEmitResults:
     def make_table(self, reps=2):
         spec = SweepSpec("alpha", (1.0, 4.0), BASE, ("pap", "cpaap"), repetitions=reps)
@@ -478,6 +548,17 @@ class TestEmitResults:
         assert doc["aggregates"][0]["psi"] is None
         csv_row = emit_results(table, tmp_path / "out.csv", "csv").read_text().splitlines()[1]
         assert csv_row.split(",")[4] == "nan"
+
+    def test_json_rows_are_the_bytes_a_deep_copy_of_each_row_writes(self, tmp_path):
+        failed = ResultRow(1.0, "pap", 0, error="RuntimeError: x")
+        zero_cost = ResultRow(1.0, "aap", 0, feasible=True, total_cost=0.0, psi=math.nan)
+        table = ResultsTable(rows=(failed, zero_cost), config={})
+        data = emit_results(table, tmp_path / "out.json", "json").read_bytes()
+        doc = json.loads(data)
+        doc["rows"] = [harness._json_fields(asdict(r)) for r in table.rows]
+        assert (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode() == data
+        assert hashlib.sha256(data).hexdigest() == (
+            "eb202c3beeaf3e96278a02fd13b48c4b5f1287b11544a3b2e03baa1a5309c393")
 
     def test_numpy_scalar_config_writes_the_plain_config_json(self, tmp_path):
         def reject(token):

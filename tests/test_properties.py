@@ -28,6 +28,11 @@ point. No comparison a strategy or the exact solver makes can change, so
 their decisions and work counts must stay the same, and the reduced cost
 must scale exactly.
 
+pap, aap and first_fit read nothing of alpha: a copy of the scenario at
+any other alpha, 0 and large ones included, gets the same trace, failing
+instance, work count and allocation. An alpha sweep places each of them
+once per seed on this.
+
 Appending a machine that every application is anti-affine to changes no
 heuristic's trace, failing instance or reduced cost, whatever affinity its
 column holds: the column is appended to the same affinity values, and a
@@ -59,6 +64,7 @@ from hypothesis import strategies as st
 
 from powerplace.affinity import AffinityMatrix, build_final_affinity
 from powerplace.costs import metrics, total_cost
+from powerplace.harness import ALPHA_BLIND, run_scenario
 from powerplace.model import (
     CAPACITY_SLACK,
     AffinityWeights,
@@ -416,6 +422,35 @@ def test_outcomes_are_valid_and_reconcile(config):
         reduced = total_cost(scenario, out.allocation, affinity).reduced
         replayed = replay_delta_sum(scenario, affinity, out.trace)
         assert abs(replayed - reduced) <= 1e-6 * max(1.0, abs(reduced))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=st.builds(
+        GeneratorConfig,
+        machine_count=st.integers(1, 12),
+        application_count=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        instance_range=st.tuples(st.integers(1, 2), st.integers(2, 6)),
+        capacity_ranges=st.sampled_from([DEFAULT_CAPACITY_RANGES, IDENTICAL_MACHINES, IO_MEM_BOUND]),
+        user_affinity_density=st.floats(0.0, 1.0),
+        anti_affinity_fraction=st.floats(0.0, 0.9),
+        alpha=ALPHAS,
+        pi_threshold=st.floats(0.05, 1.0),
+    ),
+    alphas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e12)), min_size=1, max_size=3),
+)
+def test_alpha_blind_strategies_ignore_alpha(config, alphas):
+    scenario = generate_synthetic(config)
+    affinity = build_final_affinity(scenario)
+    for algorithm in ALPHA_BLIND:
+        a = run_scenario(scenario, algorithm, affinity).outcome
+        for alpha in alphas:
+            b = run_scenario(replace(scenario, alpha=alpha), algorithm, affinity).outcome
+            assert b.trace == a.trace
+            assert b.failed_at == a.failed_at
+            assert b.pairs_examined == a.pairs_examined
+            assert np.array_equal(b.allocation.counts, a.allocation.counts)
 
 
 def scaled(scenario, c):
