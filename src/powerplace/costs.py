@@ -95,25 +95,95 @@ def total_cost(
     repeated runs are bit-identical: payoff adds the cells in cell order,
     and the power terms add the machines in machine-id order.
     """
-    return _cost_and_utilizations(scenario, allocation, affinity)[0]
+    power, dynamic, payoff, _ = _alpha_free_costs(scenario, allocation, affinity)
+    return _priced(power, dynamic, payoff, scenario.alpha)
 
 
-def _cost_and_utilizations(
+def _alpha_free_costs(
     scenario: Scenario,
     allocation: AllocationMatrix,
     affinity: AffinityMatrix,
-) -> tuple[CostBreakdown, np.ndarray]:
-    """``total_cost`` and the utilizations it was computed from, for ``metrics``."""
+) -> tuple[float, float, float, np.ndarray]:
+    """``total_cost``'s power, its dynamic part (power less the idle sum) and
+    payoff, none of which reads alpha, and the utilizations they came from."""
     require_final(scenario, affinity)
     _checked_shape(scenario, allocation)
     pis = utilizations(scenario, allocation)
     idle_sum = _ordered_sum(scenario.idles)
     dynamic = _ordered_sum(scenario.spans * pis * pis * pis)
     payoff = _ordered_sum(affinity.values.ravel()[allocation.cells] * allocation.cell_counts)
-    power = idle_sum + dynamic
-    total = power - scenario.alpha * payoff
-    reduced = dynamic - scenario.alpha * payoff
-    return CostBreakdown(total=total, reduced=reduced, power=power, payoff=payoff), pis
+    return idle_sum + dynamic, dynamic, payoff, pis
+
+
+def _priced(power: float, dynamic: float, payoff: float, alpha: float) -> CostBreakdown:
+    """The objective values at ``alpha`` of an allocation with these alpha-free costs."""
+    total = power - alpha * payoff
+    reduced = dynamic - alpha * payoff
+    return CostBreakdown(total=total, reduced=reduced, power=power, payoff=payoff)
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """What ``metrics`` reports of an allocation that reads nothing of alpha.
+
+    ``priced`` turns it into the report at any alpha, so an allocation
+    scored at many alphas is evaluated once.
+    """
+
+    power: float
+    dynamic: float
+    payoff: float
+    satisfaction_ratio: float
+    avg_utilization: float
+    feasible: bool
+
+    def priced(self, alpha: float, runtime_s: float) -> MetricsReport:
+        """The report at ``alpha`` (a scenario's, so already checked), equal
+        field by field to ``metrics`` on a scenario with that alpha."""
+        breakdown = _priced(self.power, self.dynamic, self.payoff, alpha)
+        if breakdown.total == 0.0:
+            psi = float("nan")
+        else:
+            psi = breakdown.payoff / breakdown.total
+        return MetricsReport(
+            total_cost=breakdown.total,
+            reduced_cost=breakdown.reduced,
+            power_cost=breakdown.power,
+            affinity_payoff=breakdown.payoff,
+            satisfaction_ratio=self.satisfaction_ratio,
+            avg_utilization=self.avg_utilization,
+            payoff_ratio=psi,
+            psi_well_defined=breakdown.total > 0.0,
+            feasible=self.feasible,
+            runtime_s=runtime_s,
+        )
+
+
+def evaluate(
+    scenario: Scenario,
+    allocation: AllocationMatrix,
+    affinity: AffinityMatrix,
+) -> Evaluation:
+    """The alpha-free part of ``metrics``: costs, ratios and feasibility.
+
+    Satisfaction ratio: placed instances landing on user-affine machines
+    over the total instances requested (not placed), so partial allocations
+    score low rather than failing. Utilization is capped at 1 per machine
+    (see ``utilizations``), which only matters for capacity-violating input;
+    its average adds the machines in machine-id order.
+    """
+    power, dynamic, payoff, pis = _alpha_free_costs(scenario, allocation, affinity)
+    report = validate_allocation(scenario, allocation)
+    counts = allocation.cell_counts
+    on_affine = float(counts[scenario.user_affinity.ravel()[allocation.cells]].sum())
+    return Evaluation(
+        power=power,
+        dynamic=dynamic,
+        payoff=payoff,
+        satisfaction_ratio=on_affine / scenario.total_instances,
+        avg_utilization=_ordered_sum(pis) / scenario.num_machines,
+        feasible=report.feasible_complete,
+    )
 
 
 def metrics(
@@ -122,34 +192,11 @@ def metrics(
     affinity: AffinityMatrix,
     runtime_s: float = 0.0,
 ) -> MetricsReport:
-    """Full evaluation of an allocation.
+    """Full evaluation of an allocation at the scenario's alpha.
 
-    Satisfaction ratio: placed instances landing on user-affine machines
-    over the total instances requested (not placed), so partial allocations
-    score low rather than failing. Utilization is capped at 1 per machine
-    (see ``utilizations``), which only matters for capacity-violating input;
-    its average adds the machines in machine-id order.
+    ``evaluate`` computes everything that reads no alpha, and its
+    ``priced`` step the total and reduced cost and psi; a caller that
+    scores one allocation at many alphas evaluates it once and prices it
+    at each.
     """
-    breakdown, pis = _cost_and_utilizations(scenario, allocation, affinity)
-    report = validate_allocation(scenario, allocation)
-    requested = scenario.total_instances
-    counts = allocation.cell_counts
-    on_affine = float(counts[scenario.user_affinity.ravel()[allocation.cells]].sum())
-    rho = on_affine / requested
-    avg_util = _ordered_sum(pis) / scenario.num_machines
-    if breakdown.total == 0.0:
-        psi = float("nan")
-    else:
-        psi = breakdown.payoff / breakdown.total
-    return MetricsReport(
-        total_cost=breakdown.total,
-        reduced_cost=breakdown.reduced,
-        power_cost=breakdown.power,
-        affinity_payoff=breakdown.payoff,
-        satisfaction_ratio=rho,
-        avg_utilization=avg_util,
-        payoff_ratio=psi,
-        psi_well_defined=breakdown.total > 0.0,
-        feasible=report.feasible_complete,
-        runtime_s=runtime_s,
-    )
+    return evaluate(scenario, allocation, affinity).priced(scenario.alpha, runtime_s)

@@ -7,7 +7,8 @@ result row per run. Row seeds repeat across points so comparisons along
 the sweep axis are paired. Points that differ only in alpha share each
 seed's scenario, affinity and ranking, generated once, and the strategies
 that read nothing of alpha (ALPHA_BLIND: pap, aap and first_fit) are
-placed once per seed, their one allocation evaluated at every point.
+placed and evaluated once per seed, that evaluation priced at every
+point.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .affinity import AffinityMatrix, build_final_affinity
-from .costs import MetricsReport, metrics
+from .costs import Evaluation, MetricsReport, evaluate
 from .model import AllocationMatrix, Scenario, _integer, _real
 from .oracle import DEFAULT_NODE_BUDGET, optimal_place
 from .placement import (
@@ -60,8 +61,12 @@ class HarnessError(ValueError):
 
 @dataclass(frozen=True)
 class RunResult:
+    """One run's report, its placement, and the alpha-free evaluation the
+    report was priced from (``evaluation.priced`` gives it at any alpha)."""
+
     report: MetricsReport
     outcome: PlacementOutcome
+    evaluation: Evaluation
 
 
 def _oracle_as_outcome(scenario: Scenario, affinity: AffinityMatrix, budget: int) -> PlacementOutcome:
@@ -100,7 +105,8 @@ def run_scenario(
     """Run one algorithm on one scenario and evaluate the result.
 
     The affinity matrix is built once here when not supplied. Runtime is
-    measured around the placement call only.
+    measured around the placement call only. The allocation is evaluated
+    once (``costs.evaluate``) and priced at the scenario's alpha.
     """
     if algorithm not in ALGORITHM_NAMES:
         raise HarnessError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHM_NAMES}")
@@ -118,8 +124,9 @@ def run_scenario(
     else:
         outcome = _oracle_as_outcome(scenario, affinity, oracle_budget)
     elapsed = time.perf_counter() - start
-    report = metrics(scenario, outcome.allocation, affinity, runtime_s=elapsed)
-    return RunResult(report=report, outcome=outcome)
+    evaluation = evaluate(scenario, outcome.allocation, affinity)
+    report = evaluation.priced(scenario.alpha, runtime_s=elapsed)
+    return RunResult(report=report, outcome=outcome, evaluation=evaluation)
 
 
 def _count(x: int) -> str:
@@ -289,11 +296,13 @@ def _seed_rows(
     """One seed's rows for points that differ only in alpha, on one shared scenario.
 
     The set-up builds the affinity's ranking when aap or cpaap runs, so no
-    row's runtime_ms covers it. The strategies that read alpha run first,
-    at every point; each ALPHA_BLIND strategy then runs once, on the first
-    point's scenario, and its allocation is scored at every point. The
-    scenario and its affinity are dropped on return, so a sweep holds one
-    seed's at a time.
+    row's runtime_ms covers it. Each point's scenario is an alpha copy of
+    the shared one (``Scenario._with_alpha``), which checks only alpha and
+    shares every column, matrix and derived field. The strategies that read
+    alpha run first, at every point; each ALPHA_BLIND strategy then runs
+    once, on the first point's scenario, and the evaluation that run made
+    is priced at every point's alpha. The scenario and its affinity are
+    dropped on return, so a sweep holds one seed's at a time.
     """
     values = [float(value) for value, _ in group]
     try:
@@ -304,7 +313,7 @@ def _seed_rows(
     except Exception as exc:  # noqa: BLE001 - recorded on every row of the seed
         error = _error_text(exc)
         return [ResultRow(value, algorithm, seed, error=error) for value in values for algorithm in algorithms]
-    scenarios = [shared if point.alpha == shared.alpha else replace(shared, alpha=point.alpha)
+    scenarios = [shared if point.alpha == shared.alpha else shared._with_alpha(point.alpha)
                  for _, point in group]
     rows = []
     for value, scenario in zip(values, scenarios):
@@ -321,8 +330,8 @@ def _seed_rows(
             continue
         try:
             placed = run_scenario(scenarios[0], algorithm, affinity)
-            allocation, runtime_s = placed.outcome.allocation, placed.report.runtime_s
-            reports = [placed.report] + [metrics(scenario, allocation, affinity, runtime_s=runtime_s)
+            runtime_s = placed.report.runtime_s
+            reports = [placed.report] + [placed.evaluation.priced(scenario.alpha, runtime_s)
                                          for scenario in scenarios[1:]]
         except Exception as exc:  # noqa: BLE001 - sweep must survive one bad run
             error = _error_text(exc)
@@ -339,13 +348,15 @@ def run_sweep(spec: SweepSpec) -> ResultsTable:
     Neither a drawn scenario nor its final affinity depends on alpha, so
     points whose configs differ only in alpha share each seed's scenario,
     affinity and ranking: each point runs on a copy of the scenario with
-    its own alpha. cpaap and the oracle run at every point. pap, aap and
-    first_fit (ALPHA_BLIND) read nothing of alpha, so each is placed once
-    per seed and its allocation is evaluated at every point; its rows of
-    one seed carry that one run's runtime_ms. Runtime is measured around
-    the placement call only, and the ranking is built with the seed's
-    affinity, so no row's runtime_ms covers it. A sweep of another kind
-    has one point per group and runs every strategy at every point.
+    its own alpha, which shares the checked fleet, so a seed's scenario is
+    checked once. cpaap and the oracle run at every point. pap, aap and
+    first_fit (ALPHA_BLIND) read nothing of alpha, so each is placed and
+    evaluated once per seed and that evaluation is priced at every point;
+    its rows of one seed carry that one run's runtime_ms. Runtime is
+    measured around the placement call only, and the ranking is built with
+    the seed's affinity, so no row's runtime_ms covers it. A sweep of
+    another kind has one point per group and runs every strategy at every
+    point.
 
     A failure in one run is recorded on its row (NaN metrics plus the
     error text) and the sweep continues; a failed run of an ALPHA_BLIND

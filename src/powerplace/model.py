@@ -330,6 +330,20 @@ class Scenario:
         pairs = tuple(zip(order.tolist(), self.instances[order].tolist()))
         object.__setattr__(self, "placement_order", pairs)
 
+    def _with_alpha(self, alpha) -> "Scenario":
+        """A copy of this scenario with ``alpha`` in place of its own.
+
+        Alpha is checked by the rule ``__post_init__`` applies, with its
+        messages; the copy shares every column, matrix and derived field,
+        which no alpha changes. ``dataclasses.replace`` re-enters
+        ``__init__`` and so checks and builds all of them again.
+        """
+        alpha, _ = _settings(self.weights, alpha, self.pi_threshold)
+        copy = object.__new__(type(self))
+        vars(copy).update(vars(self))
+        object.__setattr__(copy, "alpha", alpha)
+        return copy
+
     @cached_property
     def machines(self) -> tuple[Machine, ...]:
         """The machines as records, machine j on row j, built from the columns on first read."""

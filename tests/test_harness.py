@@ -8,6 +8,7 @@ import pytest
 
 from powerplace import AffinityWeights, total_cost
 from powerplace.affinity import build_final_affinity
+from powerplace.model import Scenario
 from powerplace.oracle import DEFAULT_NODE_BUDGET, optimal_place
 from powerplace import harness
 from powerplace.harness import (
@@ -491,6 +492,50 @@ class TestAlphaBlindStrategies:
             assert all(math.isnan(r.total_cost) and not r.feasible for r in rows)
         assert all(r.error is None for r in table.rows if r.algorithm != "aap")
         assert len(failures) == 2
+
+
+class TestAlphaSweepWork:
+    """An alpha sweep checks each seed's scenario once and evaluates each allocation once."""
+
+    VALUES = (0.5, 4.0, 16.0, 70.0)
+    REPS = 3
+
+    def test_checks_each_seeds_scenario_once(self, monkeypatch):
+        real = Scenario.__post_init__
+        checked = []
+
+        def counting(scn):
+            checked.append(scn)
+            real(scn)
+
+        monkeypatch.setattr(Scenario, "__post_init__", counting)
+        spec = SweepSpec("alpha", self.VALUES, ORACLE_BASE, harness.ALGORITHM_NAMES, repetitions=self.REPS)
+        table = run_sweep(spec)
+        assert all(r.error is None for r in table.rows)
+        assert len(checked) == self.REPS
+
+    @pytest.mark.parametrize("algorithm", harness.ALGORITHM_NAMES)
+    def test_evaluations_per_strategy(self, monkeypatch, algorithm):
+        evaluated = _counting(monkeypatch, "evaluate")
+        spec = SweepSpec("alpha", self.VALUES, ORACLE_BASE, (algorithm,), repetitions=self.REPS)
+        table = run_sweep(spec)
+        assert all(r.error is None for r in table.rows)
+        points = 1 if algorithm in harness.ALPHA_BLIND else len(self.VALUES)
+        assert len(evaluated) == points * self.REPS
+
+    def test_every_evaluation_is_made_inside_run_scenario(self, monkeypatch):
+        runs = []
+        real = harness.run_scenario
+
+        def running(*args, **kwargs):
+            runs.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_scenario", running)
+        evaluated = _counting(monkeypatch, "evaluate")
+        run_sweep(SweepSpec("alpha", self.VALUES, BASE, ("pap", "aap", "cpaap", "first_fit"),
+                            repetitions=self.REPS))
+        assert len(evaluated) == len(runs) == (len(self.VALUES) + 3) * self.REPS
 
 
 class TestEmitResults:

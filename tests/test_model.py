@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -311,6 +311,55 @@ class TestColumns:
             assert [mach.id for mach in s.machines] == list(range(s.num_machines))
             assert [[a.id, *a.demand.as_tuple(), a.instances] for a in s.applications] == \
                 [[i, *d, k] for i, (d, k) in enumerate(zip(s.demands.tolist(), s.instances.tolist()))]
+
+
+class TestAlphaCopy:
+    """``Scenario._with_alpha`` gives what ``replace(scn, alpha=a)`` gives, sharing the checked fleet."""
+
+    @staticmethod
+    def drawn():
+        return generate_synthetic(GeneratorConfig(9, 7, seed=3, anti_affinity_fraction=0.3))
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.5, 1e12, 7, np.float32(4.0), np.int64(3)])
+    def test_equals_replace_and_shares_every_field(self, alpha):
+        scn = self.drawn()
+        held = {f.name: getattr(scn, f.name) for f in fields(Scenario)}
+        copy, full = scn._with_alpha(alpha), replace(scn, alpha=alpha)
+        assert type(copy) is Scenario and copy is not scn
+        for f in fields(Scenario):
+            got, want = getattr(copy, f.name), getattr(full, f.name)
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+                assert not got.flags.writeable, f.name
+            else:
+                assert type(got) is type(want) and got == want, f.name
+            if f.name != "alpha":
+                assert got is held[f.name], f.name
+        assert copy.alpha == float(alpha)
+        # the source is unchanged
+        assert all(getattr(scn, name) is value for name, value in held.items())
+
+    def test_heuristics_give_the_same_traces(self):
+        scn = self.drawn()
+        affinity = build_final_affinity(scn)
+        for alpha in (0.0, 0.5, 70.0):
+            copy, full = scn._with_alpha(alpha), replace(scn, alpha=alpha)
+            for place in (pap_place, aap_place, cpaap_place, first_fit_place):
+                a, b = (place(s) if place is first_fit_place else place(s, affinity) for s in (copy, full))
+                assert a.trace == b.trace and a.failed_at == b.failed_at, place.__name__
+                assert a.pairs_examined == b.pairs_examined, place.__name__
+                assert np.array_equal(a.allocation.counts, b.allocation.counts), place.__name__
+
+    @pytest.mark.parametrize("bad", [-1, math.nan, math.inf, True, "4"])
+    def test_a_bad_alpha_fails_as_replace_does(self, bad):
+        scn = self.drawn()
+        alpha = scn.alpha
+        with pytest.raises(ModelError) as want:
+            replace(scn, alpha=bad)
+        with pytest.raises(ModelError) as got:
+            scn._with_alpha(bad)
+        assert str(got.value) == str(want.value)
+        assert scn.alpha == alpha
 
 
 def ledger_for(machines, apps, anti=None):

@@ -33,6 +33,12 @@ any other alpha, 0 and large ones included, gets the same trace, failing
 instance, work count and allocation. An alpha sweep places each of them
 once per seed on this.
 
+An allocation's alpha-free evaluation, priced at any alpha, is the report
+metrics gives on a copy of the scenario at that alpha, every float to the
+bit: at 0, at large alphas, past power / payoff where the total is
+negative, and at an alpha whose total is exactly 0.0, where psi is NaN.
+An alpha sweep prices each of the strategies above once per point on this.
+
 Appending a machine that every application is anti-affine to changes no
 heuristic's trace, failing instance or reduced cost, whatever affinity its
 column holds: the column is appended to the same affinity values, and a
@@ -451,6 +457,75 @@ def test_alpha_blind_strategies_ignore_alpha(config, alphas):
             assert b.failed_at == a.failed_at
             assert b.pairs_examined == a.pairs_examined
             assert np.array_equal(b.allocation.counts, a.allocation.counts)
+
+
+def report_fields(report):
+    """A report's fields, each float as ``float.hex``: NaN equals NaN, and 0.0 differs from -0.0."""
+    return {name: value.hex() if isinstance(value, float) else value
+            for name, value in vars(report).items()}
+
+
+def priced_matches_metrics(scenario, affinity, result, alpha, runtime_s):
+    """``result``'s evaluation priced at ``alpha`` is ``metrics`` on an alpha copy made by ``replace``."""
+    priced = result.evaluation.priced(alpha, runtime_s)
+    want = metrics(replace(scenario, alpha=alpha), result.outcome.allocation, affinity, runtime_s=runtime_s)
+    assert report_fields(priced) == report_fields(want), alpha
+    return priced
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=st.builds(
+        GeneratorConfig,
+        machine_count=st.integers(1, 12),
+        application_count=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+        instance_range=st.tuples(st.integers(1, 2), st.integers(2, 6)),
+        capacity_ranges=st.sampled_from([DEFAULT_CAPACITY_RANGES, IDENTICAL_MACHINES, IO_MEM_BOUND]),
+        user_affinity_density=st.floats(0.0, 1.0),
+        anti_affinity_fraction=st.floats(0.0, 0.9),
+        alpha=ALPHAS,
+    ),
+    alphas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e12)), min_size=1, max_size=3),
+    # past power / payoff by this factor, the total is negative
+    past=st.floats(1.001, 100.0),
+    runtime_s=st.floats(0.0, 10.0),
+)
+def test_a_priced_evaluation_is_the_report_of_metrics(config, alphas, past, runtime_s):
+    scenario = generate_synthetic(config)
+    affinity = build_final_affinity(scenario)
+    for algorithm in ("pap", "aap", "cpaap", "first_fit"):
+        result = run_scenario(scenario, algorithm, affinity)
+        evaluation = result.evaluation
+        assert report_fields(result.report) == report_fields(
+            metrics(scenario, result.outcome.allocation, affinity, runtime_s=result.report.runtime_s))
+        negative = [evaluation.power / evaluation.payoff * past] if evaluation.payoff > 0 else []
+        for alpha in alphas + negative:
+            report = priced_matches_metrics(scenario, affinity, result, alpha, runtime_s)
+            if alpha in negative:
+                assert report.total_cost < 0 and not report.psi_well_defined
+
+
+def test_a_zero_total_prices_as_metrics_does():
+    # an alpha within a few ulps of power / payoff can make the total exactly
+    # 0.0, but need not: fl(alpha * payoff) may step over the power
+    scenario = generate_synthetic(GeneratorConfig(6, 5, seed=100))
+    affinity = build_final_affinity(scenario)
+    zeros = 0
+    for algorithm in ("pap", "aap", "cpaap", "first_fit"):
+        result = run_scenario(scenario, algorithm, affinity)
+        power, payoff = result.evaluation.power, result.evaluation.payoff
+        below = above = power / payoff
+        nearby = [below]
+        for _ in range(8):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            nearby += [below, above]
+        for alpha in (a for a in nearby if power - a * payoff == 0.0):
+            report = priced_matches_metrics(scenario, affinity, result, alpha, 0.25)
+            assert report.total_cost == 0.0, algorithm
+            assert math.isnan(report.payoff_ratio) and report.psi_well_defined is False, algorithm
+            zeros += 1
+    assert zeros
 
 
 def scaled(scenario, c):
