@@ -401,6 +401,22 @@ def _json_fields(fields: dict) -> dict:
     return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in fields.items()}
 
 
+# With no indent, json's C encoder writes a flat dict; this separator puts
+# each of its items on a line of its own, indented as a list entry of a
+# top-level key, which is what ``json.dumps(indent=2)`` writes there.
+_FLAT_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n      ", ": "))
+
+
+def _json_block(name: str, items: list[dict]) -> str:
+    """The ``"name": [...]`` member of the results document, a list of flat
+    dicts, as ``json.dumps(indent=2, sort_keys=True)`` writes it one level in."""
+    if not items:
+        return f'  "{name}": []'
+    encode = _FLAT_ENCODER.encode
+    body = "\n    },\n    {\n      ".join([encode(item)[1:-1] for item in items])
+    return f'  "{name}": [\n    {{\n      {body}\n    }}\n  ]'
+
+
 def emit_results(table: ResultsTable, path: str | Path, fmt: str = "csv") -> Path:
     """Write the result table to ``path`` as CSV or JSON.
 
@@ -408,6 +424,9 @@ def emit_results(table: ResultsTable, path: str | Path, fmt: str = "csv") -> Pat
     carries the fully resolved configuration and per-point aggregates, so
     every results file is self-describing. An undefined metric is ``nan``
     in CSV and ``null`` in JSON, so the JSON parses under strict parsers.
+    The JSON has the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``,
+    but each flat row and aggregate goes through json's C encoder, which an
+    indent would turn off.
     """
     if not table.rows:
         raise HarnessError("refusing to emit an empty results table")
@@ -422,13 +441,12 @@ def emit_results(table: ResultsTable, path: str | Path, fmt: str = "csv") -> Pat
             lines.append(",".join(_cell(getattr(r, column)) for column in columns))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     else:
-        doc = {
-            "config": table.config,
-            "rows": [_json_fields({name: getattr(r, name) for name in _ROW_FIELDS}) for r in table.rows],
-            "aggregates": [
-                _json_fields({"sweep_point": point, "algorithm": algorithm, **means})
-                for (point, algorithm), means in table.mean_by_point().items()
-            ],
-        }
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
+        rows = [_json_fields({name: getattr(r, name) for name in _ROW_FIELDS}) for r in table.rows]
+        aggregates = [
+            _json_fields({"sweep_point": point, "algorithm": algorithm, **means})
+            for (point, algorithm), means in table.mean_by_point().items()
+        ]
+        config = json.dumps(table.config, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  ")
+        text = ",\n".join([_json_block("aggregates", aggregates), f'  "config": {config}', _json_block("rows", rows)])
+        path.write_text(f"{{\n{text}\n}}\n", encoding="utf-8")
     return path

@@ -535,11 +535,13 @@ class CapacityLedger:
     # helper, which would add a call to every placement step.
     def add(self, i: int, j: int) -> None:
         """Place one instance of application i on machine j."""
-        d = self.demands[i]
+        d0, d1, d2, d3 = self.demands[i]
         r = self.remaining[j]
-        for c in range(4):
-            r[c] -= d[c]
-        used = self.used_cpu[j] + d[0]
+        r[0] -= d0
+        r[1] -= d1
+        r[2] -= d2
+        r[3] -= d3
+        used = self.used_cpu[j] + d0
         self.used_cpu[j] = used
         pi = used / self.cpu_cap[j]
         self.pi[j] = 1.0 if 1.0 < pi <= 1.0 + CAPACITY_SLACK else pi

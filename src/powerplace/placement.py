@@ -15,7 +15,9 @@ machine order:
              affinity may still win on (utilization, id)
   cpaap      the cheaper by objective delta of aap's machine and the first
              in pap's order under a threshold no utilization reaches, which
-             is (utilization, id) order
+             is (utilization, id) order; the candidate that lost a step is
+             reused at the next step of its application, and only the
+             winner's is searched again
   first_fit  machine id (baseline); a machine that rejects an instance
              rejects the rest of its application's, so each scan resumes
              at the machine the last one took
@@ -60,8 +62,9 @@ class PlacementOutcome:
     keep every machine would make them (the spent machines they retired
     count as the rejected probes they would be, and so do the machines
     first_fit's resumed scan skips, so placing on j counts j + 1), M per
-    step of aap and cpaap, which rank every machine, and M on the failing
-    step of every strategy.
+    step of aap and cpaap, which rank every machine (a cpaap step that
+    reuses its affinity candidate included), and M on the failing step of
+    every strategy.
     """
 
     allocation: AllocationMatrix
@@ -247,30 +250,62 @@ def cpaap_place(scenario: Scenario, affinity: AffinityMatrix) -> PlacementOutcom
     (id tiebreak); candidate two has the highest affinity (utilization,
     then id tiebreak). The objective delta of placing on each decides,
     with candidate one winning ties. The candidates may coincide.
+
+    An application's instances are placed one after another, and a step
+    changes only the machine it places on, whose remaining capacity
+    shrinks and whose utilization grows. So the candidate that lost a
+    step is still admissible, unchanged, and still ahead of the winner in
+    its own order: it is the same candidate at the next step, and only
+    the winner's side is searched again. The kept candidate's machine,
+    utilization after placing and cost delta are reused; they have the
+    bits a new search would give. When the candidates coincide, or a new
+    application starts, both are searched. A step that reuses candidate
+    two still counts M pairs, as its walk would have.
     """
     require_final(scenario, affinity)
     walk = _AffinityWalk(affinity)
     spans = scenario.spans.tolist()
     alpha = scenario.alpha
+    m = len(spans)
     # no utilization reaches an infinite threshold, so omega[j] is pi[j] and
     # the state's order is (pi, id), candidate one's scan order
-    state = PapPriorityState(omega=[0.0] * len(spans), threshold=math.inf)
+    state = PapPriorityState(omega=[0.0] * m, threshold=math.inf)
+    # the candidate the last step kept: 1 or 2 with its machine, utilization
+    # after placing and cost delta, or 0 when the step kept none
+    live, kept, kept_j, kept_after, kept_cost = -1, 0, -1, 0.0, 0.0
 
     def choose(ledger: CapacityLedger, i: int) -> int:
-        # both candidates are admissible, so they exist or fail together
-        j2 = walk.choose(ledger, i)
-        if j2 < 0:
-            return j2
-        j1 = ledger.first_admissible(i, map(itemgetter(1), state.order))
-        pi = ledger.pi
-        after = ledger.pi_after(i, j1)
-        if j1 != j2:
-            fi = walk.fi
-            after2 = ledger.pi_after(i, j2)
-            cost1 = _span_delta(spans[j1], pi[j1], after, fi[j1], alpha)
-            cost2 = _span_delta(spans[j2], pi[j2], after2, fi[j2], alpha)
+        nonlocal live, kept, kept_j, kept_after, kept_cost
+        if i != live:
+            live, kept = i, 0
+        if kept == 2:
+            j2, after2, cost2 = kept_j, kept_after, kept_cost
+            ledger.pairs += m
+        else:
+            # both candidates are admissible, so they exist or fail together;
+            # a kept candidate one is admissible, so this walk finds a machine
+            j2 = walk.choose(ledger, i)
+            if j2 < 0:
+                return j2
+        if kept == 1:
+            j1, after, cost1 = kept_j, kept_after, kept_cost
+        else:
+            j1 = ledger.first_admissible(i, map(itemgetter(1), state.order))
+            after = ledger.pi_after(i, j1)
+        if j1 == j2:
+            kept = 0
+        else:
+            pi, fi = ledger.pi, walk.fi
+            if kept != 1:
+                cost1 = _span_delta(spans[j1], pi[j1], after, fi[j1], alpha)
+            if kept != 2:
+                after2 = ledger.pi_after(i, j2)
+                cost2 = _span_delta(spans[j2], pi[j2], after2, fi[j2], alpha)
             if cost1 > cost2:
+                kept, kept_j, kept_after, kept_cost = 1, j1, after, cost1
                 j1, after = j2, after2
+            else:
+                kept, kept_j, kept_after, kept_cost = 2, j2, after2, cost2
         # the returned machine is always placed: its pair moves now, to the
         # utilization CapacityLedger.add is about to give it
         state.after_placement(j1, after)

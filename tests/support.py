@@ -280,13 +280,17 @@ def replay_aap(scn, affinity, outcome):
 def replay_cpaap(scn, affinity, outcome):
     """Re-run cpaap: least (pi, id) against least (-f, pi, id), by delta_cost.
 
-    The first candidate wins a tie of the two cost deltas.
+    The first candidate wins a tie of the two cost deltas. Both candidates
+    are ranked afresh at every step; returns each placed step's
+    (application, candidate one, candidate two).
     """
     f = affinity.values.tolist()
+    candidates = []
 
     def pick(rep, i, cands):
         j1 = min(cands, key=lambda c: (rep.pi(c), c))
         j2 = min(cands, key=lambda c: (-f[i][c], rep.pi(c), c))
+        candidates.append((i, j1, j2))
         if j1 == j2:
             return j1
         cpu = scn.applications[i].demand.cpu
@@ -298,6 +302,17 @@ def replay_cpaap(scn, affinity, outcome):
         return j1 if step_cost(j1) <= step_cost(j2) else j2
 
     _replay_ranked(scn, outcome, "cpaap", pick)
+    return candidates
+
+
+def reused_candidate_steps(candidates):
+    """Steps of ``replay_cpaap``'s candidates where cpaap reuses the one that lost the last step.
+
+    That is every step after a step of the same application whose two
+    candidates differed.
+    """
+    return [s for s in range(1, len(candidates))
+            if candidates[s - 1][0] == candidates[s][0] and candidates[s - 1][1] != candidates[s - 1][2]]
 
 
 def spent_machines(scn, outcome):

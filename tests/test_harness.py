@@ -605,6 +605,52 @@ class TestEmitResults:
         assert hashlib.sha256(data).hexdigest() == (
             "eb202c3beeaf3e96278a02fd13b48c4b5f1287b11544a3b2e03baa1a5309c393")
 
+    @staticmethod
+    def indented_json(table):
+        """The document ``json.dumps(indent=2)`` writes for ``table``, whole, with its pure-Python encoder."""
+        doc = {
+            "config": table.config,
+            "rows": [harness._json_fields(asdict(r)) for r in table.rows],
+            "aggregates": [
+                harness._json_fields({"sweep_point": point, "algorithm": algorithm, **means})
+                for (point, algorithm), means in table.mean_by_point().items()
+            ],
+        }
+        return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode()
+
+    def test_json_of_a_table_whose_rows_all_failed_has_empty_aggregates(self, tmp_path):
+        rows = tuple(ResultRow(float(p), alg, s, error="RuntimeError: x")
+                     for p in (1, 2) for alg in ("pap", "aap") for s in (0, 1))
+        table = ResultsTable(rows=rows, config={"kind": "alpha", "values": [1.0, 2.0]})
+        data = emit_results(table, tmp_path / "out.json", "json").read_bytes()
+        assert data == self.indented_json(table)
+        assert json.loads(data)["aggregates"] == []
+        assert b'"aggregates": [],\n' in data
+
+    def test_json_escapes_error_text_as_indented_json_does(self, tmp_path):
+        error = 'ValueError: "quoted" C:\\path\\ new\nline\ttab caf\u00e9 \u221e \U0001f600'
+        rows = (ResultRow(0.5, "pap", 0, error=error),
+                ResultRow(0.5, "aap", 0, feasible=True, total_cost=-1.5e-300, psi=math.nan))
+        table = ResultsTable(rows=rows, config={"note": error, "nested": {"b": [1, {"a": None}], "a": []}})
+        data = emit_results(table, tmp_path / "out.json", "json").read_bytes()
+        assert data == self.indented_json(table)
+        assert json.loads(data)["rows"][0]["error"] == error
+
+    def test_json_of_an_alpha_sweep_is_the_indented_json(self, tmp_path):
+        spec = SweepSpec("alpha", (0.5, 4.0, 16.0, 70.0), GeneratorConfig(25, 20),
+                         ("pap", "aap", "cpaap", "first_fit"), repetitions=3)
+        table = run_sweep(spec)
+        data = emit_results(table, tmp_path / "out.json", "json").read_bytes()
+        assert data == self.indented_json(table)
+        assert len(json.loads(data)["aggregates"]) == 16
+
+    def test_json_of_an_oracle_sweep_is_the_indented_json(self, tmp_path):
+        spec = SweepSpec("alpha", (0.5, 70.0), GeneratorConfig(4, 2), ("cpaap", "oracle"), repetitions=2)
+        table = run_sweep(spec)
+        data = emit_results(table, tmp_path / "out.json", "json").read_bytes()
+        assert data == self.indented_json(table)
+        assert all(row["error"] is None for row in json.loads(data)["rows"])
+
     def test_numpy_scalar_config_writes_the_plain_config_json(self, tmp_path):
         def reject(token):
             raise ValueError(f"{token} is not JSON")

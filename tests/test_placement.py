@@ -30,6 +30,7 @@ from support import (
     replay_cpaap,
     replay_first_fit,
     replay_pap,
+    reused_candidate_steps,
     scenario,
     sort_applications,
     spent_machines,
@@ -333,6 +334,69 @@ class TestCpaap:
             check_trace_shape(scn, out)
 
 
+class TestCpaapKeptCandidate:
+    """The candidate that lost a step is reused at the next step of its application.
+
+    Each run is checked against ``replay_cpaap``, which ranks both
+    candidates afresh at every step. The probes show which scans ran: a
+    kept step makes one, the winner's, where a step that searches both
+    makes two.
+    """
+
+    def test_candidate_one_loses_three_steps_then_wins(self):
+        # machine 1 has all the affinity: at alpha 2 it wins while its cube
+        # term grows by 0.1, 0.7 and 1.9, then loses at 3.7 to machine 0's 0.1
+        scn = scenario([machine(0), machine(1)], [app(0, cpu=1, instances=5)], alpha=2.0)
+        f = final_matrix([[0.0, 1.0]])
+        with probe_log() as probes:
+            out = cpaap_place(scn, f)
+        candidates = replay_cpaap(scn, f, out)
+        assert candidates == [(0, 0, 1)] * 5
+        assert [j for _, _, j in out.trace] == [1, 1, 1, 0, 0]
+        # step 1 searches both; steps 2-4 keep machine 0 and only walk, the
+        # fourth placing on it; step 5 keeps machine 1 and only scans (pi, id)
+        assert probes == [1, 0, 1, 1, 1, 0]
+        assert out.pairs_examined == 5 * 2
+        assert reused_candidate_steps(candidates) == [1, 2, 3, 4]
+
+    def test_coinciding_candidates_are_both_searched_again(self):
+        # machine 2 leads the affinity ranking and has memory for two
+        # instances; then the walk reaches machine 0, the kept candidate one,
+        # and the two coincide, so step 4 searches both again
+        scn = scenario(
+            [machine(0), machine(1), machine(2, mem=2)], [app(0, cpu=1, mem=1, instances=4)],
+            alpha=10.0)
+        f = final_matrix([[0.5, 0.0, 1.0]])
+        with probe_log() as probes:
+            out = cpaap_place(scn, f)
+        candidates = replay_cpaap(scn, f, out)
+        assert candidates == [(0, 0, 2), (0, 0, 2), (0, 0, 0), (0, 1, 0)]
+        assert [j for _, _, j in out.trace] == [2, 2, 0, 0]
+        assert probes == [2, 0, 2, 2, 0, 2, 0, 1]
+        assert out.pairs_examined == 4 * 3
+        assert reused_candidate_steps(candidates) == [1, 2]
+
+    def test_a_run_failing_after_kept_steps_counts_its_failing_step(self):
+        # machines 0 and 1 take two instances each; machine 2 is anti-affine
+        # but still walked, second in the affinity ranking
+        scn = scenario(
+            [machine(0), machine(1), machine(2)],
+            [app(0, cpu=4, instances=6), app(1, cpu=4)],
+            anti=[[0, 0, 1], [0, 0, 0]], alpha=100.0)
+        f = final_matrix([[0.0, 1.0, 0.5], [0.0, 0.0, 0.0]])
+        with probe_log() as probes:
+            out = cpaap_place(scn, f)
+        candidates = replay_cpaap(scn, f, out)
+        assert out.failed_at == (0, 4) and not out.feasible
+        assert candidates == [(0, 0, 1), (0, 0, 1), (0, 0, 0), (0, 0, 0)]
+        # steps 2 and 3 keep machine 0; step 4 follows a coincidence and
+        # searches both, with machine 1 retired from the (pi, id) order;
+        # the failing step walks all three and scans nothing
+        assert probes == [1, 0, 1, 1, 2, 0, 1, 2, 0, 2, 0, 1, 2, 0]
+        assert out.pairs_examined == 5 * 3
+        assert reused_candidate_steps(candidates) == [1, 2]
+
+
 class TestFirstFit:
     def test_everything_on_machine_zero_until_full(self):
         scn = scenario([machine(0, cpu=10), machine(1, cpu=10)], [app(0, cpu=4, instances=3)])
@@ -546,14 +610,14 @@ class TestProbeCounts:
 
     ``pairs_examined`` counts every machine a scan that never drops one
     would probe; the probes are what the scans really draw. A scan that
-    never retires a machine probes 7,380 (pap), 5,259 (cpaap) and 8,231
+    never retires a machine probes 7,380 (pap), 3,311 (cpaap) and 8,231
     (first_fit) times here; aap's walk retires nothing.
     """
 
     PINNED = {  # name: (probes, pairs_examined)
         "pap": (3_139, 7_380),
         "aap": (1_682, 48_400),
-        "cpaap": (3_592, 48_400),
+        "cpaap": (2_397, 48_400),
         "first_fit": (3_950, 22_322),
     }
 

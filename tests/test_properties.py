@@ -3,7 +3,8 @@
 pap's kept machine order must make the same choices, stop at the same
 instance and count the same probes as re-sorting every machine per step.
 aap's and cpaap's ordered scans must match ranking all M machines per
-step, failing step and work count included, and must give the same
+step, failing step and work count included, also where cpaap reuses the
+candidate that lost the step before, and must give the same
 outcome on a matrix whose ranking another strategy already built as on a
 fresh one. first_fit's resumed scan must match probing from machine 0
 for every instance, with the skipped machines counted as the probes that
@@ -107,6 +108,7 @@ from support import (
     replay_first_fit,
     replay_oracle,
     replay_pap,
+    reused_candidate_steps,
     scenario,
     scenarios_equal,
     spent_machines,
@@ -184,6 +186,35 @@ def test_cpaap_scans_match_ranking_every_step(config):
     affinity = build_final_affinity(scenario)
     outcome = cpaap_place(scenario, affinity)
     replay_cpaap(scenario, affinity, outcome)
+    note_retired(scenario, outcome)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    config=st.builds(
+        GeneratorConfig,
+        machine_count=st.integers(1, 8),
+        application_count=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        instance_range=st.tuples(st.integers(1, 4), st.integers(4, 12)),
+        capacity_ranges=st.sampled_from([DEFAULT_CAPACITY_RANGES, IDENTICAL_MACHINES, IO_MEM_BOUND]),
+        power_idle_range=st.sampled_from([(80.0, 150.0), (100.0, 100.0)]),
+        power_max_range=st.sampled_from([(200.0, 400.0), (300.0, 300.0)]),
+        user_affinity_density=st.floats(0.0, 1.0),
+        anti_affinity_fraction=st.floats(0.0, 0.9),
+        alpha=ALPHAS,
+    ),
+)
+def test_cpaap_kept_candidates_match_ranking_every_step(config):
+    # long applications on few machines: most steps follow one of the same
+    # application, so many reuse the candidate that lost the step before
+    scenario = generate_synthetic(config)
+    affinity = build_final_affinity(scenario)
+    outcome = cpaap_place(scenario, affinity)
+    if reused_candidate_steps(replay_cpaap(scenario, affinity, outcome)):
+        event("reused a candidate")
+    if not outcome.feasible:
+        event("failed")
     note_retired(scenario, outcome)
 
 
